@@ -1,15 +1,13 @@
 // google-benchmark micro-benchmarks for the computational kernels under CAD:
-// CSR matvec, SpMM block kernels, PCG Laplacian solves (serial and lockstep
-// block), approximate commute embedding builds, exact pseudoinverse builds,
+// CSR matvec, SpMM block kernels, PCG Laplacian solves (one right-hand side
+// and a lockstep block), approximate commute embedding builds, exact pseudoinverse builds,
 // transition scoring, power iteration, Lanczos Fiedler pairs,
 // incomplete-Cholesky factorization, and sampled closeness.
 //
 // Beyond the usual google-benchmark flags, `--check_spmm` runs the kernel
 // equivalence checks instead of timing: MultiplyBlock against k per-column
-// SpMVs, IncompleteCholesky::ApplyBlock against k per-column applies, the
-// cache-blocked (tiled) SpMM against the plain block kernel, and the
-// degree-relabeled SpMM against the permuted plain product — all to 0 ULP.
-// CI's perf-smoke job gates on it.
+// SpMVs and IncompleteCholesky::ApplyBlock against k per-column applies, both
+// to 0 ULP. CI's perf-smoke job gates on it.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +24,6 @@
 #include "datagen/random_graphs.h"
 #include "datagen/rmat.h"
 #include "graph/centrality.h"
-#include "graph/relabel.h"
 #include "linalg/conjugate_gradient.h"
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/lanczos.h"
@@ -116,8 +113,9 @@ BENCHMARK(BM_CsrSpMMBlock)
     ->Args({100000, 8})
     ->Args({100000, 32});
 
-/// A power-law R-MAT graph: the degree distribution where relabeling and
-/// cache blocking actually matter (BenchGraph's ER graphs have no hubs).
+/// A power-law R-MAT graph: the degree distribution of the scale harness,
+/// where the SpMM gathers are irregular (BenchGraph's ER graphs have no
+/// hubs).
 WeightedGraph BenchRmatGraph(size_t n, size_t edge_factor = 8) {
   RmatOptions options;
   options.num_nodes = n;
@@ -128,59 +126,25 @@ WeightedGraph BenchRmatGraph(size_t n, size_t edge_factor = 8) {
   return std::move(graph).ValueOrDie();
 }
 
-void BM_DegreeOrderRelabel(benchmark::State& state) {
-  // The reorder pass itself: degree sort + inverse permutation + stored-
-  // order-preserving CSR permutation. Paid once per snapshot, amortized
-  // over the CG iterations that follow.
-  const auto n = static_cast<size_t>(state.range(0));
-  const WeightedGraph g = BenchRmatGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
-  for (auto _ : state) {
-    const Relabeling relabeling = DegreeOrderRelabeling(g);
-    const CsrMatrix permuted = PermuteCsrRows(l, relabeling);
-    benchmark::DoNotOptimize(permuted.values().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(l.nnz()));
-}
-BENCHMARK(BM_DegreeOrderRelabel)->Arg(100000)->Arg(1000000);
-
 void BM_LaplacianSpMM(benchmark::State& state) {
-  // The CG hot sweep on a power-law Laplacian, in its three layouts:
-  // range(2) = 0 plain CSR, 1 cache-blocked tile plan, 2 degree-relabeled
-  // rows (plain kernel, hub-prefix gather locality).
+  // The CG hot sweep on a power-law Laplacian.
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
-  const int mode = static_cast<int>(state.range(2));
   const WeightedGraph g = BenchRmatGraph(n);
-  CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
-  if (mode == 2) l = PermuteCsrRows(l, DegreeOrderRelabeling(g));
-  const CsrTilePlan plan = mode == 1 ? CsrTilePlan::Build(l, k)
-                                     : CsrTilePlan();
+  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
   const DenseMatrix x = BenchBlock(n, k);
   DenseMatrix y(n, k);
   for (auto _ : state) {
-    std::fill(y.mutable_data().begin(), y.mutable_data().end(), 0.0);
-    if (mode == 1) {
-      l.MultiplyAccumulateBlockTiled(1.0, x, &y, plan);
-    } else {
-      l.MultiplyAccumulateBlock(1.0, x, &y);
-    }
+    l.MultiplyOverwriteBlock(1.0, x, &y);
     benchmark::DoNotOptimize(y.data().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(l.nnz() * k));
 }
 BENCHMARK(BM_LaplacianSpMM)
-    ->Args({100000, 8, 0})
-    ->Args({100000, 8, 1})
-    ->Args({100000, 8, 2})
-    ->Args({100000, 32, 0})
-    ->Args({100000, 32, 1})
-    ->Args({100000, 32, 2})
-    ->Args({1000000, 16, 0})
-    ->Args({1000000, 16, 1})
-    ->Args({1000000, 16, 2});
+    ->Args({100000, 8})
+    ->Args({100000, 32})
+    ->Args({1000000, 16});
 
 void BM_IcApplyxK(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
@@ -236,44 +200,38 @@ void BM_LaplacianPcgSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LaplacianPcgSolve)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// k mean-centered Laplacian right-hand sides (near range(L)).
-std::vector<std::vector<double>> BenchRhs(size_t n, size_t k) {
-  std::vector<std::vector<double>> rhs(k, std::vector<double>(n, 0.0));
+/// An n x k block of mean-centered Laplacian right-hand sides (near
+/// range(L)).
+DenseMatrix BenchRhs(size_t n, size_t k) {
+  DenseMatrix rhs(n, k);
   for (size_t c = 0; c < k; ++c) {
     double mean = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      rhs[c][i] = static_cast<double>((i * (c + 3) + 11 * c) % 17) - 8.0;
-      mean += rhs[c][i];
+      rhs(i, c) = static_cast<double>((i * (c + 3) + 11 * c) % 17) - 8.0;
+      mean += rhs(i, c);
     }
     mean /= static_cast<double>(n);
-    for (size_t i = 0; i < n; ++i) rhs[c][i] -= mean;
+    for (size_t i = 0; i < n; ++i) rhs(i, c) -= mean;
   }
   return rhs;
 }
 
-void BM_PcgSolveMany(benchmark::State& state) {
-  // range(2) selects the path: 0 = per-RHS solves, 1 = lockstep block. Both
-  // produce bit-identical solutions; only the memory traffic differs.
+void BM_PcgSolveBlock(benchmark::State& state) {
+  // k Laplacian systems advanced in lockstep, sharing each SpMM sweep.
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
   const WeightedGraph g = BenchGraph(n);
   const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
-  const std::vector<std::vector<double>> rhs = BenchRhs(n, k);
-  CgOptions options;
-  options.use_block_solver = state.range(2) != 0;
-  const ConjugateGradientSolver solver(options);
-  std::vector<std::vector<double>> x;
+  const DenseMatrix rhs = BenchRhs(n, k);
+  const ConjugateGradientSolver solver;
+  DenseMatrix x;
   for (auto _ : state) {
-    auto summaries = solver.SolveMany(l, rhs, &x);
+    auto summaries = solver.SolveBlock(l, rhs, &x);
     CAD_CHECK(summaries.ok());
-    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(x.data().data());
   }
 }
-BENCHMARK(BM_PcgSolveMany)
-    ->Args({10000, 16, 0})
-    ->Args({10000, 16, 1})
-    ->Args({100000, 16, 0})
-    ->Args({100000, 16, 1});
+BENCHMARK(BM_PcgSolveBlock)->Args({10000, 16})->Args({100000, 16});
 
 void BM_ApproxEmbeddingBuild(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
@@ -416,38 +374,6 @@ size_t RunSpmmCheck() {
         }
       }
 
-      // Tiled SpMM vs the plain block kernel, with small tiles so the check
-      // crosses many row-block and band boundaries even at n=500.
-      DenseMatrix y_plain(n, k);
-      l.MultiplyAccumulateBlock(1.0, x, &y_plain);
-      const CsrTilePlan plan = CsrTilePlan::Build(l, k, 32, 64);
-      DenseMatrix y_tiled(n, k);
-      l.MultiplyAccumulateBlockTiled(1.0, x, &y_tiled, plan);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t c = 0; c < k; ++c) {
-          expect_identical(y_plain(i, c), y_tiled(i, c), "tiled SpMM", i, c);
-        }
-      }
-
-      // Degree-relabeled SpMM: the permuted product must be the permuted
-      // plain product, bit for bit (row p of P L P^T (P x) = row old(p) of
-      // L x, same entries in the same stored order).
-      const Relabeling relabeling = DegreeOrderRelabeling(g);
-      const CsrMatrix permuted = PermuteCsrRows(l, relabeling);
-      DenseMatrix x_perm(n, k);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t c = 0; c < k; ++c) {
-          x_perm(relabeling.new_id[i], c) = x(i, c);
-        }
-      }
-      DenseMatrix y_perm(n, k);
-      permuted.MultiplyAccumulateBlock(1.0, x_perm, &y_perm);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t c = 0; c < k; ++c) {
-          expect_identical(y_plain(i, c), y_perm(relabeling.new_id[i], c),
-                           "relabeled SpMM", i, c);
-        }
-      }
       std::printf("check_spmm n=%zu k=%zu: OK\n", n, k);
     }
   }

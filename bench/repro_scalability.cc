@@ -2,9 +2,7 @@
 // time of CAD, COM, ADJ, ACT and CLC on graphs of increasing size — and
 // doubles as the million-node scale harness: `--generator rmat` drives the
 // sweep with power-law R-MAT graphs (the regime where the approximate
-// engine is the only tractable one), and the optimization flags
-// (--relabel/--tiled_spmm/--arena/--block_solver) exercise the solver
-// hot-path attacks against the default path.
+// engine is the only tractable one).
 //
 // Expected shape (paper, on 1e7 nodes): ADJ fastest, then ACT, then CLC
 // (~1/3 of CAD; degrades with density), with CAD ~ COM the slowest but still
@@ -12,20 +10,16 @@
 //
 // Besides the human-readable table, the run is summarized into a
 // machine-readable JSON file (--solver_json, default BENCH_solver.json):
-// one row per (size, thread-count) pair with wall times, CG iteration
-// counts, and — under --compare_baseline — the solve-stage speedup of the
-// optimized configuration over the default path, plus a bitwise-equality
-// verdict for the two embeddings (the optimizations are contractually
-// bit-identical, so anything but `true` is a bug). CI's perf-smoke job
-// parses this file on every run.
+// one row per (size, thread-count) pair with wall times and CG iteration
+// counts, plus per-size incremental-maintenance rows under
+// --stream_windows. CI's perf-smoke job parses this file on every run.
 //
 // Scale tiers:
 //   PR CI:    --sizes 1000,10000 --threads_list 1,4   (seconds)
 //   nightly:  --sizes 10000,100000,1000000 --threads_list 1,4,8
-//             --generator rmat --full_detectors=false --compare_baseline=false
+//             --generator rmat --full_detectors=false
 //             (the 1M x 10M R-MAT tier; minutes)
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -77,13 +71,8 @@ struct RunResult {
   double cad_seconds = 0.0;
   uint64_t cad_pcg_iterations = 0;
   // Solve stage: the k-system Laplacian solves behind one embedding build
-  // per snapshot, timed with the optimization flags on and (optionally)
-  // off. This isolates what relabel/tiling/arena actually touch from the
-  // scoring and generation around it.
+  // per snapshot, isolated from the scoring and generation around it.
   double solve_seconds = 0.0;
-  double solve_baseline_seconds = 0.0;
-  bool compared = false;
-  bool bit_identical = true;
   // Baseline detectors (only when --full_detectors).
   bool full_detectors = false;
   double com_seconds = 0.0;
@@ -92,15 +81,13 @@ struct RunResult {
   double clc_seconds = 0.0;
 };
 
-/// Builds the embedding for every snapshot through one shared cache (the
-/// arena pool persists across snapshots, as in the detector loop) and
-/// returns the best wall time over `reps` repetitions (best-of-N filters
-/// the scheduler noise of shared machines; the work is deterministic, so
-/// the minimum is the cleanest estimate of the true cost). The last
-/// embedding is copied into *last.
+/// Builds the embedding for every snapshot through one shared cache, as in
+/// the detector loop, and returns the best wall time over `reps`
+/// repetitions (best-of-N filters the scheduler noise of shared machines;
+/// the work is deterministic, so the minimum is the cleanest estimate of
+/// the true cost).
 double TimeSolveStage(const TemporalGraphSequence& sequence,
-                      const ApproxCommuteOptions& options, int64_t reps,
-                      DenseMatrix* last) {
+                      const ApproxCommuteOptions& options, int64_t reps) {
   double best = 0.0;
   for (int64_t rep = 0; rep < reps; ++rep) {
     CommuteSolverCache cache;
@@ -109,7 +96,6 @@ double TimeSolveStage(const TemporalGraphSequence& sequence,
       auto oracle =
           ApproxCommuteEmbedding::Build(sequence.Snapshot(t), options, &cache);
       CAD_CHECK(oracle.ok()) << oracle.status().ToString();
-      if (t + 1 == sequence.num_snapshots()) *last = oracle->embedding();
     }
     const double elapsed = timer.ElapsedSeconds();
     if (rep == 0 || elapsed < best) best = elapsed;
@@ -149,10 +135,8 @@ struct IncrementalResult {
 IncrementalResult TimeIncrementalStage(const TemporalGraphSequence& sequence,
                                        ApproxCommuteOptions options,
                                        int64_t reps) {
-  // Incremental maintenance requires the edge-keyed JL draws and is
-  // incompatible with relabel's solver-space RHS layout.
+  // Incremental maintenance requires the edge-keyed JL draws.
   options.warm_start = true;
-  options.relabel = false;
   const size_t k = options.embedding_dim;
 
   IncrementalResult result;
@@ -206,12 +190,6 @@ IncrementalResult TimeIncrementalStage(const TemporalGraphSequence& sequence,
   return result;
 }
 
-bool BitIdentical(const DenseMatrix& a, const DenseMatrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(),
-                     a.data().size() * sizeof(double)) == 0;
-}
-
 int Run(int argc, char** argv) {
   FlagParser flags;
   std::string sizes_flag = "1000,10000";
@@ -222,11 +200,6 @@ int Run(int argc, char** argv) {
   int64_t edge_factor = 10;
   double average_degree = 2.0;
   double tolerance = 1e-8;
-  bool relabel = true;
-  bool tiled_spmm = true;
-  bool arena = true;
-  bool block_solver = true;
-  bool compare_baseline = true;
   bool full_detectors = true;
   int64_t solve_reps = 1;
   int64_t stream_windows = 0;
@@ -249,18 +222,6 @@ int Run(int argc, char** argv) {
   flags.AddDouble("avg_degree", &average_degree,
                   "er only: average degree (paper's sparsity ~ degree 2)");
   flags.AddDouble("tolerance", &tolerance, "CG relative-residual target");
-  flags.AddBool("relabel", &relabel,
-                "optimized config: degree-ordered solver relabeling");
-  flags.AddBool("tiled_spmm", &tiled_spmm,
-                "optimized config: cache-blocked SpMM sweeps (no-op when "
-                "relabel already reorders rows)");
-  flags.AddBool("arena", &arena,
-                "optimized config: pooled dense buffers across snapshots");
-  flags.AddBool("block_solver", &block_solver,
-                "optimized config: lockstep block solver");
-  flags.AddBool("compare_baseline", &compare_baseline,
-                "also time the default solver path and verify the optimized "
-                "embeddings are bit-identical to it");
   flags.AddBool("full_detectors", &full_detectors,
                 "run the COM/ADJ/ACT/CLC baselines too (turn off for the "
                 "1M tier, where only CAD is under test)");
@@ -292,17 +253,13 @@ int Run(int argc, char** argv) {
 
   bench::Banner("Scalability (paper §4.1.3): per-transition runtime vs n");
   std::cout << "  generator = " << generator << ", k = " << k
-            << ", tolerance = " << tolerance << "\n  optimized config:"
-            << " relabel=" << (relabel ? "on" : "off")
-            << " tiled_spmm=" << (tiled_spmm ? "on" : "off")
-            << " arena=" << (arena ? "on" : "off")
-            << " block_solver=" << (block_solver ? "on" : "off") << "\n";
+            << ", tolerance = " << tolerance << "\n";
 
   const obs::ScopedMetricsEnable metrics_enable;
 
   std::vector<RunResult> results;
-  bench::Table table({"n", "m", "threads", "CAD (s)", "pcg iters",
-                      "solve (s)", "baseline (s)", "speedup", "bit-id"});
+  bench::Table table(
+      {"n", "m", "threads", "CAD (s)", "pcg iters", "solve (s)"});
   for (const int64_t n : sizes) {
     // One transition per size, shared across thread counts so rows within a
     // size are directly comparable.
@@ -331,40 +288,18 @@ int Run(int argc, char** argv) {
       result.m = sequence.Snapshot(0).num_edges();
       result.threads = threads;
 
-      ApproxCommuteOptions optimized;
-      optimized.embedding_dim = static_cast<size_t>(k);
-      optimized.cg.tolerance = tolerance;
-      optimized.cg.num_threads = static_cast<size_t>(threads);
-      optimized.cg.use_block_solver = block_solver;
-      optimized.cg.tiled_spmm = tiled_spmm;
-      optimized.relabel = relabel;
-      optimized.use_arena = arena;
+      ApproxCommuteOptions approx;
+      approx.embedding_dim = static_cast<size_t>(k);
+      approx.cg.tolerance = tolerance;
+      approx.cg.num_threads = static_cast<size_t>(threads);
 
-      // Solve stage: embedding builds only, optimized vs default path.
-      DenseMatrix optimized_embedding;
-      result.solve_seconds =
-          TimeSolveStage(sequence, optimized, solve_reps, &optimized_embedding);
-      if (compare_baseline) {
-        ApproxCommuteOptions baseline;
-        baseline.embedding_dim = static_cast<size_t>(k);
-        baseline.cg.tolerance = tolerance;
-        baseline.cg.num_threads = static_cast<size_t>(threads);
-        DenseMatrix baseline_embedding;
-        result.solve_baseline_seconds =
-            TimeSolveStage(sequence, baseline, solve_reps, &baseline_embedding);
-        result.compared = true;
-        result.bit_identical =
-            BitIdentical(optimized_embedding, baseline_embedding);
-        CAD_CHECK(result.bit_identical)
-            << "optimized solve is NOT bit-identical to the default path at "
-            << "n=" << n << " threads=" << threads
-            << " — the relabel/tiling/arena contract is broken";
-      }
+      // Solve stage: embedding builds only.
+      result.solve_seconds = TimeSolveStage(sequence, approx, solve_reps);
 
-      // Full CAD pass (generation-to-report) with the optimized config.
+      // Full CAD pass (generation-to-report).
       CadOptions cad_options;
       cad_options.engine = CommuteEngine::kApprox;
-      cad_options.approx = optimized;
+      cad_options.approx = approx;
       CadDetector cad(cad_options);
       const auto time_scorer = [&sequence](NodeScorer* scorer) {
         Timer timer;
@@ -398,21 +333,11 @@ int Run(int argc, char** argv) {
         result.clc_seconds = time_scorer(&clc);
       }
 
-      const double speedup =
-          result.compared && result.solve_seconds > 0.0
-              ? result.solve_baseline_seconds / result.solve_seconds
-              : 0.0;
       table.AddRow({std::to_string(result.n), std::to_string(result.m),
                     std::to_string(result.threads),
                     bench::Fixed(result.cad_seconds, 3),
                     std::to_string(result.cad_pcg_iterations),
-                    bench::Fixed(result.solve_seconds, 3),
-                    result.compared
-                        ? bench::Fixed(result.solve_baseline_seconds, 3)
-                        : "-",
-                    result.compared ? bench::Fixed(speedup, 2) + "x" : "-",
-                    result.compared ? (result.bit_identical ? "yes" : "NO")
-                                    : "-"});
+                    bench::Fixed(result.solve_seconds, 3)});
       results.push_back(result);
     }
   }
@@ -450,9 +375,6 @@ int Run(int argc, char** argv) {
       options.embedding_dim = static_cast<size_t>(k);
       options.cg.tolerance = tolerance;
       options.cg.num_threads = static_cast<size_t>(thread_counts.front());
-      options.cg.use_block_solver = block_solver;
-      options.cg.tiled_spmm = tiled_spmm;
-      options.use_arena = arena;
       options.incremental_tolerance = incremental_tolerance;
       IncrementalResult inc = TimeIncrementalStage(stream, options, solve_reps);
       inc.n = n;
@@ -488,17 +410,6 @@ int Run(int argc, char** argv) {
     json.Number(k);
     json.Key("tolerance");
     json.Number(tolerance);
-    json.Key("optimized");
-    json.BeginObject();
-    json.Key("relabel");
-    json.Bool(relabel);
-    json.Key("tiled_spmm");
-    json.Bool(tiled_spmm);
-    json.Key("arena");
-    json.Bool(arena);
-    json.Key("block_solver");
-    json.Bool(block_solver);
-    json.EndObject();
     json.Key("rows");
     json.BeginArray();
     for (const RunResult& result : results) {
@@ -515,16 +426,6 @@ int Run(int argc, char** argv) {
       json.Number(static_cast<size_t>(result.cad_pcg_iterations));
       json.Key("solve_seconds");
       json.Number(result.solve_seconds);
-      if (result.compared) {
-        json.Key("solve_baseline_seconds");
-        json.Number(result.solve_baseline_seconds);
-        json.Key("solve_speedup");
-        json.Number(result.solve_seconds > 0.0
-                        ? result.solve_baseline_seconds / result.solve_seconds
-                        : 0.0);
-        json.Key("bit_identical");
-        json.Bool(result.bit_identical);
-      }
       if (result.full_detectors) {
         json.Key("com_seconds");
         json.Number(result.com_seconds);

@@ -81,7 +81,6 @@ int main() {
   fast_options.engine = CommuteEngine::kApprox;
   fast_options.approx.embedding_dim = 16;
   fast_options.approx.warm_start = true;
-  fast_options.approx.cg.use_block_solver = true;
   fast_options.approx.cg.preconditioner =
       CgPreconditioner::kIncompleteCholesky;
   CadDetector fast_detector(fast_options);

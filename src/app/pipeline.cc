@@ -35,7 +35,6 @@ Result<PipelineResult> RunCommuteFamily(const TemporalGraphSequence& sequence,
   CAD_ASSIGN_OR_RETURN(cad_options.score_kind, KindFromName(options.method));
   cad_options.approx.warm_start = options.warm_start;
   cad_options.approx.refactor_threshold = options.refactor_threshold;
-  cad_options.approx.cg.use_block_solver = options.block_solver;
   CadDetector detector(cad_options);
 
   std::vector<TransitionScores> analyses;
@@ -122,6 +121,7 @@ Result<PipelineResult> RunAnomalyPipeline(const TemporalGraphSequence& sequence,
     return Status::InvalidArgument(
         "the pipeline needs at least two snapshots");
   }
+  CAD_RETURN_NOT_OK(ValidateNodesPerTransition(options.nodes_per_transition));
   CAD_DCHECK_OK(sequence.CheckConsistent());
   Result<PipelineResult> result = [&] {
     CAD_TRACE_SPAN("pipeline_run");

@@ -28,7 +28,8 @@ struct PipelineOptions {
   /// baselines).
   std::string method = "CAD";
   /// Target average anomalous nodes per transition for the global threshold
-  /// (commute-based family only).
+  /// (commute-based family only). RunAnomalyPipeline rejects a negative or
+  /// NaN value with InvalidArgument before any work.
   double nodes_per_transition = 5.0;
   /// Commute-based family settings (engine, k, seed).
   CadOptions cad;
@@ -50,8 +51,7 @@ struct PipelineOptions {
   /// IC(0) refactorization trigger under warm_start
   /// (see CommuteSolverCache).
   double refactor_threshold = 0.1;
-  /// Advance the k CG systems in lockstep through shared SpMM sweeps
-  /// (see CgOptions::use_block_solver). Bit-identical results either way.
+  /// No effect; removed together with the benchmark harness's assignment.
   bool block_solver = false;
   /// Optional heartbeat reporter (not owned; must outlive the run). The
   /// pipeline ticks it once per completed stage (score, threshold, localize,

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "commute/solver_cache.h"
-#include "graph/relabel.h"
-#include "linalg/workspace.h"
 #include "obs/obs.h"
 
 namespace cad {
@@ -43,71 +41,31 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   if (k == 0) {
     return Status::InvalidArgument("embedding_dim must be positive");
   }
-  if (options.relabel &&
-      options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
-    return Status::InvalidArgument(
-        "ApproxCommuteEmbedding: relabel is incompatible with the IC(0) "
-        "preconditioner (its elimination order would change under the "
-        "permutation); use kJacobi or kNone");
-  }
   if (options.incremental && !options.warm_start) {
     return Status::InvalidArgument(
         "ApproxCommuteEmbedding: incremental requires warm_start (the "
         "edge-keyed JL draws are what make the cached right-hand sides "
         "updatable under churn)");
   }
-  if (options.incremental && options.relabel) {
-    return Status::InvalidArgument(
-        "ApproxCommuteEmbedding: incremental is incompatible with relabel "
-        "(the cached right-hand-side block is kept in original node order)");
-  }
   const double volume = graph.Volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
   ComponentLabeling components = ConnectedComponents(graph);
-
-  // Solver-space layout. Under relabeling, solver row new_id[i] hosts
-  // original node i; everything below that touches per-node rows goes
-  // through `solver_row`, and the reductions inside the block solver replay
-  // original-id order, so the permuted solve is bit-identical to the
-  // identity-layout solve (see graph/relabel.h for the full contract). The
-  // permutation never escapes this function: the embedding is un-permuted
-  // before it is stored or returned.
-  Relabeling relabeling;
-  const bool relabel = options.relabel && n > 1;
-  if (relabel) {
-    CAD_TRACE_SPAN("approx_commute_relabel");
-    relabeling = DegreeOrderRelabeling(graph);
-    CAD_METRIC_INC("commute.relabeled_builds");
-  }
-  const uint32_t* to_solver = relabel ? relabeling.new_id.data() : nullptr;
-  const auto solver_row = [to_solver](size_t i) {
-    return to_solver != nullptr ? static_cast<size_t>(to_solver[i]) : i;
-  };
-
-  // Arena path: dense temporaries come from (and return to) the cache's
-  // workspace so consecutive snapshots reuse the same buffers.
-  DenseWorkspace* ws =
-      options.use_arena && cache != nullptr ? cache->workspace() : nullptr;
-  if (ws != nullptr) CAD_METRIC_INC("commute.arena_builds");
 
   // Step 1: Y = Q W^{1/2} B, built by streaming edges. For edge e = (u, v,
   // w), row e of W^{1/2} B is sqrt(w) (e_u - e_v)^T, so node u's row of the
   // block gains sqrt(w) * q_e and node v's loses it, where q_e is the e-th
   // column of Q, drawn as k Rademacher entries / sqrt(k). The block is
   // node-major (n x k): each edge touches two contiguous rows, and the
-  // solver consumes the k right-hand sides as columns. Edges stream in
-  // their canonical order regardless of relabeling — only the destination
-  // rows move, so each node's row keeps its exact accumulation sequence.
-  PooledDense b_pool(ws, n, k);
-  DenseMatrix& b = b_pool.get();
+  // solver consumes the k right-hand sides as columns.
+  DenseMatrix b(n, k);
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   if (options.warm_start) {
     // Edge-keyed draws: stable under edge churn (see EdgeJlSeed).
     for (const Edge& edge : graph.Edges()) {
       Rng rng(EdgeJlSeed(options.seed, edge.u, edge.v));
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
-      double* bu = b.mutable_row(solver_row(edge.u));
-      double* bv = b.mutable_row(solver_row(edge.v));
+      double* bu = b.mutable_row(edge.u);
+      double* bv = b.mutable_row(edge.v);
       for (size_t r = 0; r < k; ++r) {
         const double q = rng.Rademacher() * scale;
         bu[r] += q;
@@ -122,8 +80,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     for (const Edge& edge : graph.Edges()) {
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
       for (size_t r = 0; r < k; ++r) q[r] = rng.Rademacher() * scale;
-      double* bu = b.mutable_row(solver_row(edge.u));
-      double* bv = b.mutable_row(solver_row(edge.v));
+      double* bu = b.mutable_row(edge.u);
+      double* bv = b.mutable_row(edge.v);
       for (size_t r = 0; r < k; ++r) {
         bu[r] += q[r];
         bv[r] -= q[r];
@@ -134,32 +92,25 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // Step 2: solve L z_r = y_r for each column against the regularized
   // Laplacian. Each y_r sums to zero within every component, so the
   // regularized solution tracks the pseudoinverse solution without a 1/eps
-  // blowup (see commute_time.h). Under relabeling the Laplacian is built in
-  // original space (identical degree/value arithmetic) and then permuted
-  // with its per-row stored order preserved.
+  // blowup (see commute_time.h).
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
-  CsrMatrix laplacian = graph.ToLaplacianCsr(epsilon);
-  if (relabel) laplacian = PermuteCsrRows(laplacian, relabeling);
+  const CsrMatrix laplacian = graph.ToLaplacianCsr(epsilon);
   const ConjugateGradientSolver solver(options.cg);
 
   // Warm-start state: the previous snapshot's embedding seeds the solves,
   // and (IC(0) only) the cross-snapshot factorization is reused until the
   // cache's staleness trigger fires.
   CgSolveContext context;
-  if (relabel) context.reduction_order = &relabeling.new_id;
-  context.workspace = ws;
   const DenseMatrix* previous =
       options.warm_start && cache != nullptr ? cache->PreviousEmbedding(k, n)
                                              : nullptr;
-  PooledDense x0_pool(ws, previous != nullptr ? n : 0,
-                      previous != nullptr ? k : 0);
+  DenseMatrix x0;
   if (previous != nullptr) {
-    // Stored k x n in original ids; the solver wants the node-major n x k
-    // guess block in solver layout.
-    DenseMatrix& x0 = x0_pool.get();
+    // Stored k x n; the solver wants the node-major n x k guess block.
+    x0 = DenseMatrix(n, k);
     for (size_t i = 0; i < n; ++i) {
-      double* row = x0.mutable_row(solver_row(i));
+      double* row = x0.mutable_row(i);
       for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
     }
     context.initial_guess = &x0;
@@ -170,35 +121,15 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     CAD_ASSIGN_OR_RETURN(context.cached_factor, cache->FactorFor(laplacian));
   }
 
+  DenseMatrix x;
   std::vector<CgSummary> summaries;
+  CAD_ASSIGN_OR_RETURN(summaries, solver.SolveBlock(laplacian, b, &x, context));
+  // The embedding is stored k x n; allocated only after the solve so it does
+  // not add to the solve's peak footprint.
   DenseMatrix z(k, n);
-  if (options.cg.use_block_solver || relabel) {
-    // Relabeled systems always take the lockstep path: it is bit-identical
-    // to the serial path by contract, and it is where the reduction-order
-    // indirection lives.
-    DenseMatrix x;
-    CAD_ASSIGN_OR_RETURN(summaries,
-                         solver.SolveBlock(laplacian, b, &x, context));
-    for (size_t r = 0; r < k; ++r) {
-      double* z_row = z.mutable_row(r);
-      for (size_t i = 0; i < n; ++i) z_row[i] = x(solver_row(i), r);
-    }
-    if (ws != nullptr) ws->Release(std::move(x));
-  } else {
-    // Batch the k systems so the preconditioner (which may be an incomplete
-    // Cholesky factorization) is built once.
-    std::vector<std::vector<double>> rhs(k);
-    for (size_t r = 0; r < k; ++r) {
-      rhs[r].resize(n);
-      for (size_t i = 0; i < n; ++i) rhs[r][i] = b(i, r);
-    }
-    std::vector<std::vector<double>> solutions;
-    CAD_ASSIGN_OR_RETURN(
-        summaries, solver.SolveMany(laplacian, rhs, &solutions, context));
-    for (size_t r = 0; r < k; ++r) {
-      double* z_row = z.mutable_row(r);
-      for (size_t i = 0; i < n; ++i) z_row[i] = solutions[r][i];
-    }
+  for (size_t r = 0; r < k; ++r) {
+    double* z_row = z.mutable_row(r);
+    for (size_t i = 0; i < n; ++i) z_row[i] = x(i, r);
   }
 
   const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
@@ -211,8 +142,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     }
   }
   if (options.warm_start && cache != nullptr) cache->StoreEmbedding(z);
-  // Incremental mode: persist the (original-layout) RHS block so the next
-  // window can update it in O(churn * k) instead of rebuilding it.
+  // Incremental mode: persist the RHS block so the next window can update
+  // it in O(churn * k) instead of rebuilding it.
   if (options.incremental && cache != nullptr) cache->StoreIncrementalRhs(b);
 
   return ApproxCommuteEmbedding(std::move(z), std::move(components), volume,
@@ -234,11 +165,6 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     return Status::InvalidArgument(
         "ApproxCommuteEmbedding::BuildIncremental requires "
         "options.incremental and options.warm_start");
-  }
-  if (options.relabel) {
-    return Status::InvalidArgument(
-        "ApproxCommuteEmbedding::BuildIncremental: incremental is "
-        "incompatible with relabel");
   }
   if (cache == nullptr) {
     return Status::FailedPrecondition(
@@ -335,33 +261,16 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     }
     CgSolveContext context;
     context.initial_guess = &x0s;
-    context.workspace = options.use_arena ? cache->workspace() : nullptr;
     if (options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
       CAD_ASSIGN_OR_RETURN(context.cached_factor, cache->FactorFor(laplacian));
     }
     const ConjugateGradientSolver solver(options.cg);
-    if (options.cg.use_block_solver) {
-      DenseMatrix x;
-      CAD_ASSIGN_OR_RETURN(summaries,
-                           solver.SolveBlock(laplacian, bs, &x, context));
-      for (size_t idx = 0; idx < s; ++idx) {
-        double* z_row = z.mutable_row(resolve[idx]);
-        for (size_t i = 0; i < n; ++i) z_row[i] = x(i, idx);
-      }
-    } else {
-      std::vector<std::vector<double>> rhs_cols(s);
-      for (size_t idx = 0; idx < s; ++idx) {
-        rhs_cols[idx].resize(n);
-        for (size_t i = 0; i < n; ++i) rhs_cols[idx][i] = bs(i, idx);
-      }
-      std::vector<std::vector<double>> solutions;
-      CAD_ASSIGN_OR_RETURN(
-          summaries, solver.SolveMany(laplacian, rhs_cols, &solutions,
-                                      context));
-      for (size_t idx = 0; idx < s; ++idx) {
-        double* z_row = z.mutable_row(resolve[idx]);
-        for (size_t i = 0; i < n; ++i) z_row[i] = solutions[idx][i];
-      }
+    DenseMatrix x;
+    CAD_ASSIGN_OR_RETURN(summaries,
+                         solver.SolveBlock(laplacian, bs, &x, context));
+    for (size_t idx = 0; idx < s; ++idx) {
+      double* z_row = z.mutable_row(resolve[idx]);
+      for (size_t i = 0; i < n; ++i) z_row[i] = x(i, idx);
     }
     for (size_t idx = 0; idx < s; ++idx) {
       if (options.require_convergence && !summaries[idx].converged) {

@@ -42,30 +42,10 @@ struct ApproxCommuteOptions {
   /// Relative Laplacian-diagonal change above which a cached IC(0) factor
   /// is refactorized (see CommuteSolverCache). Only read under warm_start.
   double refactor_threshold = 0.1;
-  /// Degree-ordered solver relabeling (perf only, opt-in). The build
-  /// permutes the Laplacian and right-hand-side block so high-degree nodes
-  /// occupy the leading rows — on power-law graphs the SpMM gather working
-  /// set collapses to a cache-resident hub prefix — and un-permutes the
-  /// embedding before anything observable is produced. The permuted solve
-  /// replays the exact floating-point sequence of the unpermuted one
-  /// (stored-order-preserving CSR permutation + original-order reductions;
-  /// see graph/relabel.h), so embeddings, scores, and reports are
-  /// bit-identical with the flag on or off. Always routed through the
-  /// lockstep block solver (itself bit-identical to the serial path).
-  /// Incompatible with kIncompleteCholesky, whose factorization depends on
-  /// elimination order; Build returns InvalidArgument for that combination.
-  bool relabel = false;
-  /// Pool the per-snapshot dense temporaries (JL right-hand sides, CG
-  /// work blocks, solution staging) in the CommuteSolverCache's workspace
-  /// so consecutive windows reuse buffers instead of reallocating them.
-  /// Requires a cache at Build; bitwise-identical results either way
-  /// (pooled buffers are re-zeroed on acquire).
-  bool use_arena = false;
   /// Incremental maintenance (opt-in; requires warm_start for the
-  /// edge-keyed JL draws and a cache to hold the state, and is incompatible
-  /// with relabel, whose solver-space RHS layout the cached block cannot
-  /// share). Full builds additionally persist the JL right-hand-side block
-  /// in the cache; BuildIncremental then updates that block in
+  /// edge-keyed JL draws and a cache to hold the state). Full builds
+  /// additionally persist the JL right-hand-side block in the cache;
+  /// BuildIncremental then updates that block in
   /// O(churn * k), re-solves only the columns whose exact residual against
   /// the new Laplacian exceeds incremental_tolerance, and reuses the rest
   /// of the cached embedding verbatim. See DESIGN.md §12.

@@ -132,11 +132,6 @@ Result<const IncompleteCholesky*> CommuteSolverCache::FactorFor(
   return static_cast<const IncompleteCholesky*>(&*factor_);
 }
 
-DenseWorkspace* CommuteSolverCache::workspace() {
-  if (workspace_ == nullptr) workspace_ = std::make_unique<DenseWorkspace>();
-  return workspace_.get();
-}
-
 CommuteSolverCache::State CommuteSolverCache::ExportState() const {
   State state;
   state.embedding = embedding_;

@@ -1,7 +1,6 @@
 #ifndef CAD_COMMUTE_SOLVER_CACHE_H_
 #define CAD_COMMUTE_SOLVER_CACHE_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/sparse_matrix.h"
-#include "linalg/workspace.h"
 
 namespace cad {
 
@@ -87,8 +85,7 @@ class CommuteSolverCache {
   /// Approximate heap footprint of the cached state in bytes: the embedding,
   /// the IC(0) factor (lower triangle plus its stored transpose) and its
   /// reference diagonal, and the incremental RHS block. Accounting input for
-  /// a shared memory budget across many caches (the multi-tenant server);
-  /// the pooled workspace is excluded — it is scratch, not retained state.
+  /// a shared memory budget across many caches (the multi-tenant server).
   size_t ApproxBytes() const;
 
   /// \brief Snapshot of everything FactorFor/PreviousEmbedding/
@@ -128,13 +125,6 @@ class CommuteSolverCache {
   /// out-of-bounds read.
   [[nodiscard]] Status RestoreState(State state);
 
-  /// Buffer pool shared by consecutive snapshots' builds (the arena path in
-  /// ApproxCommuteOptions::use_arena). Created lazily on first use; the
-  /// pooled buffers live exactly as long as the cache. Not part of
-  /// ExportState — pooling is a memory-layout concern, never observable in
-  /// results.
-  DenseWorkspace* workspace();
-
   double refactor_threshold() const { return refactor_threshold_; }
   /// How often FactorFor served the cached factor / had to refactorize.
   size_t factor_reuses() const { return factor_reuses_; }
@@ -163,7 +153,6 @@ class CommuteSolverCache {
   std::optional<DenseMatrix> embedding_;
   std::optional<IncompleteCholesky> factor_;
   std::vector<double> factor_diagonal_;  // diagonal the factor was built from
-  std::unique_ptr<DenseWorkspace> workspace_;  // lazy; keeps the class movable
   size_t factor_reuses_ = 0;
   size_t refactorizations_ = 0;
   double last_relative_change_ = 0.0;

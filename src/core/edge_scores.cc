@@ -107,8 +107,9 @@ void TransitionScores::BuildSelectionIndex() {
     ++num_positive;
   }
   // Replay the peeling loop's successive subtraction once. Computing this as
-  // total - prefix_sum would round differently and break bit-identity with
-  // the legacy loop.
+  // total - prefix_sum would round differently and change which edges the
+  // paper's peel (subtract top scores until the remainder is below delta)
+  // selects.
   remaining_mass.resize(num_positive);
   double remaining = total_score;
   for (size_t i = 0; i < num_positive; ++i) {
@@ -125,42 +126,24 @@ void TransitionScores::BuildSelectionIndex() {
   }
 }
 
-void TransitionScores::ClearSelectionIndex() {
-  remaining_mass.clear();
-  prefix_nodes.clear();
-  num_positive = 0;
-}
-
 size_t CountSelectedEdges(const TransitionScores& scores, double delta) {
-  if (scores.has_selection_index()) {
-    // remaining_mass is strictly decreasing over [0, num_positive) (every
-    // score there is positive), so the first index whose remaining mass
-    // drops below delta is found by binary search; the selection is the
-    // prefix before it. Comparisons are against the same successively
-    // subtracted values the legacy loop sees, so the count is bit-identical.
-    size_t lo = 0;
-    size_t hi = scores.num_positive;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (scores.remaining_mass[mid] < delta) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
+  CAD_DCHECK(scores.has_selection_index());
+  // remaining_mass is strictly decreasing over [0, num_positive) (every
+  // score there is positive), so the first index whose remaining mass drops
+  // below delta is found by binary search; the selection is the prefix
+  // before it. Comparisons are against the same successively subtracted
+  // values a peeling loop would see, so the count equals that loop's.
+  size_t lo = 0;
+  size_t hi = scores.num_positive;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (scores.remaining_mass[mid] < delta) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-    return lo;
   }
-  // Legacy peeling loop (kept verbatim as the unindexed fallback and the
-  // reference implementation for the bit-identity tests).
-  size_t selected = 0;
-  double remaining = scores.total_score;
-  for (size_t i = 0; i < scores.edges.size(); ++i) {
-    if (remaining < delta) break;
-    if (scores.edges[i].score <= 0.0) break;
-    ++selected;
-    remaining -= scores.edges[i].score;
-  }
-  return selected;
+  return lo;
 }
 
 std::vector<size_t> SelectAnomalousEdges(const TransitionScores& scores,

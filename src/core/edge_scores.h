@@ -70,16 +70,12 @@ struct TransitionScores {
   void BuildSelectionIndex();
 
   bool has_selection_index() const { return !prefix_nodes.empty(); }
-
-  /// Drops the index; selection falls back to the legacy peeling loop.
-  /// Exists so tests can compare the two paths bit-for-bit.
-  void ClearSelectionIndex();
 };
 
 /// \brief Number of edges SelectAnomalousEdges would select for `delta`
-/// (always the length of the selected prefix). Binary search when the index
-/// is present, the legacy peeling loop otherwise — bitwise-identical counts
-/// either way.
+/// (always the length of the selected prefix), by binary search over the
+/// selection index, which must be present (ComputeTransitionScores and
+/// checkpoint restore both build it).
 size_t CountSelectedEdges(const TransitionScores& scores, double delta);
 
 /// \brief Computes per-edge anomaly scores for the transition between

@@ -31,20 +31,22 @@ size_t CountAnomalousNodes(const std::vector<TransitionScores>& scores,
                            double delta) {
   size_t total = 0;
   for (const TransitionScores& transition : scores) {
-    // The selection is always a prefix of the descending order, so with the
-    // index present the node count is a binary search plus a prefix-table
-    // lookup — no edge materialization. This is what turns CalibrateDelta's
+    // The selection is always a prefix of the descending order, so the
+    // node count is a binary search plus a prefix-table lookup — no edge materialization. This is what turns CalibrateDelta's
     // 100-probe bisection from O(iter*T*E log E) into O(iter*T*log E).
-    const size_t selected = CountSelectedEdges(transition, delta);
-    if (transition.has_selection_index()) {
-      total += transition.prefix_nodes[selected];
-    } else {
-      std::vector<size_t> indices(selected);
-      for (size_t i = 0; i < selected; ++i) indices[i] = i;
-      total += EndpointUnion(transition, indices).size();
-    }
+    CAD_DCHECK(transition.has_selection_index());
+    total += transition.prefix_nodes[CountSelectedEdges(transition, delta)];
   }
   return total;
+}
+
+Status ValidateNodesPerTransition(double nodes_per_transition) {
+  if (!(nodes_per_transition >= 0.0)) {
+    return Status::InvalidArgument(
+        "anomalous nodes per transition (--l) must be a non-negative "
+        "number, got " + std::to_string(nodes_per_transition));
+  }
+  return Status::OK();
 }
 
 double CalibrateDelta(const std::vector<TransitionScores>& scores,

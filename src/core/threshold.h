@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "core/edge_scores.h"
 
 namespace cad {
@@ -35,11 +36,19 @@ std::vector<AnomalyReport> ApplyThreshold(
 /// behaviour highlighted in the Enron study (Fig. 7).
 ///
 /// Returns 0 when `scores` is empty. Found by bisection over delta, since
-/// the flagged-node count is non-increasing in delta.
+/// the flagged-node count is non-increasing in delta. `nodes_per_transition`
+/// must pass ValidateNodesPerTransition (CHECK-enforced).
 double CalibrateDelta(const std::vector<TransitionScores>& scores,
                       double nodes_per_transition);
 
+/// InvalidArgument unless `nodes_per_transition` (the tools' --l) is a
+/// non-negative number; NaN and negative targets are rejected. Front ends
+/// call this before any work, so a bad --l is an error, not an abort.
+[[nodiscard]] Status ValidateNodesPerTransition(double nodes_per_transition);
+
 /// Total number of anomalous nodes that `delta` produces across transitions.
+/// Every transition must carry its selection index (see
+/// TransitionScores::BuildSelectionIndex).
 size_t CountAnomalousNodes(const std::vector<TransitionScores>& scores,
                            double delta);
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 
 #include "common/check.h"
@@ -13,64 +10,13 @@
 #include "obs/obs.h"
 
 #include "linalg/incomplete_cholesky.h"
-#include "linalg/vector_ops.h"
 
 namespace cad {
 
 namespace {
 
-/// Applies M^{-1} r -> z for the configured preconditioner.
-using Preconditioner =
-    std::function<void(const std::vector<double>&, std::vector<double>*)>;
-
-/// Builds the preconditioner application for one matrix. The IC factor (if
-/// any) is owned by the returned closure unless `cached` supplies a prebuilt
-/// one, in which case the closure borrows it (the caller keeps it alive).
-Result<Preconditioner> MakePreconditioner(const CsrMatrix& a,
-                                          CgPreconditioner kind,
-                                          const IncompleteCholesky* cached) {
-  switch (kind) {
-    case CgPreconditioner::kNone:
-      return Preconditioner(
-          [](const std::vector<double>& r, std::vector<double>* z) {
-            *z = r;
-          });
-    case CgPreconditioner::kJacobi: {
-      // Zero diagonal entries (isolated Laplacian nodes) fall back to
-      // identity scaling.
-      auto inv_diag = std::make_shared<std::vector<double>>(a.Diagonal());
-      for (double& d : *inv_diag) d = (d > 0.0) ? 1.0 / d : 1.0;
-      return Preconditioner(
-          [inv_diag](const std::vector<double>& r, std::vector<double>* z) {
-            z->resize(r.size());
-            for (size_t i = 0; i < r.size(); ++i) {
-              (*z)[i] = (*inv_diag)[i] * r[i];
-            }
-          });
-    }
-    case CgPreconditioner::kIncompleteCholesky: {
-      if (cached != nullptr) {
-        return Preconditioner(
-            [cached](const std::vector<double>& r, std::vector<double>* z) {
-              *z = cached->Apply(r);
-            });
-      }
-      Result<IncompleteCholesky> factor = IncompleteCholesky::Factor(a);
-      if (!factor.ok()) return factor.status();
-      auto ic = std::make_shared<IncompleteCholesky>(
-          std::move(factor).ValueOrDie());
-      return Preconditioner(
-          [ic](const std::vector<double>& r, std::vector<double>* z) {
-            *z = ic->Apply(r);
-          });
-    }
-  }
-  return Status::Internal("unknown preconditioner kind");
-}
-
-/// Shared read-only preconditioner state for the block path. Dispatched by
-/// kind instead of a std::function so the per-iteration block apply carries
-/// no closure indirection.
+/// Shared read-only preconditioner state, dispatched by kind so the
+/// per-iteration block apply carries no closure indirection.
 struct BlockPreconditioner {
   CgPreconditioner kind = CgPreconditioner::kNone;
   std::vector<double> inv_diag;                    // kJacobi
@@ -81,7 +27,7 @@ struct BlockPreconditioner {
     return owned.has_value() ? &*owned : borrowed;
   }
 
-  /// Z = M^{-1} R, column by column bit-identical to the scalar closures.
+  /// Z = M^{-1} R, column by column.
   void Apply(const DenseMatrix& r, DenseMatrix* z) const {
     const size_t n = r.rows();
     const size_t k = r.cols();
@@ -114,7 +60,8 @@ Result<BlockPreconditioner> MakeBlockPreconditioner(
     case CgPreconditioner::kNone:
       return precond;
     case CgPreconditioner::kJacobi:
-      // Same zero-diagonal fallback as the scalar Jacobi closure.
+      // Zero diagonal entries (isolated Laplacian nodes) fall back to
+      // identity scaling.
       precond.inv_diag = a.Diagonal();
       for (double& d : precond.inv_diag) d = (d > 0.0) ? 1.0 / d : 1.0;
       return precond;
@@ -132,149 +79,28 @@ Result<BlockPreconditioner> MakeBlockPreconditioner(
   return Status::Internal("unknown preconditioner kind");
 }
 
-Result<CgSummary> SolveWithPreconditioner(const CsrMatrix& a,
-                                          const std::vector<double>& b,
-                                          const Preconditioner& apply,
-                                          const CgOptions& options,
-                                          const std::vector<double>* x0,
-                                          std::vector<double>* x) {
-  const size_t n = a.rows();
-
-  const double b_norm = Norm2(b);
-  CgSummary summary;
-  if (b_norm == 0.0) {
-    // The solution of A x = 0 is the zero vector regardless of any guess.
-    x->assign(n, 0.0);
-    summary.converged = true;
-    return summary;
-  }
-
-  const double target = options.tolerance * b_norm;
-  std::vector<double> r;
-  if (x0 != nullptr) {
-    *x = *x0;
-    r = b;
-    a.MultiplyAccumulate(-1.0, *x, &r);  // r = b - A x0
-    const double r0_norm = Norm2(r);
-    summary.relative_residual = r0_norm / b_norm;
-    if (r0_norm <= target) {
-      // The guess already meets the residual target (the warm-start payoff).
-      summary.converged = true;
-      return summary;
-    }
-  } else {
-    x->assign(n, 0.0);
-    r = b;  // residual at x0 = 0
-  }
-
-  std::vector<double> z(n);
-  apply(r, &z);
-  std::vector<double> p = z;
-  std::vector<double> ap(n);
-  double rz = Dot(r, z);
-
-  const size_t max_iters =
-      options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
-
-  for (size_t iter = 0; iter < max_iters; ++iter) {
-    ap.assign(n, 0.0);
-    a.MultiplyAccumulate(1.0, p, &ap);
-    const double pap = Dot(p, ap);
-    if (pap <= 0.0) {
-      // Direction of non-positive curvature: matrix is not PSD (or a
-      // numerical breakdown on a semidefinite system). Surface as an error.
-      return Status::NumericalError(
-          "CG: non-positive curvature encountered (p^T A p = " +
-          std::to_string(pap) + "); matrix not positive semidefinite?");
-    }
-    const double alpha = rz / pap;
-    Axpy(alpha, p, x);
-    Axpy(-alpha, ap, &r);
-
-    const double r_norm = Norm2(r);
-    summary.iterations = iter + 1;
-    summary.relative_residual = r_norm / b_norm;
-    if (r_norm <= target) {
-      summary.converged = true;
-      return summary;
-    }
-
-    apply(r, &z);
-    const double rz_next = Dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  summary.converged = summary.relative_residual <= options.tolerance;
-  return summary;
-}
-
-/// Copies columns [begin, end) of `m` into *out, already shaped
-/// m.rows() x (end - begin) (possibly a pooled buffer).
-void CopyColumnsInto(const DenseMatrix& m, size_t begin, size_t end,
-                     DenseMatrix* out) {
-  for (size_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.row(i) + begin;
-    std::copy(src, src + (end - begin), out->mutable_row(i));
-  }
-}
-
-/// The lockstep kernel behind SolveBlock: advances all columns of B through
-/// one shared SpMM/preconditioner sweep per iteration, with per-column
-/// scalars and an active mask that freezes converged columns. Every
-/// floating-point operation touching column c happens in exactly the order
-/// SolveWithPreconditioner would execute it for that column alone, so the
-/// results (and iteration counts) are bit-identical to k serial solves.
-///
-/// `order` (when non-null) redirects the cross-row reductions — ||b||,
-/// ||r||, r^T z, p^T Ap — to visit rows in the given permutation while the
-/// elementwise sweeps stay layout-order. A degree-relabeled system passes
-/// original-id order here, which restores the exact scalar sequence of the
-/// unrelabeled solve (see CgSolveContext::reduction_order).
-/// `tile_plan` (when non-null) routes the SpMM sweeps through the
-/// cache-blocked kernel; `ws` pools the four n x k temporaries.
+/// The lockstep CG kernel: advances all columns of B through one shared
+/// SpMM/preconditioner sweep per iteration, with per-column scalars and an
+/// active mask that freezes converged columns. Every floating-point
+/// operation touching column c happens in exactly the order a scalar PCG on
+/// column c alone would execute it, so a column's solution and iteration
+/// count do not depend on which other columns share the block. Writes the
+/// n x k solution into *x (resized here).
 Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
                                              const DenseMatrix& b,
                                              const BlockPreconditioner& precond,
                                              const CgOptions& options,
                                              const DenseMatrix* x0,
-                                             DenseMatrix* x,
-                                             const CsrTilePlan* tile_plan,
-                                             const uint32_t* order,
-                                             DenseWorkspace* ws) {
+                                             DenseMatrix* x) {
   const size_t n = a.rows();
   const size_t k = b.cols();
   std::vector<CgSummary> summaries(k);
-  // The solution block leaves this function, so it is acquired (not
-  // scoped); the caller hands it back to the pool when done.
-  *x = ws != nullptr ? ws->Acquire(n, k) : DenseMatrix(n, k);
-  const auto spmm = [&](double alpha, const DenseMatrix& in,
-                        DenseMatrix* out) {
-    if (tile_plan != nullptr) {
-      a.MultiplyAccumulateBlockTiled(alpha, in, out, *tile_plan);
-    } else {
-      a.MultiplyAccumulateBlock(alpha, in, out);
-    }
-  };
-  // Overwrite form for the per-iteration product AP: bitwise equal to
-  // zero-filling the output and accumulating (MultiplyOverwriteBlock writes
-  // `0.0 + alpha * sum`), but skips the fill pass over n*k doubles. The
-  // tiled kernel has no overwrite variant, so that path keeps the fill.
-  const auto spmm_overwrite = [&](double alpha, const DenseMatrix& in,
-                                  DenseMatrix* out) {
-    if (tile_plan != nullptr) {
-      std::fill(out->mutable_data().begin(), out->mutable_data().end(), 0.0);
-      a.MultiplyAccumulateBlockTiled(alpha, in, out, *tile_plan);
-    } else {
-      a.MultiplyOverwriteBlock(alpha, in, out);
-    }
-  };
+  *x = DenseMatrix(n, k);
 
-  // Per-column ||b||, accumulated in the same ascending-i order as Norm2
-  // (under `order`, in the caller's original row order).
+  // Per-column ||b||, accumulated in the same ascending-i order as Norm2.
   std::vector<double> accum(k, 0.0);
-  for (size_t j = 0; j < n; ++j) {
-    const double* bi = b.row(order != nullptr ? order[j] : j);
+  for (size_t i = 0; i < n; ++i) {
+    const double* bi = b.row(i);
     for (size_t c = 0; c < k; ++c) accum[c] += bi[c] * bi[c];
   }
   std::vector<double> b_norm(k, 0.0);
@@ -291,20 +117,18 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     }
   }
 
-  PooledDense r_pool(ws, n, k);
-  DenseMatrix& r = r_pool.get();
-  std::copy(b.data().begin(), b.data().end(), r.mutable_data().begin());
+  DenseMatrix r = b;
   if (x0 != nullptr && !active.empty()) {
     *x = *x0;
-    // Zero-rhs columns keep the serial contract x = 0 regardless of guess.
+    // Zero-rhs columns keep the b = 0 contract (x = 0) regardless of guess.
     for (size_t c = 0; c < k; ++c) {
       if (b_norm[c] != 0.0) continue;
       for (size_t i = 0; i < n; ++i) (*x)(i, c) = 0.0;
     }
-    spmm(-1.0, *x0, &r);  // R = B - A X0
+    a.MultiplyAccumulateBlock(-1.0, *x0, &r);  // R = B - A X0
     std::fill(accum.begin(), accum.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      const double* ri = r.row(order != nullptr ? order[j] : j);
+    for (size_t i = 0; i < n; ++i) {
+      const double* ri = r.row(i);
       for (const uint32_t c : active) accum[c] += ri[c] * ri[c];
     }
     size_t w = 0;
@@ -321,17 +145,12 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
   }
   if (active.empty()) return summaries;
 
-  PooledDense z_pool(ws, n, k);
-  DenseMatrix& z = z_pool.get();
+  DenseMatrix z(n, k);
   precond.Apply(r, &z);
-  PooledDense p_pool(ws, n, k);
-  DenseMatrix& p = p_pool.get();
-  std::copy(z.data().begin(), z.data().end(), p.mutable_data().begin());
-  PooledDense ap_pool(ws, n, k);
-  DenseMatrix& ap = ap_pool.get();
+  DenseMatrix p = z;
+  DenseMatrix ap(n, k);
   std::vector<double> rz(k, 0.0);
-  for (size_t j = 0; j < n; ++j) {
-    const size_t i = order != nullptr ? order[j] : j;
+  for (size_t i = 0; i < n; ++i) {
     const double* ri = r.row(i);
     const double* zi = z.row(i);
     for (const uint32_t c : active) rz[c] += ri[c] * zi[c];
@@ -343,11 +162,12 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
 
   // cad-lint: hot-path begin (per-iteration loop: no buffer growth allowed)
   for (size_t iter = 0; iter < max_iters && !active.empty(); ++iter) {
-    spmm_overwrite(1.0, p, &ap);
+    // Overwrite form of AP = A P: bitwise equal to zero-filling AP and
+    // accumulating, without the fill pass over n*k doubles.
+    a.MultiplyOverwriteBlock(1.0, p, &ap);
 
     std::fill(scalars.begin(), scalars.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      const size_t i = order != nullptr ? order[j] : j;
+    for (size_t i = 0; i < n; ++i) {
       const double* pi = p.row(i);
       const double* api = ap.row(i);
       for (const uint32_t c : active) scalars[c] += pi[c] * api[c];
@@ -362,14 +182,11 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     }
     // scalars now holds p^T A p; turn it into alpha = rz / pap per column.
     for (const uint32_t c : active) scalars[c] = rz[c] / scalars[c];
-    // X/R update fused with the ||r|| reduction in one sweep. The updates
-    // are elementwise, so visiting rows in reduction order (`order[j]`)
-    // instead of layout order changes nothing; the reduction itself still
-    // accumulates each column in the exact ascending-original-id sequence
-    // Norm2 uses, so convergence decisions stay bit-identical.
+    // X/R update fused with the ||r|| reduction in one sweep. The
+    // reduction accumulates each column in the ascending-row sequence Norm2
+    // uses, so convergence decisions match the scalar recurrence.
     std::fill(accum.begin(), accum.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      const size_t i = order != nullptr ? order[j] : j;
+    for (size_t i = 0; i < n; ++i) {
       double* xi = x->mutable_row(i);
       double* ri = r.mutable_row(i);
       const double* pi = p.row(i);
@@ -401,8 +218,7 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
       // IC(0) apply is a triangular solve with its own row ordering; keep
       // the generic two-pass form.
       precond.Apply(r, &z);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t i = order != nullptr ? order[j] : j;
+      for (size_t i = 0; i < n; ++i) {
         const double* ri = r.row(i);
         const double* zi = z.row(i);
         for (const uint32_t c : active) scalars[c] += ri[c] * zi[c];
@@ -410,13 +226,11 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     } else {
       // Jacobi/identity applies are elementwise, so the apply fuses with
       // the r^T z reduction: z rows are written with the exact expressions
-      // BlockPreconditioner::Apply uses (z = r, or z = inv_diag * r), and
-      // the reduction still sweeps columns in ascending-original-id order.
-      // Only active columns of z are refreshed; frozen columns are never
-      // read again.
+      // BlockPreconditioner::Apply uses (z = r, or z = inv_diag * r). Only
+      // active columns of z are refreshed; frozen columns are never read
+      // again.
       const bool jacobi = precond.kind == CgPreconditioner::kJacobi;
-      for (size_t j = 0; j < n; ++j) {
-        const size_t i = order != nullptr ? order[j] : j;
+      for (size_t i = 0; i < n; ++i) {
         const double d = jacobi ? precond.inv_diag[i] : 1.0;
         const double* ri = r.row(i);
         double* zi = z.mutable_row(i);
@@ -440,7 +254,7 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     }
   }
   // cad-lint: hot-path end
-  // Iteration cap reached: same convergence call as the serial tail.
+  // Iteration cap reached: converged iff the last residual meets the target.
   for (const uint32_t c : active) {
     summaries[c].converged =
         summaries[c].relative_residual <= options.tolerance;
@@ -448,10 +262,42 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
   return summaries;
 }
 
-/// Records the outcome counters shared by Solve and SolveMany's per-RHS
-/// solves. Counters only: their sums are independent of thread count and
-/// scheduling, so this is safe to call from ParallelFor workers. Gauges
-/// (last-write-wins) are set only from deterministic single-threaded points.
+/// Columns [begin, end) of `m` as a m.rows() x (end - begin) block.
+DenseMatrix CopyColumns(const DenseMatrix& m, size_t begin, size_t end) {
+  DenseMatrix out(m.rows(), end - begin);
+  for (size_t i = 0; i < m.rows(); ++i) {
+    const double* src = m.row(i) + begin;
+    std::copy(src, src + (end - begin), out.mutable_row(i));
+  }
+  return out;
+}
+
+/// LockstepSolve on columns [begin, end) of B (and of X0, when given),
+/// through copies of those columns; writes the solutions into the same
+/// columns of *x, which must already be n x k.
+Result<std::vector<CgSummary>> SolveColumnRange(
+    const CsrMatrix& a, const DenseMatrix& b,
+    const BlockPreconditioner& precond, const CgOptions& options,
+    const DenseMatrix* x0, size_t begin, size_t end, DenseMatrix* x) {
+  CAD_TRACE_SPAN("pcg_block_chunk");
+  const DenseMatrix chunk_b = CopyColumns(b, begin, end);
+  DenseMatrix chunk_x0;
+  if (x0 != nullptr) chunk_x0 = CopyColumns(*x0, begin, end);
+  DenseMatrix chunk_x;
+  Result<std::vector<CgSummary>> summaries =
+      LockstepSolve(a, chunk_b, precond, options,
+                    x0 != nullptr ? &chunk_x0 : nullptr, &chunk_x);
+  if (!summaries.ok()) return summaries;
+  for (size_t i = 0; i < x->rows(); ++i) {
+    const double* src = chunk_x.row(i);
+    std::copy(src, src + (end - begin), x->mutable_row(i) + begin);
+  }
+  return summaries;
+}
+
+/// Records the per-system outcome counters shared by Solve and SolveBlock.
+/// Gauges (last-write-wins) are set only from deterministic single-threaded
+/// points.
 void RecordSolveMetrics(const CgSummary& summary) {
   CAD_METRIC_INC("pcg.solves");
   CAD_METRIC_ADD("pcg.iterations", summary.iterations);
@@ -490,6 +336,46 @@ Status ValidateContext(const CgSolveContext& context, size_t rows,
   return Status::OK();
 }
 
+Result<BlockPreconditioner> TimedPreconditionerSetup(
+    const CsrMatrix& a, CgPreconditioner kind,
+    const IncompleteCholesky* cached) {
+  CAD_TRACE_SPAN("pcg_precond_setup");
+  const Timer setup_timer;
+  Result<BlockPreconditioner> precond =
+      MakeBlockPreconditioner(a, kind, cached);
+  CAD_METRIC_TIME_NS("pcg.precond_setup", setup_timer.ElapsedNanos());
+  return precond;
+}
+
+/// Solve's body: one right-hand side through the k = 1 lockstep kernel.
+Result<CgSummary> SolveVector(const CgOptions& options, const CsrMatrix& a,
+                              const std::vector<double>& b,
+                              const std::vector<double>* x0,
+                              std::vector<double>* x) {
+  CAD_TRACE_SPAN("pcg_solve");
+  CAD_RETURN_NOT_OK(ValidateSystem(a, b.size()));
+  if (x0 != nullptr && x0->size() != b.size()) {
+    return Status::InvalidArgument("CG: initial guess size mismatch");
+  }
+  CAD_DCHECK_OK(a.CheckValid(CsrValidateOptions{.require_symmetric = true}));
+  BlockPreconditioner precond;
+  CAD_ASSIGN_OR_RETURN(
+      precond, TimedPreconditionerSetup(a, options.preconditioner, nullptr));
+  const size_t n = b.size();
+  const DenseMatrix b_block(n, 1, b);
+  DenseMatrix x0_block;
+  if (x0 != nullptr) x0_block = DenseMatrix(n, 1, *x0);
+  DenseMatrix x_block;
+  std::vector<CgSummary> summaries;
+  CAD_ASSIGN_OR_RETURN(
+      summaries, LockstepSolve(a, b_block, precond, options,
+                               x0 != nullptr ? &x0_block : nullptr, &x_block));
+  *x = std::move(x_block.mutable_data());
+  RecordSolveMetrics(summaries[0]);
+  CAD_METRIC_SET("pcg.last_relative_residual", summaries[0].relative_residual);
+  return summaries[0];
+}
+
 }  // namespace
 
 CgBatchStats SummarizeCgBatch(const std::vector<CgSummary>& summaries) {
@@ -524,259 +410,73 @@ const char* CgPreconditionerToString(CgPreconditioner preconditioner) {
 Result<CgSummary> ConjugateGradientSolver::Solve(const CsrMatrix& a,
                                                  const std::vector<double>& b,
                                                  std::vector<double>* x) const {
-  CAD_TRACE_SPAN("pcg_solve");
-  CAD_RETURN_NOT_OK(ValidateSystem(a, b.size()));
-  CAD_DCHECK_OK(a.CheckValid(CsrValidateOptions{.require_symmetric = true}));
-  Preconditioner apply;
-  {
-    CAD_TRACE_SPAN("pcg_precond_setup");
-    const Timer setup_timer;
-    CAD_ASSIGN_OR_RETURN(
-        apply, MakePreconditioner(a, options_.preconditioner, nullptr));
-    CAD_METRIC_TIME_NS("pcg.precond_setup", setup_timer.ElapsedNanos());
-  }
-  Result<CgSummary> summary =
-      SolveWithPreconditioner(a, b, apply, options_, nullptr, x);
-  if (summary.ok()) {
-    RecordSolveMetrics(*summary);
-    CAD_METRIC_SET("pcg.last_relative_residual", summary->relative_residual);
-  }
-  return summary;
+  return SolveVector(options_, a, b, nullptr, x);
 }
 
 Result<CgSummary> ConjugateGradientSolver::Solve(const CsrMatrix& a,
                                                  const std::vector<double>& b,
                                                  const std::vector<double>& x0,
                                                  std::vector<double>* x) const {
-  CAD_TRACE_SPAN("pcg_solve");
-  CAD_RETURN_NOT_OK(ValidateSystem(a, b.size()));
-  if (x0.size() != b.size()) {
-    return Status::InvalidArgument("CG: initial guess size mismatch");
-  }
-  CAD_DCHECK_OK(a.CheckValid(CsrValidateOptions{.require_symmetric = true}));
-  Preconditioner apply;
-  {
-    CAD_TRACE_SPAN("pcg_precond_setup");
-    const Timer setup_timer;
-    CAD_ASSIGN_OR_RETURN(
-        apply, MakePreconditioner(a, options_.preconditioner, nullptr));
-    CAD_METRIC_TIME_NS("pcg.precond_setup", setup_timer.ElapsedNanos());
-  }
-  Result<CgSummary> summary =
-      SolveWithPreconditioner(a, b, apply, options_, &x0, x);
-  if (summary.ok()) {
-    RecordSolveMetrics(*summary);
-    CAD_METRIC_SET("pcg.last_relative_residual", summary->relative_residual);
-  }
-  return summary;
-}
-
-Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveMany(
-    const CsrMatrix& a, const std::vector<std::vector<double>>& rhs,
-    std::vector<std::vector<double>>* solutions) const {
-  return SolveMany(a, rhs, solutions, CgSolveContext());
-}
-
-Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveMany(
-    const CsrMatrix& a, const std::vector<std::vector<double>>& rhs,
-    std::vector<std::vector<double>>* solutions,
-    const CgSolveContext& context) const {
-  for (const std::vector<double>& b : rhs) {
-    CAD_RETURN_NOT_OK(ValidateSystem(a, b.size()));
-  }
-  CAD_RETURN_NOT_OK(ValidateContext(context, a.rows(), rhs.size()));
-  const size_t n = a.rows();
-  const size_t k = rhs.size();
-
-  if (options_.use_block_solver) {
-    // Pack the right-hand sides into a node-major block, solve in lockstep,
-    // and unpack. The kernel is bit-identical per system, so callers cannot
-    // observe the dispatch beyond speed (and the pcg.block_solves counter).
-    PooledDense b(context.workspace, n, k);
-    for (size_t c = 0; c < k; ++c) {
-      for (size_t i = 0; i < n; ++i) b.get()(i, c) = rhs[c][i];
-    }
-    DenseMatrix x;
-    std::vector<CgSummary> summaries;
-    CAD_ASSIGN_OR_RETURN(summaries, SolveBlock(a, b.get(), &x, context));
-    solutions->assign(k, std::vector<double>());
-    for (size_t c = 0; c < k; ++c) {
-      (*solutions)[c].resize(n);
-      for (size_t i = 0; i < n; ++i) (*solutions)[c][i] = x(i, c);
-    }
-    if (context.workspace != nullptr) {
-      context.workspace->Release(std::move(x));
-    }
-    return summaries;
-  }
-
-  CAD_TRACE_SPAN("pcg_solve_many");
-  CAD_DCHECK_OK(a.CheckValid(CsrValidateOptions{.require_symmetric = true}));
-  Preconditioner apply;
-  {
-    CAD_TRACE_SPAN("pcg_precond_setup");
-    const Timer setup_timer;
-    CAD_ASSIGN_OR_RETURN(apply,
-                         MakePreconditioner(a, options_.preconditioner,
-                                            context.cached_factor));
-    CAD_METRIC_TIME_NS("pcg.precond_setup", setup_timer.ElapsedNanos());
-  }
-  solutions->resize(k);
-  std::vector<CgSummary> summaries(k);
-  std::vector<Status> statuses(k);
-  // The systems are independent; the preconditioner closure is shared
-  // read-only (Jacobi diagonal / IC factor are immutable after build).
-  // Instrumentation only observes (counters commute, the per-RHS histogram
-  // is scheduling-independent), so solutions stay bit-identical across
-  // thread counts — see tests/test_parallel_stress.cc.
-  ParallelFor(k, options_.num_threads, [&](size_t i) {
-    CAD_TRACE_SPAN("pcg_rhs");
-    std::vector<double> x0_col;
-    const std::vector<double>* x0 = nullptr;
-    if (context.initial_guess != nullptr) {
-      x0_col.resize(n);
-      for (size_t row = 0; row < n; ++row) {
-        x0_col[row] = (*context.initial_guess)(row, i);
-      }
-      x0 = &x0_col;
-    }
-    Result<CgSummary> result =
-        SolveWithPreconditioner(a, rhs[i], apply, options_, x0,
-                                &(*solutions)[i]);
-    if (result.ok()) {
-      summaries[i] = *result;
-      RecordSolveMetrics(summaries[i]);
-      CAD_METRIC_OBSERVE("pcg.iterations_per_rhs", summaries[i].iterations);
-    } else {
-      statuses[i] = result.status();
-    }
-  });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  CAD_METRIC_INC("pcg.batches");
-  // Batch aggregate (not per-system, so it is deterministic even when the
-  // systems were solved concurrently).
-  CAD_METRIC_SET("pcg.last_batch_max_relative_residual",
-                 SummarizeCgBatch(summaries).max_relative_residual);
-  return summaries;
+  return SolveVector(options_, a, b, &x0, x);
 }
 
 Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveBlock(
     const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* x,
     const CgSolveContext& context) const {
   CAD_TRACE_SPAN("pcg_solve_block");
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("CG: matrix must be square");
-  }
-  if (b.rows() != a.rows()) {
-    return Status::InvalidArgument("CG: rhs block row count mismatch");
-  }
+  CAD_RETURN_NOT_OK(ValidateSystem(a, b.rows()));
   CAD_RETURN_NOT_OK(ValidateContext(context, b.rows(), b.cols()));
-  if (context.reduction_order != nullptr &&
-      context.reduction_order->size() != a.rows()) {
-    return Status::InvalidArgument(
-        "CG: reduction_order size " +
-        std::to_string(context.reduction_order->size()) +
-        " does not match system size " + std::to_string(a.rows()));
-  }
-  if (!a.sorted_rows() &&
-      options_.preconditioner == CgPreconditioner::kIncompleteCholesky) {
-    // IC(0) elimination depends on the stored entry order, so a factor of
-    // the relabeled matrix would not reproduce the unrelabeled
-    // preconditioner. Order-free preconditioners (none/Jacobi) only.
-    return Status::InvalidArgument(
-        "CG: kIncompleteCholesky is incompatible with unsorted-row "
-        "(relabeled) matrices; use kJacobi or kNone");
-  }
   CAD_DCHECK_OK(a.CheckValid(CsrValidateOptions{.require_symmetric = true}));
-
-  // The cache-blocking plan re-bands sorted rows only; a relabeled matrix's
-  // stored order *is* its bit-identity contract, so it runs untiled.
-  std::optional<CsrTilePlan> tile_plan;
-  if (options_.tiled_spmm && a.sorted_rows() && a.rows() > 0) {
-    CAD_TRACE_SPAN("pcg_tile_plan");
-    const Timer plan_timer;
-    tile_plan.emplace(CsrTilePlan::Build(a, b.cols()));
-    CAD_METRIC_TIME_NS("pcg.tile_plan_build", plan_timer.ElapsedNanos());
-    CAD_METRIC_INC("pcg.tiled_solves");
-  }
-
   BlockPreconditioner precond;
-  {
-    CAD_TRACE_SPAN("pcg_precond_setup");
-    const Timer setup_timer;
-    CAD_ASSIGN_OR_RETURN(precond,
-                         MakeBlockPreconditioner(a, options_.preconditioner,
-                                                 context.cached_factor));
-    CAD_METRIC_TIME_NS("pcg.precond_setup", setup_timer.ElapsedNanos());
-  }
+  CAD_ASSIGN_OR_RETURN(precond,
+                       TimedPreconditionerSetup(a, options_.preconditioner,
+                                                context.cached_factor));
 
   const size_t n = a.rows();
   const size_t k = b.cols();
-  // Acquired, not scoped: the solution block is returned to the caller,
-  // who releases it back into the workspace once unpacked.
-  *x = context.workspace != nullptr ? context.workspace->Acquire(n, k)
-                                    : DenseMatrix(n, k);
-  std::vector<CgSummary> summaries(k);
-  // Column chunking: each chunk runs the lockstep kernel over a contiguous
-  // column range. Chunking only regroups which columns share a sweep; it
-  // never changes any column's arithmetic, so solutions are independent of
-  // the thread count (and of the chunk boundaries).
+  // Columns are split into one contiguous chunk per thread, each advanced
+  // in lockstep by one task. Chunking only regroups which columns share a
+  // sweep; it never changes any column's arithmetic, so solutions do not
+  // depend on the thread count. A single chunk solves in the caller's
+  // blocks with no copies. The tasks are indexed by column, not chunk, so
+  // ParallelFor's parallel.* counters are the same at any thread count (the
+  // metrics determinism contract): a chunk runs in the task of its first
+  // column and every other task is empty.
   const size_t num_chunks =
-      options_.num_threads <= 1 ? std::min<size_t>(k, 1)
-                                : std::min(options_.num_threads, k);
+      std::max<size_t>(std::min(options_.num_threads, k), 1);
+  std::vector<size_t> chunk_begin(num_chunks + 1);
+  for (size_t chunk = 0; chunk <= num_chunks; ++chunk) {
+    chunk_begin[chunk] = chunk * k / num_chunks;
+  }
+  std::vector<CgSummary> summaries(k);
   std::vector<Status> statuses(num_chunks);
-  ParallelFor(num_chunks, options_.num_threads, [&](size_t chunk) {
-    CAD_TRACE_SPAN("pcg_block_chunk");
-    const size_t begin = chunk * k / num_chunks;
-    const size_t end = (chunk + 1) * k / num_chunks;
-    PooledDense chunk_b(context.workspace, n, end - begin);
-    CopyColumnsInto(b, begin, end, &chunk_b.get());
-    PooledDense chunk_x0(context.workspace,
-                         context.initial_guess != nullptr ? n : 0,
-                         context.initial_guess != nullptr ? end - begin : 0);
-    const DenseMatrix* x0 = nullptr;
-    if (context.initial_guess != nullptr) {
-      CopyColumnsInto(*context.initial_guess, begin, end, &chunk_x0.get());
-      x0 = &chunk_x0.get();
-    }
-    DenseMatrix chunk_x;
-    Result<std::vector<CgSummary>> chunk_summaries = LockstepSolve(
-        a, chunk_b.get(), precond, options_, x0, &chunk_x,
-        tile_plan.has_value() ? &*tile_plan : nullptr,
-        context.reduction_order != nullptr ? context.reduction_order->data()
-                                           : nullptr,
-        context.workspace);
+  if (num_chunks > 1 || k == 0) *x = DenseMatrix(n, k);
+  ParallelFor(k, options_.num_threads, [&](size_t column) {
+    const size_t chunk = static_cast<size_t>(
+        std::upper_bound(chunk_begin.begin(), chunk_begin.end(), column) -
+        chunk_begin.begin() - 1);
+    if (chunk_begin[chunk] != column) return;
+    Result<std::vector<CgSummary>> chunk_summaries =
+        num_chunks == 1
+            ? LockstepSolve(a, b, precond, options_, context.initial_guess, x)
+            : SolveColumnRange(a, b, precond, options_, context.initial_guess,
+                               chunk_begin[chunk], chunk_begin[chunk + 1], x);
     if (!chunk_summaries.ok()) {
       statuses[chunk] = chunk_summaries.status();
-      if (context.workspace != nullptr && chunk_x.rows() > 0) {
-        context.workspace->Release(std::move(chunk_x));
-      }
       return;
     }
-    for (size_t i = 0; i < n; ++i) {
-      const double* src = chunk_x.row(i);
-      std::copy(src, src + (end - begin), x->mutable_row(i) + begin);
-    }
-    for (size_t c = begin; c < end; ++c) {
-      summaries[c] = (*chunk_summaries)[c - begin];
-    }
-    if (context.workspace != nullptr) {
-      context.workspace->Release(std::move(chunk_x));
-    }
+    std::copy(chunk_summaries->begin(), chunk_summaries->end(),
+              summaries.begin() + static_cast<long>(chunk_begin[chunk]));
   });
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
   // Per-system and batch metrics are recorded post-join, in column order, so
-  // the export matches the per-RHS path row for row (plus the block
-  // counter) at any thread count.
+  // the export is identical at any thread count.
   for (const CgSummary& summary : summaries) {
     RecordSolveMetrics(summary);
     CAD_METRIC_OBSERVE("pcg.iterations_per_rhs", summary.iterations);
   }
-  CAD_METRIC_ADD("pcg.block_solves", k);
   CAD_METRIC_INC("pcg.batches");
   CAD_METRIC_SET("pcg.last_batch_max_relative_residual",
                  SummarizeCgBatch(summaries).max_relative_residual);

@@ -7,7 +7,6 @@
 #include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/sparse_matrix.h"
-#include "linalg/workspace.h"
 
 namespace cad {
 
@@ -32,22 +31,13 @@ struct CgOptions {
   /// Iteration cap; 0 means 10 * n + 100.
   size_t max_iterations = 0;
   CgPreconditioner preconditioner = CgPreconditioner::kJacobi;
-  /// Worker threads for SolveMany (the k right-hand sides are independent);
-  /// 1 = serial. The preconditioner is built once and shared read-only.
+  /// Worker threads for SolveBlock: the k columns are split into one
+  /// contiguous chunk per thread, each advanced in lockstep on its own.
+  /// 1 = serial, which solves in the caller's blocks with no chunk copies.
+  /// The preconditioner is built once and shared read-only.
   size_t num_threads = 1;
-  /// Route SolveMany through SolveBlock: all systems advance in lockstep
-  /// sharing each sparse sweep (SpMM) instead of running k independent
-  /// SpMV-at-a-time solves. Solutions and iteration counts are bit-identical
-  /// to the per-RHS path; only the memory-access pattern changes.
+  /// No effect; removed together with the benchmark harness's assignment.
   bool use_block_solver = false;
-  /// Run SolveBlock's SpMM sweeps through a precomputed cache-blocking plan
-  /// (CsrTilePlan): row-block accumulator tiles plus column bands that keep
-  /// the gather working set cache-resident. The plan visits each row's
-  /// nonzeros in their sorted storage order, so results stay bit-identical;
-  /// the plan build (O(nnz), once per SolveBlock) is amortized over the CG
-  /// iterations. Ignored for unsorted-row (relabeled) matrices, whose
-  /// stored order must not be re-banded.
-  bool tiled_spmm = false;
 };
 
 /// \brief Optional cross-call state for a solve: an initial-guess block and
@@ -62,20 +52,6 @@ struct CgSolveContext {
   /// options.preconditioner == kIncompleteCholesky; see
   /// commute/solver_cache.h for the staleness policy that feeds it.
   const IncompleteCholesky* cached_factor = nullptr;
-  /// Row visitation order for SolveBlock's cross-row reductions (norms and
-  /// dot products): when set (size n, a permutation), reduction j reads row
-  /// (*reduction_order)[j] instead of row j. The degree-relabeled solve
-  /// passes its original-id -> solver-row map here so every reduction
-  /// accumulates in *original node order*, replaying the unrelabeled FP
-  /// sequence exactly — this is what makes relabeling bit-invisible.
-  /// Elementwise sweeps (axpy, Jacobi) are row-independent and ignore it.
-  /// Only honored by SolveBlock; leave unset for identity layouts.
-  const std::vector<uint32_t>* reduction_order = nullptr;
-  /// Buffer pool for the solve's dense temporaries (residual/direction/
-  /// product blocks and per-chunk staging). nullptr allocates per call.
-  /// Pooled buffers are re-zeroed on acquire, so results are bitwise
-  /// independent of whether a pool is supplied.
-  DenseWorkspace* workspace = nullptr;
 };
 
 /// \brief Outcome of a CG solve.
@@ -85,9 +61,9 @@ struct CgSummary {
   bool converged = false;
 };
 
-/// \brief Aggregate over the per-RHS summaries of one SolveMany batch.
+/// \brief Aggregate over the per-column summaries of one SolveBlock batch.
 /// Iteration counts are deterministic for a fixed system/rhs/options tuple
-/// (each solve's arithmetic is sequential), so identical batches produce
+/// (each column's arithmetic is sequential), so identical batches produce
 /// identical stats regardless of CgOptions::num_threads.
 struct CgBatchStats {
   size_t num_systems = 0;
@@ -99,7 +75,7 @@ struct CgBatchStats {
   double max_relative_residual = 0.0;
 };
 
-/// Folds a batch of per-RHS summaries into CgBatchStats.
+/// Folds a batch of per-column summaries into CgBatchStats.
 CgBatchStats SummarizeCgBatch(const std::vector<CgSummary>& summaries);
 
 /// \brief Preconditioned conjugate gradient for symmetric positive
@@ -125,10 +101,8 @@ class ConjugateGradientSolver {
   /// solution into *x and returns a summary. Returns NumericalError only on
   /// a breakdown (indefinite matrix); non-convergence is reported via
   /// `CgSummary::converged` so that callers can decide how strict to be.
-  ///
-  /// With kIncompleteCholesky the factorization is computed per call unless
-  /// a prebuilt factor is supplied via CgSolveContext; SolveMany/SolveBlock
-  /// additionally amortize one factorization across right-hand sides.
+  /// Runs the SolveBlock kernel with k = 1; with kIncompleteCholesky the
+  /// factorization is computed per call.
   [[nodiscard]] Result<CgSummary> Solve(const CsrMatrix& a, const std::vector<double>& b,
                           std::vector<double>* x) const;
 
@@ -140,30 +114,17 @@ class ConjugateGradientSolver {
                           const std::vector<double>& x0,
                           std::vector<double>* x) const;
 
-  /// Solves A x_i = b_i for several right-hand sides, building the
-  /// preconditioner once. Returns one summary per system; `solutions` is
-  /// resized to match. With options().use_block_solver the systems are
-  /// solved in lockstep via SolveBlock (bit-identical results).
-  [[nodiscard]] Result<std::vector<CgSummary>> SolveMany(
-      const CsrMatrix& a, const std::vector<std::vector<double>>& rhs,
-      std::vector<std::vector<double>>* solutions) const;
-
-  /// SolveMany with warm-start state: initial guesses (column c of
-  /// context.initial_guess seeds system c) and/or a cached IC(0) factor.
-  [[nodiscard]] Result<std::vector<CgSummary>> SolveMany(
-      const CsrMatrix& a, const std::vector<std::vector<double>>& rhs,
-      std::vector<std::vector<double>>* solutions,
-      const CgSolveContext& context) const;
-
   /// Lockstep block solve of A X = B for a row-major n x k right-hand-side
   /// block: every CG iteration advances all still-unconverged systems
   /// through one shared SpMM sweep with per-system scalars (alpha, beta,
   /// residual norms) and a convergence mask that freezes finished columns.
-  /// Per system the floating-point operation sequence is exactly the serial
-  /// Solve sequence, so solutions, residuals, and iteration counts are
-  /// bit-identical to k independent Solve calls — at any num_threads
-  /// (columns are chunked across threads; chunking never mixes columns).
-  /// Writes the n x k solution block into *x.
+  /// The preconditioner (an IC(0) factorization included) is built once for
+  /// all k systems unless CgSolveContext supplies one. Each column's
+  /// floating-point sequence is that of a scalar PCG on the column alone,
+  /// so solutions, residuals, and iteration counts do not depend on k, on
+  /// which columns share the block, or on num_threads (columns are chunked
+  /// across threads; chunking never mixes columns). Writes the n x k
+  /// solution block into *x.
   [[nodiscard]] Result<std::vector<CgSummary>> SolveBlock(
       const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* x,
       const CgSolveContext& context = CgSolveContext()) const;

@@ -69,22 +69,6 @@ CsrMatrix::CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_offsets,
   CAD_DCHECK_OK(CheckValid());
 }
 
-CsrMatrix::CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_offsets,
-                     std::vector<uint32_t> col_indices,
-                     std::vector<double> values, UnsortedRowsTag /*tag*/)
-    : rows_(rows),
-      cols_(cols),
-      row_offsets_(std::move(row_offsets)),
-      col_indices_(std::move(col_indices)),
-      values_(std::move(values)),
-      sorted_rows_(false) {
-  CAD_CHECK_EQ(row_offsets_.size(), rows_ + 1);
-  CAD_CHECK_EQ(col_indices_.size(), values_.size());
-  CAD_CHECK_EQ(row_offsets_.back(), col_indices_.size());
-  CAD_CHECK_EQ(row_offsets_.front(), 0u);
-  CAD_DCHECK_OK(CheckValid());
-}
-
 Status CsrMatrix::CheckValid(const CsrValidateOptions& options) const {
   if (row_offsets_.size() != rows_ + 1) {
     return Status::Internal("CSR: row_offsets size " +
@@ -97,11 +81,6 @@ Status CsrMatrix::CheckValid(const CsrValidateOptions& options) const {
   if (row_offsets_.front() != 0 || row_offsets_.back() != values_.size()) {
     return Status::Internal("CSR: row_offsets must start at 0 and end at nnz");
   }
-  // Unsorted-row matrices relax the ordering invariant but keep uniqueness,
-  // checked with a last-seen-row stamp per column instead of an adjacency
-  // comparison.
-  std::vector<size_t> column_stamp;
-  if (!sorted_rows_) column_stamp.assign(cols_, rows_);
   for (size_t i = 0; i < rows_; ++i) {
     if (row_offsets_[i] > row_offsets_[i + 1]) {
       return Status::Internal("CSR: row_offsets decrease at row " +
@@ -113,20 +92,11 @@ Status CsrMatrix::CheckValid(const CsrValidateOptions& options) const {
             "CSR: column index " + std::to_string(col_indices_[p]) +
             " out of range in row " + std::to_string(i));
       }
-      if (sorted_rows_) {
-        if (p > row_offsets_[i] && col_indices_[p - 1] >= col_indices_[p]) {
-          return Status::Internal(
-              "CSR: column indices not sorted/unique in row " +
-              std::to_string(i) + " (" + std::to_string(col_indices_[p - 1]) +
-              " then " + std::to_string(col_indices_[p]) + ")");
-        }
-      } else {
-        if (column_stamp[col_indices_[p]] == i) {
-          return Status::Internal("CSR: duplicate column index " +
-                                  std::to_string(col_indices_[p]) +
-                                  " in unsorted row " + std::to_string(i));
-        }
-        column_stamp[col_indices_[p]] = i;
+      if (p > row_offsets_[i] && col_indices_[p - 1] >= col_indices_[p]) {
+        return Status::Internal(
+            "CSR: column indices not sorted/unique in row " +
+            std::to_string(i) + " (" + std::to_string(col_indices_[p - 1]) +
+            " then " + std::to_string(col_indices_[p]) + ")");
       }
       if (!std::isfinite(values_[p])) {
         return Status::NumericalError("CSR: non-finite value at row " +
@@ -290,130 +260,8 @@ void CsrMatrix::MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
   BlockProductImpl<true>(alpha, x, y);
 }
 
-void CsrMatrix::MultiplyAccumulateBlockTiled(double alpha,
-                                             const DenseMatrix& x,
-                                             DenseMatrix* y,
-                                             const CsrTilePlan& plan) const {
-  CAD_DCHECK(x.rows() == cols_ && y->rows() == rows_ &&
-             y->cols() == x.cols());
-  CAD_DCHECK_EQ(plan.rows(), rows_);
-  CAD_DCHECK_EQ(plan.nnz(), nnz());
-  const size_t k = x.cols();
-  const size_t k4 = k - k % 4;
-  const size_t row_block = plan.row_block();
-  const std::vector<uint32_t>& cols = plan.col_indices();
-  const std::vector<double>& vals = plan.values();
-  const std::vector<CsrTilePlan::Segment>& segments = plan.segments();
-  const std::vector<size_t>& block_offsets = plan.block_segment_offsets();
-
-  // One accumulator tile per row block, identical per-column arithmetic to
-  // the untiled kernel's `sums`: each row's products arrive in ascending
-  // column order (bands ascending, columns ascending within a band), and
-  // the tile row is folded into Y with a single `+= alpha * sum`.
-  std::vector<double> tile(row_block * k);
-  size_t pos = 0;
-  for (size_t block = 0; block + 1 < block_offsets.size(); ++block) {
-    const size_t first_row = block * row_block;
-    const size_t rows_here = std::min(row_block, rows_ - first_row);
-    std::fill(tile.begin(), tile.begin() + rows_here * k, 0.0);
-    for (size_t s = block_offsets[block]; s < block_offsets[block + 1]; ++s) {
-      const CsrTilePlan::Segment segment = segments[s];
-      double* sums = tile.data() + static_cast<size_t>(segment.local_row) * k;
-      for (uint32_t e = 0; e < segment.length; ++e, ++pos) {
-        const double v = vals[pos];
-        const double* xj = x.row(cols[pos]);
-        size_t c = 0;
-        for (; c < k4; c += 4) {
-          sums[c] += v * xj[c];
-          sums[c + 1] += v * xj[c + 1];
-          sums[c + 2] += v * xj[c + 2];
-          sums[c + 3] += v * xj[c + 3];
-        }
-        for (; c < k; ++c) sums[c] += v * xj[c];
-      }
-    }
-    for (size_t r = 0; r < rows_here; ++r) {
-      double* yi = y->mutable_row(first_row + r);
-      const double* sums = tile.data() + r * k;
-      for (size_t c = 0; c < k; ++c) yi[c] += alpha * sums[c];
-    }
-  }
-}
-
-CsrTilePlan CsrTilePlan::Build(const CsrMatrix& matrix, size_t block_width,
-                               size_t row_block, size_t col_block) {
-  CAD_CHECK(matrix.sorted_rows());
-  const size_t rows = matrix.rows();
-  const size_t cols = matrix.cols();
-  const size_t k = std::max<size_t>(block_width, 1);
-  if (row_block == 0) {
-    // Accumulator tile ~ 32 KiB: hot in L1 next to the streamed matrix.
-    row_block = std::max<size_t>(16, 4096 / k);
-  }
-  if (col_block == 0) {
-    // Band of X ~ 512 KiB: the gather working set fits mid-level cache.
-    col_block = std::max<size_t>(1024, 65536 / k);
-  }
-  CsrTilePlan plan;
-  plan.rows_ = rows;
-  plan.row_block_ = row_block;
-  plan.col_block_ = col_block;
-  if (rows == 0) {
-    plan.block_segment_offsets_.assign(1, 0);
-    return plan;
-  }
-  const size_t num_blocks = (rows + row_block - 1) / row_block;
-  const size_t num_bands = (cols + col_block - 1) / col_block;
-  plan.col_indices_.resize(matrix.nnz());
-  plan.values_.resize(matrix.nnz());
-  plan.block_segment_offsets_.reserve(num_blocks + 1);
-  plan.block_segment_offsets_.push_back(0);
-
-  const std::vector<uint32_t>& src_cols = matrix.col_indices();
-  const std::vector<double>& src_vals = matrix.values();
-  std::vector<size_t> cursor(row_block);
-  size_t out = 0;
-  for (size_t block = 0; block < num_blocks; ++block) {
-    const size_t first_row = block * row_block;
-    const size_t rows_here = std::min(row_block, rows - first_row);
-    for (size_t r = 0; r < rows_here; ++r) {
-      cursor[r] = matrix.RowBegin(first_row + r);
-    }
-    for (size_t band = 0; band < num_bands; ++band) {
-      const size_t band_end_col = std::min(cols, (band + 1) * col_block);
-      for (size_t r = 0; r < rows_here; ++r) {
-        const size_t row_end = matrix.RowEnd(first_row + r);
-        size_t p = cursor[r];
-        const size_t start = p;
-        while (p < row_end && src_cols[p] < band_end_col) ++p;
-        if (p > start) {
-          plan.segments_.push_back(Segment{static_cast<uint32_t>(r),
-                                           static_cast<uint32_t>(p - start)});
-          std::copy(src_cols.begin() + static_cast<long>(start),
-                    src_cols.begin() + static_cast<long>(p),
-                    plan.col_indices_.begin() + static_cast<long>(out));
-          std::copy(src_vals.begin() + static_cast<long>(start),
-                    src_vals.begin() + static_cast<long>(p),
-                    plan.values_.begin() + static_cast<long>(out));
-          out += p - start;
-          cursor[r] = p;
-        }
-      }
-    }
-    plan.block_segment_offsets_.push_back(plan.segments_.size());
-  }
-  CAD_CHECK_EQ(out, matrix.nnz());
-  return plan;
-}
-
 double CsrMatrix::At(uint32_t row, uint32_t col) const {
   CAD_DCHECK(row < rows_ && col < cols_);
-  if (!sorted_rows_) {
-    for (size_t p = row_offsets_[row]; p < row_offsets_[row + 1]; ++p) {
-      if (col_indices_[p] == col) return values_[p];
-    }
-    return 0.0;
-  }
   const auto begin = col_indices_.begin() + static_cast<long>(row_offsets_[row]);
   const auto end = col_indices_.begin() + static_cast<long>(row_offsets_[row + 1]);
   const auto it = std::lower_bound(begin, end, col);
@@ -454,11 +302,6 @@ CsrMatrix CsrMatrix::Pruned(double threshold) const {
       }
     }
     offsets[i + 1] = out_cols.size();
-  }
-  if (!sorted_rows_) {
-    // Pruning preserves the stored order, so the unsorted tag carries over.
-    return CsrMatrix(rows_, cols_, std::move(offsets), std::move(out_cols),
-                     std::move(out_vals), UnsortedRowsTag());
   }
   return CsrMatrix(rows_, cols_, std::move(offsets), std::move(out_cols),
                    std::move(out_vals));

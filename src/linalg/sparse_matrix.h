@@ -28,7 +28,6 @@ struct Triplet {
 };
 
 class CsrMatrix;
-class CsrTilePlan;
 
 /// \brief Coordinate-format builder for sparse matrices.
 ///
@@ -85,25 +84,6 @@ class CsrMatrix {
   CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_offsets,
             std::vector<uint32_t> col_indices, std::vector<double> values);
 
-  /// Tag type for the unsorted-rows constructor below.
-  struct UnsortedRowsTag {};
-
-  /// Raw-array constructor for matrices whose rows are intentionally *not*
-  /// column-sorted — the degree-relabeled Laplacians built by
-  /// PermuteCsrRows, where each row keeps its pre-permutation storage order
-  /// so row sweeps replay the original floating-point sequence. Columns
-  /// must still be in range, unique per row, and values finite; only the
-  /// sortedness invariant is relaxed (see sorted_rows()).
-  CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_offsets,
-            std::vector<uint32_t> col_indices, std::vector<double> values,
-            UnsortedRowsTag tag);
-
-  /// True when every row's column indices are stored strictly increasing
-  /// (the default). False only for matrices built with UnsortedRowsTag;
-  /// those support the Multiply* sweeps, Diagonal and At (linear scan), but
-  /// not order-dependent consumers (IC(0) factorization, tile plans).
-  bool sorted_rows() const { return sorted_rows_; }
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t nnz() const { return values_.size(); }
@@ -138,19 +118,7 @@ class CsrMatrix {
   void MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                               DenseMatrix* y) const;
 
-  /// Cache-blocked Y += alpha * A X using a precomputed CsrTilePlan (built
-  /// from this matrix; see CsrTilePlan::Build). Row blocks keep a small
-  /// accumulator tile hot while column bands bound the working set of X
-  /// gathers. Per row the nonzeros are visited in ascending-band,
-  /// ascending-column order — exactly the sorted storage order — so every
-  /// per-column partial-sum sequence matches MultiplyAccumulateBlock bit
-  /// for bit.
-  void MultiplyAccumulateBlockTiled(double alpha, const DenseMatrix& x,
-                                    DenseMatrix* y,
-                                    const CsrTilePlan& plan) const;
-
-  /// Returns the entry at (row, col), or 0 if absent. O(log deg(row)) for
-  /// sorted rows, O(deg(row)) otherwise.
+  /// Returns the entry at (row, col), or 0 if absent. O(log deg(row)).
   double At(uint32_t row, uint32_t col) const;
 
   /// Returns A^T.
@@ -199,64 +167,6 @@ class CsrMatrix {
   std::vector<size_t> row_offsets_;
   std::vector<uint32_t> col_indices_;
   std::vector<double> values_;
-  bool sorted_rows_ = true;
-};
-
-/// \brief Precomputed cache-blocking layout for
-/// CsrMatrix::MultiplyAccumulateBlockTiled.
-///
-/// The matrix is cut into row blocks of `row_block` rows; within a block
-/// the nonzeros are regrouped band-major: all entries with columns in band
-/// 0 ([0, col_block)) first, then band 1, and so on, each band's entries
-/// ordered by (row, column). The kernel walks one block's stream start to
-/// finish, so X gathers stay inside one band (col_block * k doubles — sized
-/// for L2) while the block's accumulator tile (row_block * k doubles) stays
-/// in L1. Because bands partition the column range in ascending order, the
-/// per-row visit order equals the sorted CSR storage order and the product
-/// is bit-identical to the untiled kernel.
-///
-/// Build is O(nnz + rows * num_bands) once; the plan is immutable and
-/// shared read-only across threads and CG iterations. Requires
-/// matrix.sorted_rows() — relabeled (unsorted-row) matrices must keep their
-/// stored order and cannot be re-banded without changing result bits.
-class CsrTilePlan {
- public:
-  /// A maximal run of one row's entries inside one (row block, band) cell.
-  struct Segment {
-    uint32_t local_row;  // row index within the row block
-    uint32_t length;     // number of entries
-  };
-
-  /// Builds a plan for `matrix`. `row_block`/`col_block` of 0 pick defaults
-  /// sized for `block_width`-column right-hand blocks (the solver's k).
-  static CsrTilePlan Build(const CsrMatrix& matrix, size_t block_width,
-                           size_t row_block = 0, size_t col_block = 0);
-
-  size_t row_block() const { return row_block_; }
-  size_t col_block() const { return col_block_; }
-  size_t num_row_blocks() const {
-    return block_segment_offsets_.empty() ? 0
-                                          : block_segment_offsets_.size() - 1;
-  }
-  size_t rows() const { return rows_; }
-  size_t nnz() const { return values_.size(); }
-
-  const std::vector<uint32_t>& col_indices() const { return col_indices_; }
-  const std::vector<double>& values() const { return values_; }
-  const std::vector<Segment>& segments() const { return segments_; }
-  /// Per row block: [first, last) segment indices.
-  const std::vector<size_t>& block_segment_offsets() const {
-    return block_segment_offsets_;
-  }
-
- private:
-  size_t rows_ = 0;
-  size_t row_block_ = 0;
-  size_t col_block_ = 0;
-  std::vector<uint32_t> col_indices_;  // band-major reordered copy
-  std::vector<double> values_;
-  std::vector<Segment> segments_;
-  std::vector<size_t> block_segment_offsets_;
 };
 
 }  // namespace cad

@@ -39,6 +39,10 @@ Result<std::unique_ptr<TenantFleet>> TenantFleet::Create(
   if (options.num_workers == 0) {
     return Status::InvalidArgument("fleet needs at least one worker");
   }
+  // Tenants open lazily; a template no tenant could run with is rejected at
+  // start-up instead of at the first window.
+  CAD_RETURN_NOT_OK(ValidateNodesPerTransition(
+      options.tenant.monitor.nodes_per_transition));
   if (!options.tenant.checkpoint_path.empty() ||
       !options.tenant.output_path.empty()) {
     return Status::InvalidArgument(

@@ -117,6 +117,8 @@ Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
   if (options.queue_capacity_events == 0) {
     return Status::InvalidArgument("tenant queue capacity must be >= 1");
   }
+  CAD_RETURN_NOT_OK(
+      ValidateNodesPerTransition(options.monitor.nodes_per_transition));
   if (options.checkpoint_every > 0 && options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "tenant checkpoint_every requires a checkpoint path");

@@ -1,12 +1,14 @@
-// Lockstep block-PCG contract tests: SolveBlock must reproduce the serial
-// per-RHS path bit for bit — solutions, residuals, and iteration counts —
-// because its per-column floating-point operation sequence is identical.
-// (The thread-sweep variant of this contract lives in
+// Lockstep block-PCG contract tests: SolveBlock must reproduce a scalar PCG
+// (tests/reference_cg.h) bit for bit on every column — solutions, residuals,
+// and iteration counts — because its per-column floating-point operation
+// sequence is identical. (Thread-stress variants live in
 // test_parallel_stress.cc.)
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "linalg/conjugate_gradient.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
+#include "reference_cg.h"
 
 namespace cad {
 namespace {
@@ -46,15 +49,6 @@ DenseMatrix RhsBlock(size_t n, size_t k, uint64_t seed) {
   return b;
 }
 
-std::vector<std::vector<double>> Columns(const DenseMatrix& b) {
-  std::vector<std::vector<double>> columns(b.cols());
-  for (size_t c = 0; c < b.cols(); ++c) {
-    columns[c].resize(b.rows());
-    for (size_t i = 0; i < b.rows(); ++i) columns[c][i] = b(i, c);
-  }
-  return columns;
-}
-
 void ExpectBitIdentical(double expected, double actual, const char* what,
                         size_t i, size_t c) {
   EXPECT_EQ(std::bit_cast<uint64_t>(expected), std::bit_cast<uint64_t>(actual))
@@ -62,52 +56,83 @@ void ExpectBitIdentical(double expected, double actual, const char* what,
       << " vs " << actual;
 }
 
-void ExpectBlockMatchesSerial(const CsrMatrix& a, const DenseMatrix& b,
-                              const CgOptions& options,
-                              const CgSolveContext& context = {}) {
+void ExpectBlockMatchesReference(const CsrMatrix& a, const DenseMatrix& b,
+                                 const CgOptions& options,
+                                 const CgSolveContext& context = {}) {
   const ConjugateGradientSolver solver(options);
   DenseMatrix x_block;
   Result<std::vector<CgSummary>> block =
       solver.SolveBlock(a, b, &x_block, context);
   ASSERT_TRUE(block.ok()) << block.status().ToString();
 
-  const std::vector<std::vector<double>> rhs = Columns(b);
-  std::vector<std::vector<double>> x_serial;
-  Result<std::vector<CgSummary>> serial =
-      solver.SolveMany(a, rhs, &x_serial, context);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  DenseMatrix x_reference;
+  Result<std::vector<CgSummary>> reference =
+      testing_reference::ReferencePcgColumns(a, b, options,
+                                             context.cached_factor,
+                                             context.initial_guess,
+                                             &x_reference);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  ASSERT_EQ(block->size(), serial->size());
+  ASSERT_EQ(block->size(), reference->size());
+  ASSERT_EQ(x_block.rows(), b.rows());
+  ASSERT_EQ(x_block.cols(), b.cols());
   for (size_t c = 0; c < b.cols(); ++c) {
-    EXPECT_EQ((*block)[c].iterations, (*serial)[c].iterations)
+    EXPECT_EQ((*block)[c].iterations, (*reference)[c].iterations)
         << "iteration count differs for system " << c;
-    EXPECT_EQ((*block)[c].converged, (*serial)[c].converged);
-    ExpectBitIdentical((*serial)[c].relative_residual,
+    EXPECT_EQ((*block)[c].converged, (*reference)[c].converged);
+    ExpectBitIdentical((*reference)[c].relative_residual,
                        (*block)[c].relative_residual, "residual", 0, c);
-    for (size_t i = 0; i < b.rows(); ++i) {
-      ExpectBitIdentical(x_serial[c][i], x_block(i, c), "solution", i, c);
-    }
   }
+  EXPECT_EQ(std::memcmp(x_block.data().data(), x_reference.data().data(),
+                        x_block.data().size() * sizeof(double)),
+            0)
+      << "solution block differs from the reference";
 }
 
 class BlockSolverWidths : public ::testing::TestWithParam<size_t> {};
 
+// k straddles the SpMM kernel's k <= 16 register dispatch; each width runs
+// every preconditioner (IC(0) fresh and cached), cold and warm, at 1 and 4
+// threads.
 TEST_P(BlockSolverWidths, BitIdenticalToSerialAcrossPreconditioners) {
+  const size_t n = 120;
   const size_t k = GetParam();
-  const CsrMatrix a = LaplacianFixture(120, 77);
-  const DenseMatrix b = RhsBlock(120, k, 123);
+  const CsrMatrix a = LaplacianFixture(n, 77);
+  const DenseMatrix b = RhsBlock(n, k, 123);
+  // A warm guess near the solution: a loose solve of the same systems.
+  CgOptions loose;
+  loose.tolerance = 1e-2;
+  DenseMatrix guess;
+  ASSERT_TRUE(ConjugateGradientSolver(loose).SolveBlock(a, b, &guess).ok());
+  Result<IncompleteCholesky> factor = IncompleteCholesky::Factor(a);
+  ASSERT_TRUE(factor.ok());
+
   for (CgPreconditioner preconditioner :
        {CgPreconditioner::kNone, CgPreconditioner::kJacobi,
         CgPreconditioner::kIncompleteCholesky}) {
-    SCOPED_TRACE(CgPreconditionerToString(preconditioner));
-    CgOptions options;
-    options.preconditioner = preconditioner;
-    ExpectBlockMatchesSerial(a, b, options);
+    const bool ic = preconditioner == CgPreconditioner::kIncompleteCholesky;
+    for (const bool cached : {false, true}) {
+      if (cached && !ic) continue;
+      for (const bool warm : {false, true}) {
+        for (const size_t threads : {size_t{1}, size_t{4}}) {
+          SCOPED_TRACE(std::string(CgPreconditionerToString(preconditioner)) +
+                       (cached ? " cached" : "") + (warm ? " warm" : " cold") +
+                       " threads=" + std::to_string(threads));
+          CgOptions options;
+          options.preconditioner = preconditioner;
+          options.num_threads = threads;
+          CgSolveContext context;
+          if (cached) context.cached_factor = &*factor;
+          if (warm) context.initial_guess = &guess;
+          ExpectBlockMatchesReference(a, b, options, context);
+        }
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BlockSolverWidths,
-                         ::testing::Values(1, 3, 8));
+                         ::testing::Values(1, 2, 3, 8, 16, 17, 50));
 
 TEST(BlockSolverTest, ZeroColumnConvergesInZeroIterationsAndStaysZero) {
   const CsrMatrix a = LaplacianFixture(40, 5);
@@ -135,7 +160,7 @@ TEST(BlockSolverTest, InitialGuessBlockMatchesSerialWarmSolves) {
   CgSolveContext context;
   context.initial_guess = &guess;
   CgOptions options;
-  ExpectBlockMatchesSerial(a, b, options, context);
+  ExpectBlockMatchesReference(a, b, options, context);
 }
 
 TEST(BlockSolverTest, ExactGuessBlockConvergesInZeroIterations) {
@@ -213,33 +238,6 @@ TEST(BlockSolverTest, RejectsMismatchedGuessShape) {
   DenseMatrix x;
   EXPECT_FALSE(
       ConjugateGradientSolver().SolveBlock(a, b, &x, context).ok());
-}
-
-TEST(BlockSolverTest, SolveManyDispatchesToBlockPath) {
-  // use_block_solver routes SolveMany through SolveBlock; outputs must stay
-  // bit-identical to the per-RHS path.
-  const CsrMatrix a = LaplacianFixture(70, 71);
-  const DenseMatrix b = RhsBlock(70, 5, 72);
-  const std::vector<std::vector<double>> rhs = Columns(b);
-
-  CgOptions serial_options;
-  CgOptions block_options;
-  block_options.use_block_solver = true;
-
-  std::vector<std::vector<double>> x_serial;
-  std::vector<std::vector<double>> x_block;
-  Result<std::vector<CgSummary>> serial =
-      ConjugateGradientSolver(serial_options).SolveMany(a, rhs, &x_serial);
-  Result<std::vector<CgSummary>> block =
-      ConjugateGradientSolver(block_options).SolveMany(a, rhs, &x_block);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(block.ok());
-  for (size_t c = 0; c < rhs.size(); ++c) {
-    EXPECT_EQ((*serial)[c].iterations, (*block)[c].iterations);
-    for (size_t i = 0; i < 70; ++i) {
-      ExpectBitIdentical(x_serial[c][i], x_block[c][i], "solution", i, c);
-    }
-  }
 }
 
 TEST(SpMMKernelTest, MultiplyBlockMatchesPerColumnSpMV) {

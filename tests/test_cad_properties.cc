@@ -46,7 +46,7 @@ std::map<uint64_t, double> ScoreMap(const TransitionScores& scores) {
 
 class CadPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
-/// Relabeling nodes by a permutation must permute the scores and nothing
+/// Renumbering nodes by a permutation must permute the scores and nothing
 /// else: CAD is purely structural.
 TEST_P(CadPropertySweep, PermutationEquivariance) {
   const TemporalGraphSequence seq = RandomSequence(GetParam());

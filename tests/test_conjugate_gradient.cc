@@ -1,13 +1,16 @@
 #include "linalg/conjugate_gradient.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "datagen/random_graphs.h"
 #include "graph/graph.h"
+#include "linalg/incomplete_cholesky.h"
 #include "linalg/vector_ops.h"
+#include "reference_cg.h"
 
 namespace cad {
 namespace {
@@ -265,6 +268,48 @@ TEST(CgWarmStartTest, ZeroGuessMatchesColdStartBitwise) {
   }
 }
 
+TEST(CgWarmStartTest, SolveMatchesReferencePcgBitwise) {
+  // Solve is the k = 1 lockstep kernel; it must replay the scalar PCG
+  // recurrence exactly, cold and warm, under every preconditioner.
+  RandomGraphOptions opts;
+  opts.num_nodes = 60;
+  opts.average_degree = 5.0;
+  opts.seed = 99;
+  const WeightedGraph g = MakeRandomSparseGraph(opts);
+  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
+  Rng rng(15);
+  std::vector<double> b(60);
+  for (double& v : b) v = rng.Normal();
+  const std::vector<double> guess(60, 0.25);
+  for (CgPreconditioner preconditioner :
+       {CgPreconditioner::kNone, CgPreconditioner::kJacobi,
+        CgPreconditioner::kIncompleteCholesky}) {
+    SCOPED_TRACE(CgPreconditionerToString(preconditioner));
+    CgOptions options;
+    options.preconditioner = preconditioner;
+    Result<IncompleteCholesky> factor = IncompleteCholesky::Factor(l);
+    ASSERT_TRUE(factor.ok());
+    for (const bool warm : {false, true}) {
+      const std::vector<double>* x0 = warm ? &guess : nullptr;
+      std::vector<double> x;
+      const ConjugateGradientSolver solver(options);
+      auto summary =
+          warm ? solver.Solve(l, b, guess, &x) : solver.Solve(l, b, &x);
+      std::vector<double> x_reference;
+      auto reference = testing_reference::ReferencePcg(
+          l, b, options, &*factor, x0, &x_reference);
+      ASSERT_TRUE(summary.ok());
+      ASSERT_TRUE(reference.ok());
+      EXPECT_EQ(summary->iterations, reference->iterations);
+      EXPECT_EQ(summary->relative_residual, reference->relative_residual);
+      ASSERT_EQ(x.size(), x_reference.size());
+      EXPECT_EQ(std::memcmp(x.data(), x_reference.data(),
+                            x.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
 TEST(CgWarmStartTest, RejectsGuessSizeMismatch) {
   const CsrMatrix a = SpdTridiagonal(4);
   std::vector<double> x;
@@ -309,9 +354,9 @@ TEST(SummarizeCgBatchTest, ZeroIterationFirstSummaryIsAValidMin) {
   EXPECT_EQ(stats.total_iterations, 5u);
 }
 
-TEST(SummarizeCgBatchTest, SolveManyBatchesAreRunToRunDeterministic) {
-  // Two identical SolveMany batches must report identical iteration stats
-  // (each solve's arithmetic is sequential, so iteration counts depend only
+TEST(SummarizeCgBatchTest, SolveBlockBatchesAreRunToRunDeterministic) {
+  // Two identical SolveBlock batches must report identical iteration stats
+  // (each column's arithmetic is sequential, so iteration counts depend only
   // on the system/rhs/options tuple).
   RandomGraphOptions opts;
   opts.num_nodes = 80;
@@ -319,20 +364,19 @@ TEST(SummarizeCgBatchTest, SolveManyBatchesAreRunToRunDeterministic) {
   opts.seed = 4242;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
   const CsrMatrix l = g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
-  std::vector<std::vector<double>> rhs(4,
-                                       std::vector<double>(opts.num_nodes, 0.0));
-  for (size_t j = 0; j < rhs.size(); ++j) {
-    rhs[j][j] = 1.0;
-    rhs[j][opts.num_nodes - 1 - j] = -1.0;
+  DenseMatrix rhs(opts.num_nodes, 4);
+  for (size_t j = 0; j < rhs.cols(); ++j) {
+    rhs(j, j) = 1.0;
+    rhs(opts.num_nodes - 1 - j, j) = -1.0;
   }
   CgOptions options;
   options.num_threads = 4;
   const ConjugateGradientSolver solver(options);
 
-  std::vector<std::vector<double>> x1;
-  std::vector<std::vector<double>> x2;
-  Result<std::vector<CgSummary>> first = solver.SolveMany(l, rhs, &x1);
-  Result<std::vector<CgSummary>> second = solver.SolveMany(l, rhs, &x2);
+  DenseMatrix x1;
+  DenseMatrix x2;
+  Result<std::vector<CgSummary>> first = solver.SolveBlock(l, rhs, &x1);
+  Result<std::vector<CgSummary>> second = solver.SolveBlock(l, rhs, &x2);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   const CgBatchStats stats1 = SummarizeCgBatch(*first);

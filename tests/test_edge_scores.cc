@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "commute/exact_commute.h"
+#include "reference_selection.h"
 
 namespace cad {
 namespace {
@@ -150,6 +151,7 @@ TEST(SelectAnomalousEdgesTest, PeelsUntilRemainderBelowDelta) {
       ScoredEdge{NodePair{2, 3}, 1.0, 0, 0},
   };
   scores.total_score = 9.0;
+  scores.BuildSelectionIndex();
   // delta = 4: remaining after {5} is 4 -> not < 4, peel {3} too -> 1 < 4.
   EXPECT_EQ(SelectAnomalousEdges(scores, 4.0), (std::vector<size_t>{0, 1}));
   // delta = 10 > total: nothing anomalous.
@@ -165,6 +167,7 @@ TEST(SelectAnomalousEdgesTest, ZeroScoreEdgesNeverSelected) {
       ScoredEdge{NodePair{1, 2}, 0.0, 0, 0},
   };
   scores.total_score = 2.0;
+  scores.BuildSelectionIndex();
   // Even with delta <= 0 (impossible to satisfy), zero-score edges must not
   // be flagged.
   EXPECT_EQ(SelectAnomalousEdges(scores, 0.0), (std::vector<size_t>{0}));
@@ -191,16 +194,6 @@ TEST(SelectionIndexTest, BuildComputesPositiveCountAndPrefixes) {
             (std::vector<size_t>{0, 2, 3, 5}));
 }
 
-TEST(SelectionIndexTest, ClearRemovesIndex) {
-  TransitionScores scores;
-  scores.edges = {ScoredEdge{NodePair{0, 1}, 2.0, 0, 0}};
-  scores.total_score = 2.0;
-  scores.BuildSelectionIndex();
-  ASSERT_TRUE(scores.has_selection_index());
-  scores.ClearSelectionIndex();
-  EXPECT_FALSE(scores.has_selection_index());
-}
-
 TEST(SelectionIndexTest, ComputeTransitionScoresBuildsIndex) {
   WeightedGraph before(4);
   ASSERT_TRUE(before.SetEdge(0, 1, 1.0).ok());
@@ -214,9 +207,9 @@ TEST(SelectionIndexTest, ComputeTransitionScoresBuildsIndex) {
 }
 
 TEST(SelectionIndexTest, IndexedSelectionMatchesLegacyPeelBitwise) {
-  // The binary search over remaining_mass must reproduce the legacy peel
-  // loop exactly — same floating-point comparisons, same counts — for any
-  // delta. remaining_mass stores the successive-subtraction values the peel
+  // The binary search over remaining_mass must reproduce the reference
+  // peel loop exactly — same floating-point comparisons, same counts — for
+  // any delta. remaining_mass stores the successive-subtraction values the peel
   // loop would compute, so this holds bitwise, not just approximately.
   TransitionScores indexed;
   indexed.edges = {
@@ -234,17 +227,13 @@ TEST(SelectionIndexTest, IndexedSelectionMatchesLegacyPeelBitwise) {
     indexed.total_score += edge.score;
   }
   indexed.BuildSelectionIndex();
-  TransitionScores legacy = indexed;
-  legacy.ClearSelectionIndex();
 
   for (double delta :
        {-1.0, 0.0, 1e-12, 1e-9, 0.05, 0.1, 0.3, 0.30000000000000004, 0.4,
         0.6000000000000001, 0.7, 0.7000000000000001, 1.0, 10.0}) {
-    EXPECT_EQ(CountSelectedEdges(indexed, delta),
-              CountSelectedEdges(legacy, delta))
-        << "delta=" << delta;
-    EXPECT_EQ(SelectAnomalousEdges(indexed, delta),
-              SelectAnomalousEdges(legacy, delta))
+    const size_t peeled = testing_reference::PeelCount(indexed, delta);
+    EXPECT_EQ(CountSelectedEdges(indexed, delta), peeled) << "delta=" << delta;
+    EXPECT_EQ(SelectAnomalousEdges(indexed, delta).size(), peeled)
         << "delta=" << delta;
   }
 }

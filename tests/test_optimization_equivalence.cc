@@ -50,6 +50,7 @@ TransitionScores FromScores(const std::vector<double>& scores) {
             [](const ScoredEdge& a, const ScoredEdge& b) {
               return a.score > b.score;
             });
+  transition.BuildSelectionIndex();
   return transition;
 }
 

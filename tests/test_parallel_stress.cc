@@ -17,6 +17,7 @@
 #include "linalg/conjugate_gradient.h"
 #include "linalg/sparse_matrix.h"
 #include "obs/obs.h"
+#include "reference_cg.h"
 
 namespace cad {
 namespace {
@@ -71,57 +72,54 @@ WeightedGraph MakeStressGraph(size_t n) {
   return graph;
 }
 
-std::vector<std::vector<double>> MakeRightHandSides(size_t n, size_t k) {
-  std::vector<std::vector<double>> rhs(k, std::vector<double>(n, 0.0));
+DenseMatrix MakeRightHandSides(size_t n, size_t k) {
+  DenseMatrix rhs(n, k);
   for (size_t j = 0; j < k; ++j) {
     double mean = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      rhs[j][i] = static_cast<double>((i * (j + 3) + 11 * j) % 17) - 8.0;
-      mean += rhs[j][i];
+      rhs(i, j) = static_cast<double>((i * (j + 3) + 11 * j) % 17) - 8.0;
+      mean += rhs(i, j);
     }
     // Keep the rhs near range(L) so regularized solves stay well-behaved.
     mean /= static_cast<double>(n);
-    for (size_t i = 0; i < n; ++i) rhs[j][i] -= mean;
+    for (size_t i = 0; i < n; ++i) rhs(i, j) -= mean;
   }
   return rhs;
 }
 
-void ExpectBitIdentical(const std::vector<std::vector<double>>& a,
-                        const std::vector<std::vector<double>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t j = 0; j < a.size(); ++j) {
-    ASSERT_EQ(a[j].size(), b[j].size());
-    for (size_t i = 0; i < a[j].size(); ++i) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(a[j][i]),
-                std::bit_cast<uint64_t>(b[j][i]))
-          << "system " << j << ", component " << i << ": " << a[j][i]
-          << " vs " << b[j][i];
+void ExpectBitIdentical(const DenseMatrix& a, const DenseMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(a(i, j)), std::bit_cast<uint64_t>(b(i, j)))
+          << "system " << j << ", component " << i << ": " << a(i, j)
+          << " vs " << b(i, j);
     }
   }
 }
 
-class SolveManyThreadStressTest
+class SolveBlockThreadStressTest
     : public ::testing::TestWithParam<CgPreconditioner> {};
 
-TEST_P(SolveManyThreadStressTest, BitIdenticalAcrossThreadCounts) {
+TEST_P(SolveBlockThreadStressTest, BitIdenticalAcrossThreadCounts) {
   constexpr size_t kNodes = 120;
   constexpr size_t kSystems = 12;
   const WeightedGraph graph = MakeStressGraph(kNodes);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
-  const std::vector<std::vector<double>> rhs =
-      MakeRightHandSides(kNodes, kSystems);
+  const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
 
   CgOptions options;
   options.preconditioner = GetParam();
   options.tolerance = 1e-10;
 
-  std::vector<std::vector<std::vector<double>>> solutions;
+  std::vector<DenseMatrix> solutions;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     options.num_threads = threads;
     const ConjugateGradientSolver solver(options);
-    std::vector<std::vector<double>> x;
+    DenseMatrix x;
     Result<std::vector<CgSummary>> summaries =
-        solver.SolveMany(laplacian, rhs, &x);
+        solver.SolveBlock(laplacian, rhs, &x);
     ASSERT_TRUE(summaries.ok()) << summaries.status();
     for (const CgSummary& summary : *summaries) {
       EXPECT_TRUE(summary.converged)
@@ -129,13 +127,13 @@ TEST_P(SolveManyThreadStressTest, BitIdenticalAcrossThreadCounts) {
     }
     solutions.push_back(std::move(x));
   }
-  // The k systems are independent and each solve's arithmetic is sequential,
-  // so the thread count must not perturb a single bit of any solution.
+  // Chunking the k columns across threads only regroups which columns share
+  // a sweep, so the thread count must not perturb a single bit.
   ExpectBitIdentical(solutions[0], solutions[1]);
   ExpectBitIdentical(solutions[0], solutions[2]);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPreconditioners, SolveManyThreadStressTest,
+INSTANTIATE_TEST_SUITE_P(AllPreconditioners, SolveBlockThreadStressTest,
                          ::testing::Values(
                              CgPreconditioner::kNone, CgPreconditioner::kJacobi,
                              CgPreconditioner::kIncompleteCholesky),
@@ -144,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(AllPreconditioners, SolveManyThreadStressTest,
                                CgPreconditionerToString(info.param));
                          });
 
-TEST_P(SolveManyThreadStressTest, BitIdenticalWithObservabilityOn) {
+TEST_P(SolveBlockThreadStressTest, BitIdenticalWithObservabilityOn) {
   // Same contract as above, but with metrics and tracing recording: the
   // instrumentation only observes, so it must not perturb a single solution
   // bit nor change any deterministic (non-timer) metric across thread
@@ -154,23 +152,22 @@ TEST_P(SolveManyThreadStressTest, BitIdenticalWithObservabilityOn) {
   constexpr size_t kSystems = 10;
   const WeightedGraph graph = MakeStressGraph(kNodes);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
-  const std::vector<std::vector<double>> rhs =
-      MakeRightHandSides(kNodes, kSystems);
+  const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
 
   CgOptions options;
   options.preconditioner = GetParam();
   options.tolerance = 1e-10;
 
-  std::vector<std::vector<std::vector<double>>> solutions;
+  std::vector<DenseMatrix> solutions;
   std::vector<uint64_t> iteration_counters;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     const obs::ScopedMetricsEnable metrics_enable;
     const obs::ScopedTracingEnable tracing_enable;
     options.num_threads = threads;
     const ConjugateGradientSolver solver(options);
-    std::vector<std::vector<double>> x;
+    DenseMatrix x;
     Result<std::vector<CgSummary>> summaries =
-        solver.SolveMany(laplacian, rhs, &x);
+        solver.SolveBlock(laplacian, rhs, &x);
     ASSERT_TRUE(summaries.ok()) << summaries.status();
     solutions.push_back(std::move(x));
 
@@ -196,68 +193,66 @@ TEST_P(SolveManyThreadStressTest, BitIdenticalWithObservabilityOn) {
   EXPECT_EQ(iteration_counters[0], iteration_counters[2]);
 }
 
-TEST_P(SolveManyThreadStressTest, BlockSolverBitIdenticalAcrossThreadCounts) {
-  // The lockstep block path chunks columns across threads; no thread count
-  // (and no chunking) may perturb a bit of any solution or any iteration
-  // count relative to the serial per-RHS path.
+TEST_P(SolveBlockThreadStressTest, WarmGuessMatchesReferenceAcrossThreadCounts) {
+  // With an initial-guess block, every thread count (and so every column
+  // chunking) must match the scalar reference PCG bit for bit: solutions,
+  // residuals and iteration counts.
   constexpr size_t kNodes = 120;
   constexpr size_t kSystems = 12;
   const WeightedGraph graph = MakeStressGraph(kNodes);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
-  const std::vector<std::vector<double>> rhs =
-      MakeRightHandSides(kNodes, kSystems);
+  const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
+  DenseMatrix guess = rhs;
+  for (double& v : guess.mutable_data()) v *= 0.01;
 
   CgOptions options;
   options.preconditioner = GetParam();
   options.tolerance = 1e-10;
 
-  // Reference: the serial per-RHS path.
-  std::vector<std::vector<double>> reference;
-  std::vector<CgSummary> reference_summaries;
-  {
-    const ConjugateGradientSolver solver(options);
-    Result<std::vector<CgSummary>> summaries =
-        solver.SolveMany(laplacian, rhs, &reference);
-    ASSERT_TRUE(summaries.ok()) << summaries.status();
-    reference_summaries = *summaries;
-  }
+  DenseMatrix reference;
+  Result<std::vector<CgSummary>> reference_summaries =
+      testing_reference::ReferencePcgColumns(laplacian, rhs, options, nullptr,
+                                             &guess, &reference);
+  ASSERT_TRUE(reference_summaries.ok()) << reference_summaries.status();
 
-  options.use_block_solver = true;
+  CgSolveContext context;
+  context.initial_guess = &guess;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     options.num_threads = threads;
     const ConjugateGradientSolver solver(options);
-    std::vector<std::vector<double>> x;
+    DenseMatrix x;
     Result<std::vector<CgSummary>> summaries =
-        solver.SolveMany(laplacian, rhs, &x);
+        solver.SolveBlock(laplacian, rhs, &x, context);
     ASSERT_TRUE(summaries.ok()) << summaries.status();
     ExpectBitIdentical(reference, x);
-    ASSERT_EQ(summaries->size(), reference_summaries.size());
+    ASSERT_EQ(summaries->size(), reference_summaries->size());
     for (size_t j = 0; j < summaries->size(); ++j) {
-      EXPECT_EQ((*summaries)[j].iterations, reference_summaries[j].iterations)
+      EXPECT_EQ((*summaries)[j].iterations, (*reference_summaries)[j].iterations)
           << "system " << j << " at " << threads << " threads";
       EXPECT_EQ(std::bit_cast<uint64_t>((*summaries)[j].relative_residual),
-                std::bit_cast<uint64_t>(reference_summaries[j].relative_residual));
+                std::bit_cast<uint64_t>(
+                    (*reference_summaries)[j].relative_residual));
     }
   }
 }
 
-TEST(SolveManyThreadStressTest, RepeatedContendedSolves) {
+TEST(SolveBlockThreadStressTest, RepeatedContendedSolves) {
   // Repeatedly launch the threaded solve path so TSan sees many
-  // pool lifetimes against the shared read-only preconditioner closure.
+  // pool lifetimes against the shared read-only preconditioner.
   constexpr size_t kNodes = 48;
   const WeightedGraph graph = MakeStressGraph(kNodes);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
-  const std::vector<std::vector<double>> rhs = MakeRightHandSides(kNodes, 8);
+  const DenseMatrix rhs = MakeRightHandSides(kNodes, 8);
 
   CgOptions options;
   options.num_threads = 8;
   const ConjugateGradientSolver solver(options);
-  std::vector<std::vector<double>> first;
-  ASSERT_TRUE(solver.SolveMany(laplacian, rhs, &first).ok());
+  DenseMatrix first;
+  ASSERT_TRUE(solver.SolveBlock(laplacian, rhs, &first).ok());
   for (int round = 0; round < 10; ++round) {
-    std::vector<std::vector<double>> x;
+    DenseMatrix x;
     Result<std::vector<CgSummary>> summaries =
-        solver.SolveMany(laplacian, rhs, &x);
+        solver.SolveBlock(laplacian, rhs, &x);
     ASSERT_TRUE(summaries.ok()) << summaries.status();
     ExpectBitIdentical(first, x);
   }

@@ -1,6 +1,7 @@
 #include "app/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,20 @@ TEST(PipelineTest, RejectsUnknownMethodAndShortSequences) {
   CAD_CHECK_OK(single.Append(WeightedGraph(3)));
   options.method = "CAD";
   EXPECT_FALSE(RunAnomalyPipeline(single, options).ok());
+}
+
+TEST(PipelineTest, RejectsNegativeOrNanNodesPerTransition) {
+  // A bad --l used to reach CalibrateDelta's CHECK and abort the process;
+  // the pipeline now rejects it before any work.
+  const ToyExample toy = MakeToyExample();
+  for (const double l : {-1.0, std::nan("")}) {
+    PipelineOptions options;
+    options.nodes_per_transition = l;
+    const Result<PipelineResult> result =
+        RunAnomalyPipeline(toy.sequence, options);
+    ASSERT_FALSE(result.ok()) << l;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << l;
+  }
 }
 
 TEST(PipelineTest, CadOnToyLocalizesAndClassifies) {

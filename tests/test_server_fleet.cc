@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -438,6 +439,27 @@ TEST(FleetOpenTest, ValidatesNamesAndIsIdempotent) {
       (*fleet)->Enqueue("nope", std::vector<WireEvent>(1));
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+}
+
+TEST(FleetOpenTest, RejectsNegativeOrNanNodesPerTransitionAtCreate) {
+  // The server validates its tenant template at start-up, so a bad --l
+  // fails cad_server with a Status instead of a CHECK in the first window.
+  for (const double l : {-1.0, std::nan("")}) {
+    ScopedTempDir dir;
+    OnlineMonitorOptions monitor = ExactMonitor();
+    monitor.nodes_per_transition = l;
+    const Result<std::unique_ptr<TenantFleet>> fleet =
+        TenantFleet::Create(FleetFor(dir.path(), monitor));
+    ASSERT_FALSE(fleet.ok()) << l;
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument) << l;
+
+    TenantOptions options;
+    options.monitor = monitor;
+    const Result<std::unique_ptr<Tenant>> tenant =
+        Tenant::Create("bad_l", options);
+    ASSERT_FALSE(tenant.ok()) << l;
+    EXPECT_EQ(tenant.status().code(), StatusCode::kInvalidArgument) << l;
+  }
 }
 
 // --- concurrent ingest stress (TSan target) ---------------------------------

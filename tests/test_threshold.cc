@@ -1,6 +1,11 @@
 #include "core/threshold.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
+
+#include "reference_selection.h"
 
 namespace cad {
 namespace {
@@ -14,6 +19,7 @@ TransitionScores MakeScores(std::vector<double> values) {
     scores.total_score += v;
   }
   scores.node_scores.assign(2 * values.size(), 0.0);
+  scores.BuildSelectionIndex();
   return scores;
 }
 
@@ -59,26 +65,18 @@ TEST(CountAnomalousNodesTest, MonotoneNonIncreasingInDelta) {
   }
 }
 
-// Strips the O(log E) selection index so the functions under test fall back
-// to the legacy O(E) peel loop, giving a reference for bitwise comparisons.
-std::vector<TransitionScores> WithoutIndex(std::vector<TransitionScores> all) {
-  for (TransitionScores& scores : all) scores.ClearSelectionIndex();
-  return all;
-}
-
 TEST(SelectionIndexEquivalenceTest, CountAnomalousNodesMatchesLegacy) {
   std::vector<TransitionScores> indexed = {MakeScores({9, 4, 2, 1, 0}),
                                            MakeScores({3, 3}),
                                            MakeScores({0.25})};
-  // Overlapping endpoints exercise the prefix_nodes path against the
-  // EndpointUnion fallback.
+  // Overlapping endpoints exercise the prefix_nodes table against the
+  // reference's materialized EndpointUnion.
   indexed.push_back(MakeScores({6, 5}));
   indexed.back().edges[1].pair = NodePair{0, 1};  // same nodes as edge 0
   for (TransitionScores& scores : indexed) scores.BuildSelectionIndex();
-  const std::vector<TransitionScores> legacy = WithoutIndex(indexed);
   for (double delta : {0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 9.0, 11.0, 100.0}) {
     EXPECT_EQ(CountAnomalousNodes(indexed, delta),
-              CountAnomalousNodes(legacy, delta))
+              testing_reference::PeelAnomalousNodes(indexed, delta))
         << "delta=" << delta;
   }
 }
@@ -89,28 +87,26 @@ TEST(SelectionIndexEquivalenceTest, CalibrateDeltaMatchesLegacyBitwise) {
   std::vector<TransitionScores> indexed = {MakeScores({8.5, 4.25, 2.0, 1e-3}),
                                            MakeScores({3, 3, 0.5}),
                                            MakeScores({0.125, 0.0})};
-  for (TransitionScores& scores : indexed) scores.BuildSelectionIndex();
-  const std::vector<TransitionScores> legacy = WithoutIndex(indexed);
   for (double target : {0.0, 0.5, 1.0, 2.0, 3.5, 6.0, 100.0}) {
-    const double from_indexed = CalibrateDelta(indexed, target);
-    const double from_legacy = CalibrateDelta(legacy, target);
-    EXPECT_EQ(from_indexed, from_legacy) << "target=" << target;
+    EXPECT_EQ(CalibrateDelta(indexed, target),
+              testing_reference::PeelCalibrateDelta(indexed, target))
+        << "target=" << target;
   }
 }
 
 TEST(SelectionIndexEquivalenceTest, ApplyThresholdMatchesLegacy) {
   std::vector<TransitionScores> indexed = {MakeScores({9, 4, 2, 1}),
                                            MakeScores({0.5})};
-  for (TransitionScores& scores : indexed) scores.BuildSelectionIndex();
-  const std::vector<TransitionScores> legacy = WithoutIndex(indexed);
   for (double delta : {0.5, 2.0, 7.0, 20.0}) {
-    const std::vector<AnomalyReport> a = ApplyThreshold(indexed, delta);
-    const std::vector<AnomalyReport> b = ApplyThreshold(legacy, delta);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t t = 0; t < a.size(); ++t) {
-      EXPECT_EQ(a[t].transition, b[t].transition);
-      EXPECT_EQ(a[t].nodes, b[t].nodes);
-      EXPECT_EQ(a[t].edges.size(), b[t].edges.size());
+    const std::vector<AnomalyReport> reports = ApplyThreshold(indexed, delta);
+    ASSERT_EQ(reports.size(), indexed.size());
+    for (size_t t = 0; t < reports.size(); ++t) {
+      const size_t peeled = testing_reference::PeelCount(indexed[t], delta);
+      std::vector<size_t> prefix(peeled);
+      for (size_t i = 0; i < peeled; ++i) prefix[i] = i;
+      EXPECT_EQ(reports[t].transition, t);
+      EXPECT_EQ(reports[t].nodes, EndpointUnion(indexed[t], prefix));
+      EXPECT_EQ(reports[t].edges.size(), peeled);
     }
   }
 }

@@ -199,6 +199,12 @@ int Run(int argc, char** argv) {
     std::cerr << "--stats_every and --stats_json must be used together\n";
     return 2;
   }
+  // A bad target would trip CalibrateDelta's CHECK at the first window.
+  const Status valid_l = ValidateNodesPerTransition(l);
+  if (!valid_l.ok()) {
+    std::cerr << valid_l.ToString() << "\n";
+    return 1;
+  }
 
   // Turn observability on before the monitor is built so every window is
   // covered. The heartbeat contract (one record per N windows, non-timer
