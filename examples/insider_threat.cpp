@@ -52,17 +52,13 @@ int main(int argc, char** argv) {
     std::cout << "Month " << report.transition << " -> "
               << report.transition + 1 << ": " << report.nodes.size()
               << " employee(s) flagged\n";
-    // Each flagged month reuses the before-snapshot's commute oracle to
-    // classify the top relationships into the paper's Case 1/2/3 taxonomy.
-    auto oracle =
-        detector.BuildOracle(org.sequence.Snapshot(report.transition));
-    CAD_CHECK(oracle.ok()) << oracle.status().ToString();
-    // Top three relationships by anomaly score.
+    // Top three relationships by anomaly score, classified into the paper's
+    // Case 1/2/3 taxonomy against the before-snapshot commute time that
+    // scoring already computed.
     for (size_t i = 0; i < std::min<size_t>(3, report.edges.size()); ++i) {
       const ScoredEdge& edge = report.edges[i];
       const AnomalyCase anomaly_case = ClassifyAnomalousEdge(
-          edge, (*oracle)->CommuteTime(edge.pair.u, edge.pair.v),
-          org.sequence.Snapshot(report.transition),
+          edge, edge.commute_before, org.sequence.Snapshot(report.transition),
           org.sequence.Snapshot(report.transition + 1));
       std::cout << "    " << org.node_names[edge.pair.u] << " <-> "
                 << org.node_names[edge.pair.v] << "  (score "

@@ -35,7 +35,7 @@ Result<PipelineResult> RunCommuteFamily(const TemporalGraphSequence& sequence,
   CAD_ASSIGN_OR_RETURN(cad_options.score_kind, KindFromName(options.method));
   cad_options.approx.warm_start = options.warm_start;
   cad_options.approx.refactor_threshold = options.refactor_threshold;
-  CadDetector detector(cad_options);
+  const CadDetector detector(cad_options);
 
   std::vector<TransitionScores> analyses;
   {
@@ -60,22 +60,17 @@ Result<PipelineResult> RunCommuteFamily(const TemporalGraphSequence& sequence,
   }
   CAD_RETURN_NOT_OK(TickStats(options));
 
+  // The classifier's baseline c_t is the value each scored edge's commute
+  // delta was computed from (commute_before), so this stage runs no solves.
   CAD_TRACE_SPAN("pipeline_classify");
   for (const AnomalyReport& report : result.reports) {
-    if (report.edges.empty()) continue;
-    std::unique_ptr<CommuteTimeOracle> oracle;
-    if (options.classify_cases) {
-      CAD_ASSIGN_OR_RETURN(
-          oracle, detector.BuildOracle(sequence.Snapshot(report.transition)));
-    }
     for (const ScoredEdge& edge : report.edges) {
       ReportedEdge reported;
       reported.transition = report.transition;
       reported.edge = edge;
       if (options.classify_cases) {
         reported.anomaly_case = ClassifyAnomalousEdge(
-            edge, oracle->CommuteTime(edge.pair.u, edge.pair.v),
-            sequence.Snapshot(report.transition),
+            edge, edge.commute_before, sequence.Snapshot(report.transition),
             sequence.Snapshot(report.transition + 1));
       }
       result.edges.push_back(reported);

@@ -38,8 +38,8 @@ struct PipelineOptions {
   ClosenessOptions clc;
   AfmOptions afm;
   /// Attach the paper's Case 1/2/3 labels to reported anomalous edges
-  /// (commute-based family only; costs one extra oracle build per flagged
-  /// transition).
+  /// (commute-based family only). Classification reads each edge's c_t from
+  /// the scoring pass (ScoredEdge::commute_before), so it adds no solves.
   bool classify_cases = true;
   /// Solver performance knobs for the commute-based family. These are the
   /// authoritative pipeline-level switches: they are copied into

@@ -49,7 +49,9 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   }
   const double volume = graph.Volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
-  ComponentLabeling components = ConnectedComponents(graph);
+  // The sorted edge list is derived once and feeds both the right-hand
+  // sides and the Laplacian; the components come from that Laplacian.
+  std::vector<Edge> edges = graph.Edges();
 
   // Step 1: Y = Q W^{1/2} B, built by streaming edges. For edge e = (u, v,
   // w), row e of W^{1/2} B is sqrt(w) (e_u - e_v)^T, so node u's row of the
@@ -61,7 +63,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   if (options.warm_start) {
     // Edge-keyed draws: stable under edge churn (see EdgeJlSeed).
-    for (const Edge& edge : graph.Edges()) {
+    for (const Edge& edge : edges) {
       Rng rng(EdgeJlSeed(options.seed, edge.u, edge.v));
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
       double* bu = b.mutable_row(edge.u);
@@ -77,7 +79,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     // construction bit for bit.
     Rng rng(options.seed);
     std::vector<double> q(k);
-    for (const Edge& edge : graph.Edges()) {
+    for (const Edge& edge : edges) {
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
       for (size_t r = 0; r < k; ++r) q[r] = rng.Rademacher() * scale;
       double* bu = b.mutable_row(edge.u);
@@ -95,7 +97,9 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // blowup (see commute_time.h).
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(epsilon);
+  const CsrMatrix laplacian = graph.ToLaplacianCsr(edges, epsilon);
+  std::vector<Edge>().swap(edges);  // released before the solve
+  ComponentLabeling components = ConnectedComponents(laplacian);
   const ConjugateGradientSolver solver(options.cg);
 
   // Warm-start state: the previous snapshot's embedding seeds the solves,
@@ -209,10 +213,10 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
 
   const double volume = graph.Volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
-  ComponentLabeling components = ConnectedComponents(graph);
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(epsilon);
+  ComponentLabeling components = ConnectedComponents(laplacian);
 
   // Step 2: residual gate. One SpMM against the cached embedding gives
   // every column's exact residual under the *new* regularized Laplacian, so

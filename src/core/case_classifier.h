@@ -47,7 +47,8 @@ struct CaseClassifierOptions {
 /// `before`/`after` supply the edge's original weights (for relative
 /// magnitude) and the commute baseline is `|commute_delta| /
 /// (commute_before)` computed from the scored edge's deltas; callers pass
-/// the before-snapshot commute time of the pair.
+/// the before-snapshot commute time of the pair, which scoring records as
+/// `edge.commute_before`.
 AnomalyCase ClassifyAnomalousEdge(
     const ScoredEdge& edge, double commute_before,
     const WeightedGraph& before, const WeightedGraph& after,

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "graph/edge_delta.h"
 
 namespace cad {
 
@@ -32,34 +33,38 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
   CAD_CHECK_EQ(oracle_after.num_nodes(), after.num_nodes());
   const size_t n = before.num_nodes();
 
-  // Union of edge supports.
-  std::vector<NodePair> support;
-  support.reserve(before.num_edges() + after.num_edges());
-  for (const Edge& e : before.Edges()) support.push_back(NodePair{e.u, e.v});
-  for (const Edge& e : after.Edges()) support.push_back(NodePair{e.u, e.v});
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
+  // The union of the two edge supports, as one merge of the two sorted
+  // edge lists. Its size is counted first so the reservation is exact: each
+  // transition's scores are retained, and slack capacity would be held for
+  // the whole run.
+  const std::vector<Edge> before_edges = before.Edges();
+  const std::vector<Edge> after_edges = after.Edges();
+  size_t support_size = 0;
+  MergeEdgeLists(before_edges, after_edges,
+                 [&](NodeId, NodeId, double, double) { ++support_size; });
 
   TransitionScores result;
-  result.edges.reserve(support.size());
+  result.edges.reserve(support_size);
   result.node_scores.assign(n, 0.0);
 
   // First pass: raw deltas.
   double max_abs_weight_delta = 0.0;
   double max_abs_commute_delta = 0.0;
-  for (const NodePair& pair : support) {
-    ScoredEdge scored;
-    scored.pair = pair;
-    scored.weight_delta =
-        after.EdgeWeight(pair.u, pair.v) - before.EdgeWeight(pair.u, pair.v);
-    scored.commute_delta = oracle_after.CommuteTime(pair.u, pair.v) -
-                           oracle_before.CommuteTime(pair.u, pair.v);
-    max_abs_weight_delta =
-        std::max(max_abs_weight_delta, std::fabs(scored.weight_delta));
-    max_abs_commute_delta =
-        std::max(max_abs_commute_delta, std::fabs(scored.commute_delta));
-    result.edges.push_back(scored);
-  }
+  MergeEdgeLists(
+      before_edges, after_edges,
+      [&](NodeId u, NodeId v, double weight_before, double weight_after) {
+        ScoredEdge scored;
+        scored.pair = NodePair{u, v};
+        scored.weight_delta = weight_after - weight_before;
+        scored.commute_before = oracle_before.CommuteTime(u, v);
+        scored.commute_delta =
+            oracle_after.CommuteTime(u, v) - scored.commute_before;
+        max_abs_weight_delta =
+            std::max(max_abs_weight_delta, std::fabs(scored.weight_delta));
+        max_abs_commute_delta =
+            std::max(max_abs_commute_delta, std::fabs(scored.commute_delta));
+        result.edges.push_back(scored);
+      });
 
   // Second pass: fuse deltas into the selected score.
   for (ScoredEdge& scored : result.edges) {

@@ -35,6 +35,12 @@ struct ScoredEdge {
   double weight_delta = 0.0;
   /// c_{t+1}(i,j) - c_t(i,j).
   double commute_delta = 0.0;
+  /// c_t(i,j), the before-snapshot commute time that commute_delta was
+  /// computed from; the case classifier's baseline, so classifying a
+  /// reported edge needs no second oracle build. Not persisted in
+  /// checkpoints: a restored history reads 0 here (the online monitor never
+  /// classifies, so nothing reads it after a restore).
+  double commute_before = 0.0;
 };
 
 /// \brief All scores for one transition t -> t+1.
@@ -87,6 +93,8 @@ size_t CountSelectedEdges(const TransitionScores& scores, double delta);
 /// part of the COM support by the paper's O(m log m) argument, §3.3).
 /// For kCom the same support is used — this matches the paper's runtime
 /// analysis, which treats the number of nonzero score entries as O(m).
+/// The support is one merge of the two snapshots' sorted edge lists
+/// (MergeEdgeLists), and `edges` is reserved to exactly its size.
 TransitionScores ComputeTransitionScores(const WeightedGraph& before,
                                          const WeightedGraph& after,
                                          const CommuteTimeOracle& oracle_before,

@@ -1,36 +1,45 @@
 #include "graph/components.h"
 
-#include <queue>
+#include "common/check.h"
 
 namespace cad {
 
-ComponentLabeling ConnectedComponents(const WeightedGraph& graph) {
-  const size_t n = graph.num_nodes();
+ComponentLabeling ConnectedComponents(const CsrMatrix& pattern) {
+  CAD_CHECK_EQ(pattern.rows(), pattern.cols());
+  const size_t n = pattern.rows();
+  const std::vector<size_t>& offsets = pattern.row_offsets();
+  const std::vector<uint32_t>& cols = pattern.col_indices();
   constexpr uint32_t kUnassigned = 0xffffffffu;
   ComponentLabeling labeling;
   labeling.component.assign(n, kUnassigned);
 
-  const auto adjacency = graph.AdjacencyLists();
-  std::queue<NodeId> frontier;
+  // Every node enters the queue exactly once, so one n-slot array serves as
+  // the FIFO for all components. A diagonal entry is the node itself, which
+  // is already labeled by the time its row is scanned.
+  std::vector<NodeId> queue(n);
   for (size_t start = 0; start < n; ++start) {
     if (labeling.component[start] != kUnassigned) continue;
     const auto id = static_cast<uint32_t>(labeling.num_components++);
-    labeling.sizes.push_back(0);
+    size_t head = 0;
+    size_t tail = 0;
     labeling.component[start] = id;
-    frontier.push(static_cast<NodeId>(start));
-    while (!frontier.empty()) {
-      const NodeId node = frontier.front();
-      frontier.pop();
-      ++labeling.sizes[id];
-      for (const auto& neighbor : adjacency[node]) {
-        if (labeling.component[neighbor.node] == kUnassigned) {
-          labeling.component[neighbor.node] = id;
-          frontier.push(neighbor.node);
+    queue[tail++] = static_cast<NodeId>(start);
+    while (head < tail) {
+      const NodeId node = queue[head++];
+      for (size_t p = offsets[node]; p < offsets[node + 1]; ++p) {
+        if (labeling.component[cols[p]] == kUnassigned) {
+          labeling.component[cols[p]] = id;
+          queue[tail++] = cols[p];
         }
       }
     }
+    labeling.sizes.push_back(tail);
   }
   return labeling;
+}
+
+ComponentLabeling ConnectedComponents(const WeightedGraph& graph) {
+  return ConnectedComponents(graph.ToAdjacencyCsr());
 }
 
 bool IsConnected(const WeightedGraph& graph) {

@@ -22,12 +22,19 @@ struct ComponentLabeling {
   }
 };
 
-/// \brief Computes connected components via BFS. Isolated nodes form
+/// \brief Computes connected components by a BFS over the nonzero pattern
+/// of a square, symmetric CSR matrix: an adjacency matrix, or a Laplacian
+/// (diagonal entries are ignored). Nodes without off-diagonal entries form
 /// singleton components.
 ///
 /// The commute-time engines need this because commute distance is infinite
 /// across components; the exact engine can compute per-component
-/// pseudoinverses, and callers may want to report component splits.
+/// pseudoinverses, and callers may want to report component splits. The
+/// approximate engine labels from the Laplacian it solves against, so the
+/// snapshot's structure is walked once per build.
+ComponentLabeling ConnectedComponents(const CsrMatrix& pattern);
+
+/// ConnectedComponents over the graph's adjacency CSR.
 ComponentLabeling ConnectedComponents(const WeightedGraph& graph);
 
 /// True if the graph has a single connected component (or no nodes).

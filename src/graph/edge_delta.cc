@@ -18,31 +18,16 @@ EdgeDelta DiffSnapshots(const WeightedGraph& before,
   delta.edges_before = old_edges.size();
   delta.edges_after = new_edges.size();
 
-  // Both lists are sorted by canonical (u, v), so a single merge pass finds
-  // every insertion, deletion, and weight change.
-  size_t i = 0;
-  size_t j = 0;
-  while (i < old_edges.size() || j < new_edges.size()) {
-    if (j == new_edges.size() ||
-        (i < old_edges.size() &&
-         NodePair{old_edges[i].u, old_edges[i].v} <
-             NodePair{new_edges[j].u, new_edges[j].v})) {
-      const Edge& e = old_edges[i++];
-      delta.changes.push_back(ChangedEdge{e.u, e.v, e.weight, 0.0});
-    } else if (i == old_edges.size() ||
-               NodePair{new_edges[j].u, new_edges[j].v} <
-                   NodePair{old_edges[i].u, old_edges[i].v}) {
-      const Edge& e = new_edges[j++];
-      delta.changes.push_back(ChangedEdge{e.u, e.v, 0.0, e.weight});
-    } else {
-      const Edge& old_edge = old_edges[i++];
-      const Edge& new_edge = new_edges[j++];
-      if (old_edge.weight != new_edge.weight) {
-        delta.changes.push_back(ChangedEdge{old_edge.u, old_edge.v,
-                                            old_edge.weight, new_edge.weight});
-      }
-    }
-  }
+  // Every insertion and deletion has a nonzero weight on exactly one side,
+  // so one comparison finds insertions, deletions and weight changes alike.
+  MergeEdgeLists(old_edges, new_edges,
+                 [&](NodeId u, NodeId v, double weight_before,
+                     double weight_after) {
+                   if (weight_before != weight_after) {
+                     delta.changes.push_back(
+                         ChangedEdge{u, v, weight_before, weight_after});
+                   }
+                 });
   return delta;
 }
 

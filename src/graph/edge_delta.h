@@ -1,7 +1,9 @@
 #ifndef CAD_GRAPH_EDGE_DELTA_H_
 #define CAD_GRAPH_EDGE_DELTA_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -48,13 +50,38 @@ struct EdgeDelta {
   double ChurnRatio() const;
 };
 
+/// \brief Walks the union of two Edges()-sorted lists once, in canonical
+/// (u, v) order, calling visit(u, v, weight_before, weight_after) for every
+/// pair present on either side; the weight is 0 on a side the pair is
+/// absent from. The merge behind both DiffSnapshots and transition scoring.
+template <typename Visit>
+void MergeEdgeLists(const std::vector<Edge>& before,
+                    const std::vector<Edge>& after, Visit&& visit) {
+  // No canonical pair (u < v) packs to the all-ones key, so it marks an
+  // exhausted list.
+  constexpr uint64_t kEnd = ~uint64_t{0};
+  size_t i = 0;
+  size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    const uint64_t kb =
+        i < before.size() ? NodePair{before[i].u, before[i].v}.Key() : kEnd;
+    const uint64_t ka =
+        j < after.size() ? NodePair{after[j].u, after[j].v}.Key() : kEnd;
+    const uint64_t key = std::min(kb, ka);
+    const double weight_before = kb == key ? before[i++].weight : 0.0;
+    const double weight_after = ka == key ? after[j++].weight : 0.0;
+    visit(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key),
+          weight_before, weight_after);
+  }
+}
+
 /// \brief Diffs two snapshots into the rank-k Laplacian update that maps
 /// `before` to `after`.
 ///
-/// Runs one merge pass over the two canonical edge lists, O(m log m) from
-/// the Edges() sorts. The snapshots may have different node counts (edges
-/// incident to nodes beyond the smaller snapshot simply appear as
-/// insertions/deletions); callers that need matching dimensions — the
+/// Runs one merge pass (MergeEdgeLists) over the two canonical edge lists;
+/// the cost is the two Edges() calls. The snapshots may have different node
+/// counts (edges incident to nodes beyond the smaller snapshot simply appear
+/// as insertions/deletions); callers that need matching dimensions — the
 /// Woodbury path does — must check num_nodes themselves.
 EdgeDelta DiffSnapshots(const WeightedGraph& before,
                         const WeightedGraph& after);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/check.h"
+
 namespace cad {
 
 namespace {
@@ -19,6 +21,53 @@ Status ValidateEndpoints(NodeId u, NodeId v, size_t num_nodes) {
                               "} with n=" + std::to_string(num_nodes));
   }
   return Status::OK();
+}
+
+/// Lays out a symmetric CSR straight from an Edges()-sorted list: row i
+/// holds its lower neighbours (j < i), then the diagonal when `diagonal` is
+/// given, then its upper neighbours (j > i), each ascending — the column
+/// order a per-row sort would give, without the sort. The walk visits rows
+/// in order; by the time it reaches row i, every edge (u, i) with u < i has
+/// already filled row i's lower part in ascending u, so the diagonal and
+/// then the edges (i, v), ascending in v, append behind it. Off-diagonal
+/// values are the edge weights, negated for a Laplacian.
+CsrMatrix AssembleSymmetricCsr(size_t num_nodes, const std::vector<Edge>& edges,
+                               bool negate,
+                               const std::vector<double>* diagonal) {
+  std::vector<size_t> row_offsets(num_nodes + 1, 0);
+  for (const Edge& edge : edges) {
+    ++row_offsets[edge.u + 1];
+    ++row_offsets[edge.v + 1];
+  }
+  if (diagonal != nullptr) {
+    for (size_t i = 0; i < num_nodes; ++i) ++row_offsets[i + 1];
+  }
+  for (size_t i = 0; i < num_nodes; ++i) row_offsets[i + 1] += row_offsets[i];
+
+  const size_t nnz = row_offsets[num_nodes];
+  std::vector<uint32_t> cols(nnz);
+  std::vector<double> vals(nnz);
+  std::vector<size_t> cursor(row_offsets.begin(), row_offsets.end() - 1);
+  size_t next = 0;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    if (diagonal != nullptr) {
+      const size_t pos = cursor[i]++;
+      cols[pos] = static_cast<uint32_t>(i);
+      vals[pos] = (*diagonal)[i];
+    }
+    for (; next < edges.size() && edges[next].u == i; ++next) {
+      const Edge& edge = edges[next];
+      const double value = negate ? -edge.weight : edge.weight;
+      const size_t upper = cursor[i]++;
+      cols[upper] = edge.v;
+      vals[upper] = value;
+      const size_t lower = cursor[edge.v]++;
+      cols[lower] = edge.u;
+      vals[lower] = value;
+    }
+  }
+  return CsrMatrix(num_nodes, num_nodes, std::move(row_offsets),
+                   std::move(cols), std::move(vals));
 }
 
 }  // namespace
@@ -65,15 +114,29 @@ double WeightedGraph::EdgeWeight(NodeId u, NodeId v) const {
 }
 
 std::vector<Edge> WeightedGraph::Edges() const {
-  std::vector<Edge> edges;
-  edges.reserve(weights_.size());
+  // A counting sort on u (one pass to size each node's bucket, one to fill
+  // it), then a sort of each bucket on v. Buckets are as long as a node's
+  // upper degree, so this is O(m + n) plus short sorts.
+  std::vector<size_t> bucket_end(num_nodes_ + 1, 0);
   for (const auto& [key, weight] : weights_) {
-    edges.push_back(Edge{static_cast<NodeId>(key >> 32),
-                         static_cast<NodeId>(key & 0xffffffffULL), weight});
+    (void)weight;
+    ++bucket_end[(key >> 32) + 1];
   }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
+  for (size_t u = 0; u < num_nodes_; ++u) bucket_end[u + 1] += bucket_end[u];
+  std::vector<Edge> edges(weights_.size());
+  for (const auto& [key, weight] : weights_) {
+    const size_t u = key >> 32;
+    edges[bucket_end[u]++] = Edge{static_cast<NodeId>(u),
+                                  static_cast<NodeId>(key & 0xffffffffULL),
+                                  weight};
+  }
+  // Each bucket_end[u] now points one past bucket u, i.e. at bucket u+1.
+  size_t begin = 0;
+  for (size_t u = 0; u < num_nodes_; ++u) {
+    std::sort(edges.begin() + begin, edges.begin() + bucket_end[u],
+              [](const Edge& a, const Edge& b) { return a.v < b.v; });
+    begin = bucket_end[u];
+  }
   return edges;
 }
 
@@ -106,30 +169,21 @@ double WeightedGraph::Volume() const {
 }
 
 CsrMatrix WeightedGraph::ToAdjacencyCsr() const {
-  CooMatrix coo(num_nodes_, num_nodes_);
-  coo.Reserve(2 * weights_.size());
-  for (const auto& [key, weight] : weights_) {
-    const auto u = static_cast<uint32_t>(key >> 32);
-    const auto v = static_cast<uint32_t>(key & 0xffffffffULL);
-    coo.AddSymmetric(u, v, weight);
-  }
-  return coo.ToCsr();
+  return AssembleSymmetricCsr(num_nodes_, Edges(), /*negate=*/false, nullptr);
 }
 
 CsrMatrix WeightedGraph::ToLaplacianCsr(double regularization) const {
-  const std::vector<double> degrees = WeightedDegrees();
-  CooMatrix coo(num_nodes_, num_nodes_);
-  coo.Reserve(2 * weights_.size() + num_nodes_);
-  for (const auto& [key, weight] : weights_) {
-    const auto u = static_cast<uint32_t>(key >> 32);
-    const auto v = static_cast<uint32_t>(key & 0xffffffffULL);
-    coo.AddSymmetric(u, v, -weight);
-  }
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    coo.Add(static_cast<uint32_t>(i), static_cast<uint32_t>(i),
-            degrees[i] + regularization);
-  }
-  return coo.ToCsr();
+  return ToLaplacianCsr(Edges(), regularization);
+}
+
+CsrMatrix WeightedGraph::ToLaplacianCsr(const std::vector<Edge>& edges,
+                                        double regularization) const {
+  CAD_DCHECK(edges.size() == weights_.size());
+  // The diagonal keeps WeightedDegrees()' summation order: summing the
+  // sorted edges instead would round fractional weights differently.
+  std::vector<double> diagonal = WeightedDegrees();
+  for (double& d : diagonal) d += regularization;
+  return AssembleSymmetricCsr(num_nodes_, edges, /*negate=*/true, &diagonal);
 }
 
 DenseMatrix WeightedGraph::ToAdjacencyDense() const {

@@ -99,6 +99,11 @@ class WeightedGraph {
   /// disconnected snapshots (see DESIGN.md).
   CsrMatrix ToLaplacianCsr(double regularization = 0.0) const;
 
+  /// ToLaplacianCsr for a caller that already holds this graph's Edges(),
+  /// which `edges` must be; saves re-deriving the sorted edge list.
+  CsrMatrix ToLaplacianCsr(const std::vector<Edge>& edges,
+                           double regularization) const;
+
   /// Dense adjacency matrix; small graphs only.
   DenseMatrix ToAdjacencyDense() const;
 

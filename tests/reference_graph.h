@@ -1,0 +1,96 @@
+#ifndef CAD_TESTS_REFERENCE_GRAPH_H_
+#define CAD_TESTS_REFERENCE_GRAPH_H_
+
+// Reference snapshot-structure builders for the graph tests.
+//
+// The textbook constructions the library replaced with direct assembly from
+// the sorted edge list: CSR by COO triplets and CooMatrix::ToCsr's per-row
+// sort, and connected components by BFS over AdjacencyLists(). Neither goes
+// through Edges(), so a mistake there cannot hide in both sides of a
+// comparison. WeightedGraph::ToAdjacencyCsr/ToLaplacianCsr and
+// ConnectedComponents must reproduce these bit for bit.
+
+#include <cstdint>
+#include <queue>
+#include <vector>
+
+#include "graph/components.h"
+#include "graph/graph.h"
+#include "linalg/sparse_matrix.h"
+
+namespace cad {
+namespace testing_reference {
+
+/// Symmetric adjacency CSR via COO triplets.
+inline CsrMatrix AdjacencyCsr(const WeightedGraph& graph) {
+  const size_t n = graph.num_nodes();
+  CooMatrix coo(n, n);
+  const auto lists = graph.AdjacencyLists();
+  for (size_t u = 0; u < n; ++u) {
+    for (const WeightedGraph::Neighbor& neighbor : lists[u]) {
+      if (neighbor.node > u) {
+        coo.AddSymmetric(static_cast<uint32_t>(u), neighbor.node,
+                         neighbor.weight);
+      }
+    }
+  }
+  return coo.ToCsr();
+}
+
+/// Laplacian D - A + regularization * I via COO triplets; the diagonal is
+/// WeightedDegrees()[i] + regularization, present for every node.
+inline CsrMatrix LaplacianCsr(const WeightedGraph& graph,
+                              double regularization) {
+  const size_t n = graph.num_nodes();
+  const std::vector<double> degrees = graph.WeightedDegrees();
+  CooMatrix coo(n, n);
+  const auto lists = graph.AdjacencyLists();
+  for (size_t u = 0; u < n; ++u) {
+    for (const WeightedGraph::Neighbor& neighbor : lists[u]) {
+      if (neighbor.node > u) {
+        coo.AddSymmetric(static_cast<uint32_t>(u), neighbor.node,
+                         -neighbor.weight);
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    coo.Add(static_cast<uint32_t>(i), static_cast<uint32_t>(i),
+            degrees[i] + regularization);
+  }
+  return coo.ToCsr();
+}
+
+/// Components by BFS over the neighbor lists, labeled in order of each
+/// component's smallest node.
+inline ComponentLabeling Components(const WeightedGraph& graph) {
+  const size_t n = graph.num_nodes();
+  constexpr uint32_t kUnassigned = 0xffffffffu;
+  ComponentLabeling labeling;
+  labeling.component.assign(n, kUnassigned);
+  const auto adjacency = graph.AdjacencyLists();
+  std::queue<NodeId> frontier;
+  for (size_t start = 0; start < n; ++start) {
+    if (labeling.component[start] != kUnassigned) continue;
+    const auto id = static_cast<uint32_t>(labeling.num_components++);
+    labeling.sizes.push_back(0);
+    labeling.component[start] = id;
+    frontier.push(static_cast<NodeId>(start));
+    while (!frontier.empty()) {
+      const NodeId node = frontier.front();
+      frontier.pop();
+      ++labeling.sizes[id];
+      for (const auto& neighbor : adjacency[node]) {
+        if (labeling.component[neighbor.node] == kUnassigned) {
+          labeling.component[neighbor.node] = id;
+          frontier.push(neighbor.node);
+        }
+      }
+    }
+  }
+  return labeling;
+}
+
+}  // namespace testing_reference
+}  // namespace cad
+
+#endif  // CAD_TESTS_REFERENCE_GRAPH_H_

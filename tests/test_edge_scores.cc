@@ -1,10 +1,17 @@
 #include "core/edge_scores.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "commute/approx_commute.h"
 #include "commute/exact_commute.h"
+#include "reference_scores.h"
 #include "reference_selection.h"
 
 namespace cad {
@@ -270,6 +277,183 @@ TEST(EdgeScoresTest, ToyCase2NewEdgeBridgingClusters) {
       ComputeTransitionScores(before, after, *o1, *o2, EdgeScoreKind::kCad);
   EXPECT_EQ(scores.edges[0].pair, NodePair::Make(0, 3));
   EXPECT_GT(scores.edges[0].score, 10.0 * scores.edges[1].score);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Bitwise equality of two scorings: edge order, every ScoredEdge field,
+/// node scores, total and selection index. The library's edges must also be
+/// reserved to exactly their size, and each commute_before must be the
+/// before-oracle's value for the pair.
+void ExpectSameScores(const TransitionScores& actual,
+                      const TransitionScores& expected,
+                      const CommuteTimeOracle& oracle_before,
+                      const std::string& what) {
+  ASSERT_EQ(actual.edges.size(), expected.edges.size()) << what;
+  EXPECT_EQ(actual.edges.capacity(), actual.edges.size()) << what;
+  for (size_t i = 0; i < actual.edges.size(); ++i) {
+    const ScoredEdge& a = actual.edges[i];
+    const ScoredEdge& e = expected.edges[i];
+    ASSERT_EQ(a.pair, e.pair) << what << " edge " << i;
+    EXPECT_TRUE(SameBits(a.score, e.score)) << what << " edge " << i;
+    EXPECT_TRUE(SameBits(a.weight_delta, e.weight_delta))
+        << what << " edge " << i;
+    EXPECT_TRUE(SameBits(a.commute_delta, e.commute_delta))
+        << what << " edge " << i;
+    EXPECT_TRUE(SameBits(a.commute_before, e.commute_before))
+        << what << " edge " << i;
+    EXPECT_TRUE(SameBits(a.commute_before,
+                         oracle_before.CommuteTime(a.pair.u, a.pair.v)))
+        << what << " edge " << i;
+  }
+  ASSERT_EQ(actual.node_scores.size(), expected.node_scores.size()) << what;
+  for (size_t i = 0; i < actual.node_scores.size(); ++i) {
+    EXPECT_TRUE(SameBits(actual.node_scores[i], expected.node_scores[i]))
+        << what << " node " << i;
+  }
+  EXPECT_TRUE(SameBits(actual.total_score, expected.total_score)) << what;
+  EXPECT_EQ(actual.num_positive, expected.num_positive) << what;
+  EXPECT_EQ(actual.prefix_nodes, expected.prefix_nodes) << what;
+  ASSERT_EQ(actual.remaining_mass.size(), expected.remaining_mass.size());
+  for (size_t i = 0; i < actual.remaining_mass.size(); ++i) {
+    EXPECT_TRUE(SameBits(actual.remaining_mass[i], expected.remaining_mass[i]))
+        << what << " remaining_mass " << i;
+  }
+}
+
+constexpr EdgeScoreKind kAllKinds[] = {
+    EdgeScoreKind::kCad, EdgeScoreKind::kAdj, EdgeScoreKind::kCom,
+    EdgeScoreKind::kSum};
+
+void ExpectMatchesReference(const WeightedGraph& before,
+                            const WeightedGraph& after,
+                            const CommuteTimeOracle& oracle_before,
+                            const CommuteTimeOracle& oracle_after,
+                            const std::string& what) {
+  for (const EdgeScoreKind kind : kAllKinds) {
+    ExpectSameScores(
+        ComputeTransitionScores(before, after, oracle_before, oracle_after,
+                                kind),
+        testing_reference::ScoreTransition(before, after, oracle_before,
+                                           oracle_after, kind),
+        oracle_before, what + " " + EdgeScoreKindToString(kind));
+  }
+}
+
+/// Random sparse graph with fractional weights (repeated pairs overwrite).
+WeightedGraph RandomScoringGraph(size_t n, size_t draws, Rng* rng) {
+  WeightedGraph graph(n);
+  for (size_t e = 0; e < draws; ++e) {
+    const auto u = static_cast<NodeId>(rng->UniformInt(n));
+    const auto v = static_cast<NodeId>(rng->UniformInt(n));
+    if (u != v) CAD_CHECK_OK(graph.SetEdge(u, v, rng->Uniform(0.05, 3.0)));
+  }
+  return graph;
+}
+
+/// `graph` with a tenth of its edges reweighted, a tenth deleted, and
+/// `inserts` new random pairs.
+WeightedGraph Churned(const WeightedGraph& graph, size_t inserts, Rng* rng) {
+  WeightedGraph next = graph;
+  for (const Edge& edge : graph.Edges()) {
+    const double draw = rng->Uniform();
+    if (draw < 0.1) {
+      CAD_CHECK_OK(next.SetEdge(edge.u, edge.v, 0.0));
+    } else if (draw < 0.2) {
+      CAD_CHECK_OK(next.SetEdge(edge.u, edge.v, rng->Uniform(0.05, 3.0)));
+    }
+  }
+  const size_t n = graph.num_nodes();
+  for (size_t e = 0; e < inserts; ++e) {
+    const auto u = static_cast<NodeId>(rng->UniformInt(n));
+    const auto v = static_cast<NodeId>(rng->UniformInt(n));
+    if (u != v) CAD_CHECK_OK(next.SetEdge(u, v, rng->Uniform(0.05, 3.0)));
+  }
+  return next;
+}
+
+std::unique_ptr<CommuteTimeOracle> ApproxOracle(const WeightedGraph& graph) {
+  ApproxCommuteOptions options;
+  options.embedding_dim = 8;
+  options.seed = 11;
+  Result<ApproxCommuteEmbedding> oracle =
+      ApproxCommuteEmbedding::Build(graph, options);
+  CAD_CHECK_OK(oracle.status());
+  return std::make_unique<ApproxCommuteEmbedding>(
+      std::move(oracle).ValueOrDie());
+}
+
+TEST(MergeJoinScoringTest, MatchesSortedSupportScorerOnRandomTransitions) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t n = 40 + 60 * seed;
+    const WeightedGraph before = RandomScoringGraph(n, 4 * n, &rng);
+    const WeightedGraph after = Churned(before, n / 4, &rng);
+    const auto oracle_before = ApproxOracle(before);
+    const auto oracle_after = ApproxOracle(after);
+    ExpectMatchesReference(before, after, *oracle_before, *oracle_after,
+                           "seed " + std::to_string(seed));
+  }
+}
+
+TEST(MergeJoinScoringTest, MatchesSortedSupportScorerWithExactOracles) {
+  Rng rng(3);
+  const WeightedGraph before = RandomScoringGraph(60, 150, &rng);
+  const WeightedGraph after = Churned(before, 20, &rng);
+  auto oracle_before = ExactCommuteTime::Build(before);
+  auto oracle_after = ExactCommuteTime::Build(after);
+  ASSERT_TRUE(oracle_before.ok());
+  ASSERT_TRUE(oracle_after.ok());
+  ExpectMatchesReference(before, after, *oracle_before, *oracle_after,
+                         "exact");
+}
+
+TEST(MergeJoinScoringTest, IdenticalSnapshots) {
+  Rng rng(4);
+  const WeightedGraph graph = RandomScoringGraph(120, 400, &rng);
+  const auto oracle = ApproxOracle(graph);
+  ExpectMatchesReference(graph, graph, *oracle, *oracle, "identical");
+  const TransitionScores scores = ComputeTransitionScores(
+      graph, graph, *oracle, *oracle, EdgeScoreKind::kCad);
+  EXPECT_EQ(scores.edges.size(), graph.num_edges());
+  EXPECT_EQ(scores.total_score, 0.0);
+}
+
+TEST(MergeJoinScoringTest, DisjointSupports) {
+  WeightedGraph before(10);
+  WeightedGraph after(10);
+  for (NodeId u = 0; u < 9; ++u) {
+    // Even-offset pairs before, odd-offset pairs after: no pair in common,
+    // with the two lists interleaving in key order.
+    ASSERT_TRUE(before.SetEdge(u, u + 1, 0.5 + 0.25 * u).ok());
+    if (u + 2 < 10) {
+      ASSERT_TRUE(after.SetEdge(u, u + 2, 1.5 - 0.1 * u).ok());
+    }
+  }
+  const auto oracle_before = ApproxOracle(before);
+  const auto oracle_after = ApproxOracle(after);
+  ExpectMatchesReference(before, after, *oracle_before, *oracle_after,
+                         "disjoint");
+  EXPECT_EQ(ComputeTransitionScores(before, after, *oracle_before,
+                                    *oracle_after, EdgeScoreKind::kCad)
+                .edges.size(),
+            before.num_edges() + after.num_edges());
+}
+
+TEST(MergeJoinScoringTest, EmptySnapshotOnEitherSide) {
+  Rng rng(5);
+  const WeightedGraph full = RandomScoringGraph(80, 200, &rng);
+  const WeightedGraph empty(80);
+  const auto oracle_full = ApproxOracle(full);
+  const auto oracle_empty = ApproxOracle(empty);
+  ExpectMatchesReference(empty, full, *oracle_empty, *oracle_full,
+                         "empty before");
+  ExpectMatchesReference(full, empty, *oracle_full, *oracle_empty,
+                         "empty after");
+  ExpectMatchesReference(empty, empty, *oracle_empty, *oracle_empty,
+                         "both empty");
 }
 
 }  // namespace

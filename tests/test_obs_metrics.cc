@@ -145,8 +145,8 @@ TEST(QuantileTest, EmptyHistogramReturnsNaN) {
 TEST(QuantileTest, SingleSampleReportsTheExactObservation) {
   MetricsRegistry registry;  // route through a snapshot for the Data form
   registry.GetHistogram("single")->Observe(3.0);
-  const HistogramData* data =
-      FindHistogram(registry.Snapshot(), "single");
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  const HistogramData* data = FindHistogram(snapshot, "single");
   ASSERT_NE(data, nullptr);
   // The [min, max] clamp pins every rank of a one-sample histogram to the
   // observation itself.
@@ -212,8 +212,11 @@ TEST(QuantileTest, DeterministicGivenIdenticalBucketCounts) {
   for (double v : {17.0, 3.0, 100.0, 5.0}) {
     second.GetHistogram("h")->Observe(v);
   }
-  const HistogramData* a = FindHistogram(first.Snapshot(), "h");
-  const HistogramData* b = FindHistogram(second.Snapshot(), "h");
+  // FindHistogram points into its snapshot, so each must outlive the reads.
+  const MetricsSnapshot first_snapshot = first.Snapshot();
+  const MetricsSnapshot second_snapshot = second.Snapshot();
+  const HistogramData* a = FindHistogram(first_snapshot, "h");
+  const HistogramData* b = FindHistogram(second_snapshot, "h");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/rmat.h"
 #include "datagen/toy_example.h"
+#include "obs/obs.h"
 
 namespace cad {
 namespace {
@@ -86,6 +88,80 @@ TEST(PipelineTest, ClassificationCanBeDisabled) {
   for (const ReportedEdge& reported : result->edges) {
     EXPECT_EQ(reported.anomaly_case, AnomalyCase::kUnclassified);
   }
+}
+
+/// The process-wide pcg.iterations counter (0 when metrics compile away).
+uint64_t PcgIterations() {
+  for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+    if (name == "pcg.iterations") return value;
+  }
+  return 0;
+}
+
+TEST(PipelineTest, ClassifiesFromScoringPassWithoutExtraSolves) {
+  RmatTemporalOptions rmat;
+  rmat.base.num_nodes = 600;
+  rmat.base.num_edges = 3000;
+  rmat.base.min_weight = 0.5;
+  rmat.base.max_weight = 2.0;
+  rmat.base.seed = 21;
+  rmat.num_snapshots = 4;
+  rmat.anomaly_snapshot = 2;
+  rmat.anomaly_fraction = 0.03;
+  Result<TemporalGraphSequence> sequence = MakeRmatTemporalSequence(rmat);
+  ASSERT_TRUE(sequence.ok()) << sequence.status();
+
+  PipelineOptions options;
+  options.cad.engine = CommuteEngine::kApprox;
+  options.cad.approx.embedding_dim = 10;
+  options.cad.approx.seed = 3;
+  options.nodes_per_transition = 4.0;
+  ASSERT_FALSE(options.warm_start);
+
+  const obs::ScopedMetricsEnable metrics_enable;
+  const uint64_t start = PcgIterations();
+  Result<PipelineResult> classified = RunAnomalyPipeline(*sequence, options);
+  ASSERT_TRUE(classified.ok()) << classified.status();
+  const uint64_t classified_iterations = PcgIterations() - start;
+  options.classify_cases = false;
+  Result<PipelineResult> unclassified = RunAnomalyPipeline(*sequence, options);
+  ASSERT_TRUE(unclassified.ok()) << unclassified.status();
+  const uint64_t unclassified_iterations =
+      PcgIterations() - start - classified_iterations;
+  // Classification adds no solves.
+  EXPECT_EQ(classified_iterations, unclassified_iterations);
+#ifndef CAD_OBS_DISABLED
+  EXPECT_GT(classified_iterations, 0u);
+#endif
+
+  // The cases equal those from classifying against a cold rebuild of the
+  // before-snapshot's oracle, the construction the pipeline used to run.
+  ASSERT_FALSE(classified->edges.empty());
+  ASSERT_EQ(classified->edges.size(), unclassified->edges.size());
+  const CadDetector detector(options.cad);
+  size_t classified_count = 0;
+  for (size_t t = 0; t + 1 < sequence->num_snapshots(); ++t) {
+    std::unique_ptr<CommuteTimeOracle> oracle;
+    for (const ReportedEdge& reported : classified->edges) {
+      if (reported.transition != t) continue;
+      if (oracle == nullptr) {
+        Result<std::unique_ptr<CommuteTimeOracle>> built =
+            detector.BuildOracle(sequence->Snapshot(t));
+        ASSERT_TRUE(built.ok()) << built.status();
+        oracle = std::move(built).ValueOrDie();
+      }
+      const double cold =
+          oracle->CommuteTime(reported.edge.pair.u, reported.edge.pair.v);
+      EXPECT_EQ(reported.edge.commute_before, cold);
+      EXPECT_EQ(reported.anomaly_case,
+                ClassifyAnomalousEdge(reported.edge, cold,
+                                      sequence->Snapshot(t),
+                                      sequence->Snapshot(t + 1)));
+      classified_count +=
+          reported.anomaly_case != AnomalyCase::kUnclassified;
+    }
+  }
+  EXPECT_GT(classified_count, 0u);
 }
 
 TEST(PipelineTest, BaselineMethodsProduceNodeScoresOnly) {
