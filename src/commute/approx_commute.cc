@@ -35,6 +35,21 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     const WeightedGraph& graph, const ApproxCommuteOptions& options,
     CommuteSolverCache* cache) {
   CAD_TRACE_SPAN("approx_commute_build");
+  std::vector<Edge> edges = graph.Edges();
+  return BuildFromEdges(graph, edges, &edges, options, cache);
+}
+
+Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
+    const WeightedGraph& graph, const std::vector<Edge>& edges,
+    const ApproxCommuteOptions& options, CommuteSolverCache* cache) {
+  CAD_TRACE_SPAN("approx_commute_build");
+  return BuildFromEdges(graph, edges, nullptr, options, cache);
+}
+
+Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildFromEdges(
+    const WeightedGraph& graph, const std::vector<Edge>& edges,
+    std::vector<Edge>* owned, const ApproxCommuteOptions& options,
+    CommuteSolverCache* cache) {
   CAD_METRIC_INC("commute.approx_builds");
   const size_t n = graph.num_nodes();
   const size_t k = options.embedding_dim;
@@ -49,9 +64,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   }
   const double volume = graph.Volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
-  // The sorted edge list is derived once and feeds both the right-hand
-  // sides and the Laplacian; the components come from that Laplacian.
-  std::vector<Edge> edges = graph.Edges();
+  // The sorted edge list feeds both the right-hand sides and the
+  // Laplacian; the components come from that Laplacian.
 
   // Step 1: Y = Q W^{1/2} B, built by streaming edges. For edge e = (u, v,
   // w), row e of W^{1/2} B is sqrt(w) (e_u - e_v)^T, so node u's row of the
@@ -98,7 +112,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
   const CsrMatrix laplacian = graph.ToLaplacianCsr(edges, epsilon);
-  std::vector<Edge>().swap(edges);  // released before the solve
+  if (owned != nullptr) std::vector<Edge>().swap(*owned);  // `edges` too
   ComponentLabeling components = ConnectedComponents(laplacian);
   const ConjugateGradientSolver solver(options.cg);
 
@@ -159,6 +173,13 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
 Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     const WeightedGraph& graph, const EdgeDelta& delta,
     const ApproxCommuteOptions& options, CommuteSolverCache* cache) {
+  return BuildIncremental(graph, graph.Edges(), delta, options, cache);
+}
+
+Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
+    const WeightedGraph& graph, const std::vector<Edge>& edges,
+    const EdgeDelta& delta, const ApproxCommuteOptions& options,
+    CommuteSolverCache* cache) {
   CAD_TRACE_SPAN("approx_commute_build_incremental");
   const size_t n = graph.num_nodes();
   const size_t k = options.embedding_dim;
@@ -215,7 +236,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(epsilon);
+  const CsrMatrix laplacian = graph.ToLaplacianCsr(edges, epsilon);
   ComponentLabeling components = ConnectedComponents(laplacian);
 
   // Step 2: residual gate. One SpMM against the cached embedding gives

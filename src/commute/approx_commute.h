@@ -104,6 +104,12 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
       const WeightedGraph& graph, const ApproxCommuteOptions& options,
       CommuteSolverCache* cache);
 
+  /// Build for a caller that already holds `graph.Edges()`, which `edges`
+  /// must be; saves re-deriving the sorted edge list.
+  [[nodiscard]] static Result<ApproxCommuteEmbedding> Build(
+      const WeightedGraph& graph, const std::vector<Edge>& edges,
+      const ApproxCommuteOptions& options, CommuteSolverCache* cache);
+
   /// Incremental build from the cache's previous-snapshot state (embedding
   /// + JL right-hand-side block) and the edge delta to this snapshot:
   /// updates the cached RHS in O(churn * k), computes every column's exact
@@ -116,6 +122,13 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildIncremental(
       const WeightedGraph& graph, const EdgeDelta& delta,
       const ApproxCommuteOptions& options, CommuteSolverCache* cache);
+
+  /// BuildIncremental for a caller that already holds `graph.Edges()`,
+  /// which `edges` must be.
+  [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildIncremental(
+      const WeightedGraph& graph, const std::vector<Edge>& edges,
+      const EdgeDelta& delta, const ApproxCommuteOptions& options,
+      CommuteSolverCache* cache);
 
   /// Reassembles an oracle from previously exported internals (see the
   /// accessors below); used by checkpoint restore, which must reproduce a
@@ -154,6 +167,14 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   const CgBatchStats& cg_stats() const { return cg_stats_; }
 
  private:
+  /// Build's body. `owned`, when non-null, is `edges` itself, handed over
+  /// by a caller that has no further use for it, and is released once the
+  /// Laplacian is assembled so it does not add to the solve's footprint.
+  [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildFromEdges(
+      const WeightedGraph& graph, const std::vector<Edge>& edges,
+      std::vector<Edge>* owned, const ApproxCommuteOptions& options,
+      CommuteSolverCache* cache);
+
   ApproxCommuteEmbedding(DenseMatrix embedding, ComponentLabeling components,
                          double volume, double sentinel, bool use_sentinel,
                          CgBatchStats cg_stats)

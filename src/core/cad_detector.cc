@@ -11,34 +11,64 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
   return BuildOracle(graph, nullptr);
 }
 
-Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
-    const WeightedGraph& graph, CommuteSolverCache* cache) const {
-  const bool use_exact =
-      options_.engine == CommuteEngine::kExact ||
-      (options_.engine == CommuteEngine::kAuto &&
-       graph.num_nodes() <= options_.exact_node_limit);
-  if (use_exact) {
-    Result<ExactCommuteTime> oracle =
-        ExactCommuteTime::Build(graph, options_.exact);
-    if (!oracle.ok()) return oracle.status();
-    return std::unique_ptr<CommuteTimeOracle>(
-        new ExactCommuteTime(std::move(oracle).ValueOrDie()));
-  }
-  Result<ApproxCommuteEmbedding> oracle =
-      ApproxCommuteEmbedding::Build(graph, options_.approx, cache);
+namespace {
+
+Result<std::unique_ptr<CommuteTimeOracle>> Boxed(
+    Result<ExactCommuteTime> oracle) {
+  if (!oracle.ok()) return oracle.status();
+  return std::unique_ptr<CommuteTimeOracle>(
+      new ExactCommuteTime(std::move(oracle).ValueOrDie()));
+}
+
+Result<std::unique_ptr<CommuteTimeOracle>> Boxed(
+    Result<ApproxCommuteEmbedding> oracle) {
   if (!oracle.ok()) return oracle.status();
   return std::unique_ptr<CommuteTimeOracle>(
       new ApproxCommuteEmbedding(std::move(oracle).ValueOrDie()));
+}
+
+}  // namespace
+
+bool CadDetector::UsesExactEngine(const WeightedGraph& graph) const {
+  return options_.engine == CommuteEngine::kExact ||
+         (options_.engine == CommuteEngine::kAuto &&
+          graph.num_nodes() <= options_.exact_node_limit);
+}
+
+Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
+    const WeightedGraph& graph, CommuteSolverCache* cache) const {
+  if (UsesExactEngine(graph)) {
+    return Boxed(ExactCommuteTime::Build(graph, options_.exact));
+  }
+  return Boxed(ApproxCommuteEmbedding::Build(graph, options_.approx, cache));
+}
+
+Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
+    const WeightedGraph& graph, const std::vector<Edge>& edges,
+    CommuteSolverCache* cache) const {
+  if (UsesExactEngine(graph)) {
+    return Boxed(ExactCommuteTime::Build(graph, options_.exact));
+  }
+  return Boxed(
+      ApproxCommuteEmbedding::Build(graph, edges, options_.approx, cache));
 }
 
 Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     const WeightedGraph& graph, const WeightedGraph& previous_graph,
     const CommuteTimeOracle* previous_oracle,
     CommuteSolverCache* cache) const {
-  const bool use_exact =
-      options_.engine == CommuteEngine::kExact ||
-      (options_.engine == CommuteEngine::kAuto &&
-       graph.num_nodes() <= options_.exact_node_limit);
+  return BuildOracleIncremental(graph, graph.Edges(), previous_graph,
+                                previous_graph.Edges(), previous_oracle,
+                                cache);
+}
+
+Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
+    const WeightedGraph& graph, const std::vector<Edge>& edges,
+    const WeightedGraph& previous_graph,
+    const std::vector<Edge>& previous_edges,
+    const CommuteTimeOracle* previous_oracle,
+    CommuteSolverCache* cache) const {
+  const bool use_exact = UsesExactEngine(graph);
   // The approximate paths (incremental and its full-rebuild fallbacks) run
   // with incremental mode forced on, so every full build re-seeds the
   // cache's RHS block and the next window can try the update again.
@@ -47,12 +77,8 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
   approx.warm_start = true;
   const auto full_build =
       [&]() -> Result<std::unique_ptr<CommuteTimeOracle>> {
-    if (use_exact) return BuildOracle(graph, cache);
-    Result<ApproxCommuteEmbedding> oracle =
-        ApproxCommuteEmbedding::Build(graph, approx, cache);
-    if (!oracle.ok()) return oracle.status();
-    return std::unique_ptr<CommuteTimeOracle>(
-        new ApproxCommuteEmbedding(std::move(oracle).ValueOrDie()));
+    if (use_exact) return BuildOracle(graph, edges, cache);
+    return Boxed(ApproxCommuteEmbedding::Build(graph, edges, approx, cache));
   };
   if (previous_oracle == nullptr ||
       graph.num_nodes() != previous_graph.num_nodes()) {
@@ -60,7 +86,7 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     CAD_METRIC_INC("commute.incremental_rebuild_structure");
     return full_build();
   }
-  const EdgeDelta delta = DiffSnapshots(previous_graph, graph);
+  const EdgeDelta delta = DiffSnapshots(previous_edges, edges);
   const bool admitted =
       cache != nullptr
           ? cache->AdmitChurn(delta.ChurnRatio(), options_.churn_threshold)
@@ -96,11 +122,11 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     if (cache != nullptr) {
       cache->RecordIncrementalBuild(0, 0);
     }
-    return std::unique_ptr<CommuteTimeOracle>(
-        new ExactCommuteTime(std::move(oracle).ValueOrDie()));
+    return Boxed(std::move(oracle));
   }
   Result<ApproxCommuteEmbedding> oracle =
-      ApproxCommuteEmbedding::BuildIncremental(graph, delta, approx, cache);
+      ApproxCommuteEmbedding::BuildIncremental(graph, edges, delta, approx,
+                                               cache);
   if (!oracle.ok()) {
     if (oracle.status().code() == StatusCode::kInvalidArgument) {
       // A genuinely unusable configuration (k == 0), not a missing cache:
@@ -114,8 +140,7 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     }
     return full_build();
   }
-  return std::unique_ptr<CommuteTimeOracle>(
-      new ApproxCommuteEmbedding(std::move(oracle).ValueOrDie()));
+  return Boxed(std::move(oracle));
 }
 
 Result<std::vector<TransitionScores>> CadDetector::Analyze(

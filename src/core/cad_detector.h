@@ -96,6 +96,12 @@ class CadDetector : public NodeScorer {
   [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>> BuildOracle(
       const WeightedGraph& graph, CommuteSolverCache* cache) const;
 
+  /// BuildOracle for a caller that already holds `graph.Edges()`, which
+  /// `edges` must be; saves re-deriving the sorted edge list.
+  [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>> BuildOracle(
+      const WeightedGraph& graph, const std::vector<Edge>& edges,
+      CommuteSolverCache* cache) const;
+
   /// BuildOracle via the incremental maintenance paths (DESIGN.md §12):
   /// diffs `previous_graph` -> `graph`, and when the churn ratio stays
   /// within churn_threshold updates the previous state instead of
@@ -112,7 +118,23 @@ class CadDetector : public NodeScorer {
                          const CommuteTimeOracle* previous_oracle,
                          CommuteSolverCache* cache) const;
 
+  /// BuildOracleIncremental for a caller that already holds both
+  /// snapshots' Edges() lists (`edges` of `graph`, `previous_edges` of
+  /// `previous_graph`): the diff, the Laplacian and any full rebuild read
+  /// them instead of re-deriving them.
+  [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>>
+  BuildOracleIncremental(const WeightedGraph& graph,
+                         const std::vector<Edge>& edges,
+                         const WeightedGraph& previous_graph,
+                         const std::vector<Edge>& previous_edges,
+                         const CommuteTimeOracle* previous_oracle,
+                         CommuteSolverCache* cache) const;
+
  private:
+  /// True when `graph` is built with the exact engine (kExact, or kAuto at
+  /// or below exact_node_limit).
+  bool UsesExactEngine(const WeightedGraph& graph) const;
+
   CadOptions options_;
 };
 

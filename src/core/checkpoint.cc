@@ -87,13 +87,27 @@ CheckpointWriter::CheckpointWriter(std::ostream* out) : out_(out) {
   CAD_CHECK(out != nullptr);
 }
 
+void CheckpointWriter::Flush() {
+  if (buffer_.empty()) return;
+  out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
 void CheckpointWriter::WriteBytes(const char* data, size_t size) {
-  out_->write(data, static_cast<std::streamsize>(size));
+  if (buffer_.size() + size > kBufferBytes) {
+    Flush();
+    if (size >= kBufferBytes) {
+      // Larger than the buffer: copying it through would gain nothing.
+      out_->write(data, static_cast<std::streamsize>(size));
+      return;
+    }
+  }
+  buffer_.append(data, size);
 }
 
 void CheckpointWriter::WriteU8(uint8_t value) {
   const char byte = static_cast<char>(value);
-  out_->write(&byte, 1);
+  WriteBytes(&byte, 1);
 }
 
 void CheckpointWriter::WriteU32(uint32_t value) {
@@ -101,7 +115,7 @@ void CheckpointWriter::WriteU32(uint32_t value) {
   for (int i = 0; i < 4; ++i) {
     bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
   }
-  out_->write(bytes, sizeof(bytes));
+  WriteBytes(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteU64(uint64_t value) {
@@ -109,7 +123,7 @@ void CheckpointWriter::WriteU64(uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
   }
-  out_->write(bytes, sizeof(bytes));
+  WriteBytes(bytes, sizeof(bytes));
 }
 
 void CheckpointWriter::WriteDouble(double value) {
@@ -141,7 +155,8 @@ void CheckpointWriter::WriteDoubleVec(const std::vector<double>& values) {
   for (double value : values) WriteDouble(value);
 }
 
-Status CheckpointWriter::Finish() const {
+Status CheckpointWriter::Finish() {
+  Flush();
   if (!out_->good()) {
     return Status::IoError("checkpoint write failed");
   }
@@ -261,8 +276,12 @@ Status CheckpointReader::ExpectHeader() {
 }
 
 void WriteWeightedGraph(CheckpointWriter* writer, const WeightedGraph& graph) {
-  writer->WriteU64(graph.num_nodes());
-  const std::vector<Edge> edges = graph.Edges();
+  WriteWeightedGraph(writer, graph.num_nodes(), graph.Edges());
+}
+
+void WriteWeightedGraph(CheckpointWriter* writer, size_t num_nodes,
+                        const std::vector<Edge>& edges) {
+  writer->WriteU64(num_nodes);
   writer->WriteU64(edges.size());
   for (const Edge& edge : edges) {
     writer->WriteU32(edge.u);
@@ -493,7 +512,8 @@ Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
       previous_snapshot_.has_value() && previous_oracle_ != nullptr;
   writer.WriteU8(has_previous ? 1 : 0);
   if (has_previous) {
-    WriteWeightedGraph(&writer, *previous_snapshot_);
+    WriteWeightedGraph(&writer, previous_snapshot_->num_nodes(),
+                       previous_edges_);
     // The oracle is serialized directly rather than rebuilt on restore:
     // under warm_start a rebuild would consume post-build solver-cache
     // state and diverge from the original CG iterates.
@@ -739,6 +759,8 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
   num_snapshots_ = static_cast<size_t>(num_snapshots);
   num_transitions_total_ = static_cast<size_t>(num_transitions_total);
   delta_ = delta;
+  previous_edges_ = previous_snapshot.has_value() ? previous_snapshot->Edges()
+                                                 : std::vector<Edge>();
   previous_snapshot_ = std::move(previous_snapshot);
   previous_oracle_ = std::move(previous_oracle);
   history_ = std::move(history);

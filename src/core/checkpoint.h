@@ -49,11 +49,18 @@ inline constexpr uint8_t kCheckpointVersionIncremental = 3;
 /// Highest checkpoint format version this build reads and writes.
 inline constexpr uint8_t kCheckpointVersion = kCheckpointVersionIncremental;
 
-/// \brief Little-endian primitive encoder over an ostream. Write calls set
-/// the stream's failbit on error; call Finish() once at the end to collapse
-/// the write sequence into a Status.
+/// \brief Little-endian primitive encoder over an ostream. Writes collect in
+/// a bounded buffer (kBufferBytes) that is handed to the stream whenever the
+/// next write would overflow it, and by Finish(): a multi-megabyte
+/// checkpoint costs a few hundred stream writes instead of one per field,
+/// without holding the whole file in memory. Call Finish() once at the end;
+/// it flushes the buffer and collapses the write sequence into a Status.
+/// Bytes written after Finish() need another Finish().
 class CheckpointWriter {
  public:
+  /// Largest number of bytes held before they go to the stream.
+  static constexpr size_t kBufferBytes = size_t{64} * 1024;
+
   explicit CheckpointWriter(std::ostream* out);
 
   void WriteBytes(const char* data, size_t size);
@@ -70,11 +77,16 @@ class CheckpointWriter {
   /// u64 byte count, then the raw bytes.
   void WriteString(std::string_view value);
 
-  /// IoError if any prior write failed.
-  [[nodiscard]] Status Finish() const;
+  /// Hands the buffered bytes to the stream. IoError if any write so far
+  /// failed.
+  [[nodiscard]] Status Finish();
 
  private:
+  /// Hands the buffered bytes to the stream and empties the buffer.
+  void Flush();
+
   std::ostream* out_;
+  std::string buffer_;
 };
 
 /// \brief Little-endian primitive decoder matching CheckpointWriter.
@@ -109,6 +121,9 @@ class CheckpointReader {
 // Composite serializers used by the monitor checkpoint (exposed for tests;
 // each Read* is the exact inverse of its Write*).
 void WriteWeightedGraph(CheckpointWriter* writer, const WeightedGraph& graph);
+/// WriteWeightedGraph for a caller that already holds the graph's Edges().
+void WriteWeightedGraph(CheckpointWriter* writer, size_t num_nodes,
+                        const std::vector<Edge>& edges);
 [[nodiscard]] Result<WeightedGraph> ReadWeightedGraph(CheckpointReader* reader);
 
 void WriteDenseMatrix(CheckpointWriter* writer, const DenseMatrix& matrix);

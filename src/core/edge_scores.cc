@@ -29,16 +29,24 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
                                          const CommuteTimeOracle& oracle_after,
                                          EdgeScoreKind kind) {
   CAD_CHECK_EQ(before.num_nodes(), after.num_nodes());
-  CAD_CHECK_EQ(oracle_before.num_nodes(), before.num_nodes());
-  CAD_CHECK_EQ(oracle_after.num_nodes(), after.num_nodes());
-  const size_t n = before.num_nodes();
+  return ComputeTransitionScores(before.num_nodes(), before.Edges(),
+                                 after.Edges(), oracle_before, oracle_after,
+                                 kind);
+}
+
+TransitionScores ComputeTransitionScores(size_t n,
+                                         const std::vector<Edge>& before_edges,
+                                         const std::vector<Edge>& after_edges,
+                                         const CommuteTimeOracle& oracle_before,
+                                         const CommuteTimeOracle& oracle_after,
+                                         EdgeScoreKind kind) {
+  CAD_CHECK_EQ(oracle_before.num_nodes(), n);
+  CAD_CHECK_EQ(oracle_after.num_nodes(), n);
 
   // The union of the two edge supports, as one merge of the two sorted
   // edge lists. Its size is counted first so the reservation is exact: each
   // transition's scores are retained, and slack capacity would be held for
   // the whole run.
-  const std::vector<Edge> before_edges = before.Edges();
-  const std::vector<Edge> after_edges = after.Edges();
   size_t support_size = 0;
   MergeEdgeLists(before_edges, after_edges,
                  [&](NodeId, NodeId, double, double) { ++support_size; });

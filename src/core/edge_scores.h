@@ -101,6 +101,16 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
                                          const CommuteTimeOracle& oracle_after,
                                          EdgeScoreKind kind);
 
+/// ComputeTransitionScores for a caller that already holds both snapshots'
+/// Edges() lists (`num_nodes` is their shared node count); saves
+/// re-deriving them.
+TransitionScores ComputeTransitionScores(size_t num_nodes,
+                                         const std::vector<Edge>& before_edges,
+                                         const std::vector<Edge>& after_edges,
+                                         const CommuteTimeOracle& oracle_before,
+                                         const CommuteTimeOracle& oracle_after,
+                                         EdgeScoreKind kind);
+
 /// \brief Selects the anomalous edge set E_t for threshold `delta`:
 /// the smallest prefix of the (descending) score order such that the scores
 /// of all *remaining* pairs sum to < delta (paper §2.4.1). Returns indices

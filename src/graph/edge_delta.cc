@@ -12,8 +12,11 @@ double EdgeDelta::ChurnRatio() const {
 
 EdgeDelta DiffSnapshots(const WeightedGraph& before,
                         const WeightedGraph& after) {
-  const std::vector<Edge> old_edges = before.Edges();
-  const std::vector<Edge> new_edges = after.Edges();
+  return DiffSnapshots(before.Edges(), after.Edges());
+}
+
+EdgeDelta DiffSnapshots(const std::vector<Edge>& old_edges,
+                        const std::vector<Edge>& new_edges) {
   EdgeDelta delta;
   delta.edges_before = old_edges.size();
   delta.edges_after = new_edges.size();

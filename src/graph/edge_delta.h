@@ -79,12 +79,18 @@ void MergeEdgeLists(const std::vector<Edge>& before,
 /// `before` to `after`.
 ///
 /// Runs one merge pass (MergeEdgeLists) over the two canonical edge lists;
-/// the cost is the two Edges() calls. The snapshots may have different node
-/// counts (edges incident to nodes beyond the smaller snapshot simply appear
-/// as insertions/deletions); callers that need matching dimensions — the
-/// Woodbury path does — must check num_nodes themselves.
+/// the cost is the two Edges() calls, which the edge-list overload below
+/// saves a caller that already holds them. The snapshots may have different
+/// node counts (edges incident to nodes beyond the smaller snapshot simply
+/// appear as insertions/deletions); callers that need matching dimensions —
+/// the Woodbury path does — must check num_nodes themselves.
 EdgeDelta DiffSnapshots(const WeightedGraph& before,
                         const WeightedGraph& after);
+
+/// DiffSnapshots for a caller that already holds both snapshots' Edges()
+/// lists; saves re-deriving them.
+EdgeDelta DiffSnapshots(const std::vector<Edge>& before,
+                        const std::vector<Edge>& after);
 
 }  // namespace cad
 

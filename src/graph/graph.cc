@@ -23,6 +23,11 @@ Status ValidateEndpoints(NodeId u, NodeId v, size_t num_nodes) {
   return Status::OK();
 }
 
+Status InvalidWeight(double weight) {
+  return Status::InvalidArgument("edge weight must be finite and >= 0, got " +
+                                 std::to_string(weight));
+}
+
 /// Lays out a symmetric CSR straight from an Edges()-sorted list: row i
 /// holds its lower neighbours (j < i), then the diagonal when `diagonal` is
 /// given, then its upper neighbours (j > i), each ascending — the column
@@ -84,10 +89,7 @@ Status WeightedGraph::GrowTo(size_t num_nodes) {
 
 Status WeightedGraph::SetEdge(NodeId u, NodeId v, double weight) {
   CAD_RETURN_NOT_OK(ValidateEndpoints(u, v, num_nodes_));
-  if (weight < 0.0 || !std::isfinite(weight)) {
-    return Status::InvalidArgument("edge weight must be finite and >= 0, got " +
-                                   std::to_string(weight));
-  }
+  if (weight < 0.0 || !std::isfinite(weight)) return InvalidWeight(weight);
   const uint64_t key = NodePair::Make(u, v).Key();
   if (weight == 0.0) {
     weights_.erase(key);
@@ -99,12 +101,37 @@ Status WeightedGraph::SetEdge(NodeId u, NodeId v, double weight) {
 
 Status WeightedGraph::AddEdgeWeight(NodeId u, NodeId v, double delta) {
   CAD_RETURN_NOT_OK(ValidateEndpoints(u, v, num_nodes_));
-  const double next = EdgeWeight(u, v) + delta;
+  const uint64_t key = NodePair::Make(u, v).Key();
+  if (delta > 0.0 && std::isfinite(delta)) {
+    // The common aggregation step, in one probe: the sum is positive, so an
+    // absent key is inserted holding 0 + delta == delta, exactly as
+    // SetEdge would insert it.
+    const auto [it, inserted] = weights_.try_emplace(key, delta);
+    if (inserted) return Status::OK();
+    const double next = it->second + delta;
+    if (!std::isfinite(next)) return InvalidWeight(next);
+    it->second = next;
+    return Status::OK();
+  }
+  // Zero, negative and non-finite deltas: a key is inserted only when its
+  // resulting weight is nonzero and erased when it reaches zero, the same
+  // inserts and erases SetEdge(EdgeWeight + delta) makes, so the map's
+  // bucket history — and with it Volume()'s summation order — is unchanged.
+  const auto it = weights_.find(key);
+  const double next = (it == weights_.end() ? 0.0 : it->second) + delta;
   if (next < 0.0) {
     return Status::InvalidArgument(
         "AddEdgeWeight would make weight negative: " + std::to_string(next));
   }
-  return SetEdge(u, v, next);
+  if (!std::isfinite(next)) return InvalidWeight(next);
+  if (next == 0.0) {
+    if (it != weights_.end()) weights_.erase(it);
+  } else if (it != weights_.end()) {
+    it->second = next;
+  } else {
+    weights_.emplace(key, next);
+  }
+  return Status::OK();
 }
 
 double WeightedGraph::EdgeWeight(NodeId u, NodeId v) const {

@@ -1,9 +1,11 @@
 #include "io/event_stream.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <string_view>
 
 #include "common/strings.h"
 #include "obs/obs.h"
@@ -20,27 +22,103 @@ constexpr double kMaxDerivedWindows = 1e12;
 
 /// True when `token` parses as a non-negative integer, i.e. a valid dense
 /// node id (used by EventIdMode::kAuto to commit a stream's id mode).
-bool LooksLikeIntegerId(const std::string& token) {
+bool LooksLikeIntegerId(std::string_view token) {
   Result<int64_t> value = ParseInt64(token);
   return value.ok() && *value >= 0;
 }
 
-/// Parses one non-comment line of the event format. `line` must already be
-/// stripped and non-empty. With a vocabulary, endpoint tokens are interned
-/// as names; interning happens only after every other field validates, so
-/// rejected lines never pollute the vocabulary.
-Result<TimestampedEvent> ParseEventLine(std::string_view line,
+/// A data line's whitespace-separated tokens, viewed in place. Tokenizing
+/// stops after kMaxTokens: a fifth token already makes the line malformed.
+struct LineTokens {
+  static constexpr size_t kMaxTokens = 5;
+  std::string_view token[kMaxTokens];
+  size_t count = 0;
+};
+
+/// std::isspace in the "C" locale (which the tools never change): space,
+/// \t, \n, \v, \f and \r. Inline, since it runs on every byte.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Characters strtod and from_chars read alike in a plain decimal.
+bool IsDecimalChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+         c == '+' || c == '-';
+}
+
+/// Same separators as SplitTokens, without materializing a vector of
+/// strings per line.
+LineTokens TokenizeLine(std::string_view line) {
+  LineTokens tokens;
+  size_t i = 0;
+  while (tokens.count < LineTokens::kMaxTokens) {
+    while (i < line.size() && IsSpace(line[i])) ++i;
+    if (i == line.size()) break;
+    const size_t start = i;
+    while (i < line.size() && !IsSpace(line[i])) ++i;
+    tokens.token[tokens.count++] = line.substr(start, i - start);
+  }
+  return tokens;
+}
+
+/// ParseDouble for one token. Plain decimals take std::from_chars, which
+/// rounds exactly as strtod does; every token the fast path is not certain
+/// to read identically goes to ParseDouble, so the accepted set and the
+/// parsed bits are unchanged. That covers a leading '+', hex, inf/nan and
+/// any character outside [0-9.eE+-] (from_chars and strtod disagree on
+/// those), any from_chars failure, and results where glibc's strtod reports
+/// ERANGE: subnormals, and zero from nonzero digits.
+Result<double> ParseDoubleToken(std::string_view token) {
+  const char* end = token.data() + token.size();
+  // Unsigned integers below 10^15 (counts, unix seconds) are exact doubles,
+  // so the cheaper integer read gives strtod's result.
+  if (!token.empty() && token.size() < 16 &&
+      std::all_of(token.begin(), token.end(),
+                  [](char c) { return c >= '0' && c <= '9'; })) {
+    uint64_t integer = 0;
+    std::from_chars(token.data(), end, integer);
+    return static_cast<double>(integer);
+  }
+  if (!token.empty() && token.front() != '+' &&
+      std::all_of(token.begin(), token.end(), IsDecimalChar)) {
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec == std::errc() && ptr == end) {
+      const bool underflow =
+          std::fpclassify(value) == FP_SUBNORMAL ||
+          (value == 0.0 &&
+           token.find_first_of("123456789") != std::string_view::npos);
+      if (!underflow) return value;
+    }
+  }
+  return ParseDouble(token);
+}
+
+/// ParseInt64 for one token: std::from_chars reads the same base-10 grammar
+/// as strtoll except a leading '+', and reports overflow as an error, so
+/// anything it does not consume whole goes to ParseInt64.
+Result<int64_t> ParseInt64Token(std::string_view token) {
+  int64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  return ParseInt64(token);
+}
+
+/// Parses the tokens of one non-blank, non-comment line of the event
+/// format. With a vocabulary, endpoint tokens are interned as names;
+/// interning happens only after every other field validates, so rejected
+/// lines never pollute the vocabulary.
+Result<TimestampedEvent> ParseEventLine(const LineTokens& fields,
                                         size_t line_number,
                                         NodeVocabulary* vocabulary) {
   const auto error_at = [line_number](const std::string& message) {
     return Status::InvalidArgument("line " + std::to_string(line_number) +
                                    ": " + message);
   };
-  const std::vector<std::string> fields = SplitTokens(line);
-  if (fields.size() != 3 && fields.size() != 4) {
+  if (fields.count != 3 && fields.count != 4) {
     return error_at("expected '<u> <v> <timestamp> [weight]'");
   }
-  Result<double> timestamp = ParseDouble(fields[2]);
+  Result<double> timestamp = ParseDoubleToken(fields.token[2]);
   if (!timestamp.ok()) {
     return error_at("malformed event");
   }
@@ -49,8 +127,8 @@ Result<TimestampedEvent> ParseEventLine(std::string_view line,
   }
   TimestampedEvent event;
   event.timestamp = *timestamp;
-  if (fields.size() == 4) {
-    Result<double> weight = ParseDouble(fields[3]);
+  if (fields.count == 4) {
+    Result<double> weight = ParseDoubleToken(fields.token[3]);
     if (!weight.ok()) {
       return error_at("malformed weight");
     }
@@ -60,23 +138,27 @@ Result<TimestampedEvent> ParseEventLine(std::string_view line,
     event.weight = *weight;
   }
   if (vocabulary == nullptr) {
-    Result<int64_t> u = ParseInt64(fields[0]);
-    Result<int64_t> v = ParseInt64(fields[1]);
+    Result<int64_t> u = ParseInt64Token(fields.token[0]);
+    Result<int64_t> v = ParseInt64Token(fields.token[1]);
     if (!u.ok() || !v.ok() || *u < 0 || *v < 0) {
       return error_at("malformed event");
+    }
+    constexpr int64_t kMaxId = std::numeric_limits<NodeId>::max();
+    if (*u > kMaxId || *v > kMaxId) {
+      return error_at("node id exceeds " + std::to_string(kMaxId));
     }
     event.u = static_cast<NodeId>(*u);
     event.v = static_cast<NodeId>(*v);
   } else {
     // Validate both names before interning either, so a line rejected on
     // its second endpoint leaves the vocabulary untouched.
-    const Status valid_u = NodeVocabulary::ValidateNodeName(fields[0]);
+    const Status valid_u = NodeVocabulary::ValidateNodeName(fields.token[0]);
     if (!valid_u.ok()) return error_at(valid_u.message());
-    const Status valid_v = NodeVocabulary::ValidateNodeName(fields[1]);
+    const Status valid_v = NodeVocabulary::ValidateNodeName(fields.token[1]);
     if (!valid_v.ok()) return error_at(valid_v.message());
-    Result<NodeId> u = vocabulary->Intern(fields[0]);
+    Result<NodeId> u = vocabulary->Intern(fields.token[0]);
     if (!u.ok()) return error_at(u.status().message());
-    Result<NodeId> v = vocabulary->Intern(fields[1]);
+    Result<NodeId> v = vocabulary->Intern(fields.token[1]);
     if (!v.ok()) return error_at(v.status().message());
     event.u = *u;
     event.v = *v;
@@ -174,25 +256,23 @@ EventStreamReader::EventStreamReader(std::istream* in,
 }
 
 Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
-  std::string line;
-  while (std::getline(*in_, line)) {
+  while (std::getline(*in_, line_)) {
     ++line_number_;
-    const std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
+    const LineTokens fields = TokenizeLine(line_);
+    if (fields.count == 0 || fields.token[0].front() == '#') continue;
     bool committed_this_line = false;
     if (id_mode_ == EventIdMode::kAuto) {
       // Commit the stream's id mode on its first data line so every later
       // line is interpreted consistently (a numeric token in a named stream
       // is a name; an alphabetic token in an integer stream is malformed).
-      const std::vector<std::string> fields = SplitTokens(stripped);
-      id_mode_ = (fields.size() >= 2 && LooksLikeIntegerId(fields[0]) &&
-                  LooksLikeIntegerId(fields[1]))
+      id_mode_ = (fields.count >= 2 && LooksLikeIntegerId(fields.token[0]) &&
+                  LooksLikeIntegerId(fields.token[1]))
                      ? EventIdMode::kInteger
                      : EventIdMode::kNamed;
       committed_this_line = true;
     }
     Result<TimestampedEvent> event = ParseEventLine(
-        stripped, line_number_,
+        fields, line_number_,
         id_mode_ == EventIdMode::kNamed ? vocabulary_ : nullptr);
     if (event.ok()) {
       return std::optional<TimestampedEvent>(*event);
@@ -292,9 +372,8 @@ Result<size_t> EventWindowAggregator::WindowIndex(double timestamp) const {
   return static_cast<size_t>(std::floor(span));
 }
 
-Status EventWindowAggregator::Add(const TimestampedEvent& event,
-                                  std::vector<WeightedGraph>* completed) {
-  CAD_CHECK(completed != nullptr);
+Status EventWindowAggregator::ValidateEvent(
+    const TimestampedEvent& event) const {
   if (event.u == event.v) {
     return Status::InvalidArgument("self-loop event at node " +
                                    std::to_string(event.u));
@@ -306,8 +385,24 @@ Status EventWindowAggregator::Add(const TimestampedEvent& event,
   if (!std::isfinite(event.weight) || event.weight < 0.0) {
     return Status::InvalidArgument("event weight must be finite and >= 0");
   }
-  size_t window = 0;
-  CAD_ASSIGN_OR_RETURN(window, WindowIndex(event.timestamp));
+  return Status::OK();
+}
+
+Status EventWindowAggregator::Add(const TimestampedEvent& event,
+                                  std::vector<WeightedGraph>* completed) {
+  Result<size_t> window = WindowIndex(event.timestamp);
+  if (!window.ok()) {
+    // A malformed event reports its own defect before its timestamp's.
+    CAD_RETURN_NOT_OK(ValidateEvent(event));
+    return window.status();
+  }
+  return Add(event, *window, completed);
+}
+
+Status EventWindowAggregator::Add(const TimestampedEvent& event, size_t window,
+                                  std::vector<WeightedGraph>* completed) {
+  CAD_CHECK(completed != nullptr);
+  CAD_RETURN_NOT_OK(ValidateEvent(event));
   if (window < current_window_) {
     return Status::InvalidArgument(
         "out-of-order event: window " + std::to_string(window) +

@@ -78,11 +78,12 @@ enum class EventIdMode {
 ///   <u> <v> <timestamp> [weight]
 ///
 /// Fields are separated by runs of whitespace. Records with missing/extra
-/// fields, unparsable numbers, negative ids, non-finite timestamps or
-/// weights, or negative weights are malformed; EventErrorPolicy decides
-/// whether they abort the read or are counted and skipped. Unlike the bulk
-/// ReadEventStream, the reader holds one record at a time, so arbitrarily
-/// long streams can be consumed in O(1) memory.
+/// fields, unparsable numbers, negative ids or ids past the 32-bit NodeId
+/// range, non-finite timestamps or weights, or negative weights are
+/// malformed; EventErrorPolicy decides whether they abort the read or are
+/// counted and skipped. Unlike the bulk ReadEventStream, the reader holds
+/// one record at a time, so arbitrarily long streams can be consumed in O(1)
+/// memory.
 ///
 /// With a vocabulary attached, endpoint tokens are interned as string names
 /// per EventIdMode. A line's endpoints are interned only after every other
@@ -122,6 +123,9 @@ class EventStreamReader {
   EventErrorPolicy policy_;
   NodeVocabulary* vocabulary_;
   EventIdMode id_mode_;
+  // Reused across Next() calls so reading a line allocates only when it is
+  // longer than every line before it.
+  std::string line_;
   size_t line_number_ = 0;
   size_t events_rejected_parse_ = 0;
 };
@@ -205,6 +209,11 @@ class EventWindowAggregator {
   [[nodiscard]] Status Add(const TimestampedEvent& event,
                            std::vector<WeightedGraph>* completed);
 
+  /// Add for a caller that already computed the event's window, which must
+  /// be WindowIndex(event.timestamp); saves bucketing the timestamp twice.
+  [[nodiscard]] Status Add(const TimestampedEvent& event, size_t window,
+                           std::vector<WeightedGraph>* completed);
+
   /// Closes and returns the in-progress window (the final, possibly
   /// partial, snapshot). The aggregator then continues with the next
   /// window index, so Flush at end-of-stream matches AggregateEventStream's
@@ -222,6 +231,9 @@ class EventWindowAggregator {
       : options_(options),
         current_window_(options.first_window),
         current_(WeightedGraph(options.num_nodes)) {}
+
+  /// The per-event checks of Add: self-loop, endpoint range, weight.
+  [[nodiscard]] Status ValidateEvent(const TimestampedEvent& event) const;
 
   EventWindowOptions options_;
   size_t current_window_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -274,11 +275,16 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
   if (id_mode_ == EventIdMode::kInteger) {
     Result<int64_t> u = ParseInt64(event.u);
     Result<int64_t> v = ParseInt64(event.v);
+    constexpr int64_t kMaxId = std::numeric_limits<NodeId>::max();
     if (!u.ok() || *u < 0 || !v.ok() || *v < 0) {
       malformed = Status::InvalidArgument(
           "event " + std::to_string(events_received_) + " of tenant '" +
           name_ + "': endpoints '" + event.u + "' / '" + event.v +
           "' are not non-negative integer ids");
+    } else if (*u > kMaxId || *v > kMaxId) {
+      malformed = Status::InvalidArgument(
+          "event " + std::to_string(events_received_) + " of tenant '" +
+          name_ + "': node id exceeds " + std::to_string(kMaxId));
     } else {
       parsed.u = static_cast<NodeId>(*u);
       parsed.v = static_cast<NodeId>(*v);
@@ -324,7 +330,7 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
   }
 
   std::vector<WeightedGraph> completed;
-  const Status added = aggregator_->Add(parsed, &completed);
+  const Status added = aggregator_->Add(parsed, *event_window, &completed);
   if (!added.ok()) {
     if (options_.error_policy == EventErrorPolicy::kStrict) {
       return Status::InvalidArgument(
@@ -344,7 +350,8 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
 
 Status Tenant::ObserveWindow(WeightedGraph snapshot) {
   const uint64_t start_ns = Timer::NowNanos();
-  Result<std::optional<AnomalyReport>> report = monitor_.Observe(snapshot);
+  Result<std::optional<AnomalyReport>> report =
+      monitor_.Observe(std::move(snapshot));
   if (!report.ok()) return report.status();
   const uint64_t elapsed_ns = Timer::NowNanos() - start_ns;
   if (obs::MetricsEnabled()) {

@@ -9,9 +9,14 @@
 // through Edges(), so a mistake there cannot hide in both sides of a
 // comparison. WeightedGraph::ToAdjacencyCsr/ToLaplacianCsr and
 // ConnectedComponents must reproduce these bit for bit.
+//
+// AddEdgeWeight is the find-then-SetEdge aggregation step that
+// WeightedGraph::AddEdgeWeight's single-probe version must match: same
+// statuses, same inserts and erases, hence the same hash-order sums.
 
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "graph/components.h"
@@ -20,6 +25,20 @@
 
 namespace cad {
 namespace testing_reference {
+
+/// Adds `delta` to edge {u, v} by reading the weight with EdgeWeight and
+/// writing the sum back with SetEdge, which validates it.
+[[nodiscard]] inline Status AddEdgeWeight(WeightedGraph* graph, NodeId u,
+                                          NodeId v, double delta) {
+  const double next = graph->EdgeWeight(u, v) + delta;
+  const bool valid_endpoints =
+      u != v && u < graph->num_nodes() && v < graph->num_nodes();
+  if (valid_endpoints && next < 0.0) {
+    return Status::InvalidArgument(
+        "AddEdgeWeight would make weight negative: " + std::to_string(next));
+  }
+  return graph->SetEdge(u, v, next);
+}
 
 /// Symmetric adjacency CSR via COO triplets.
 inline CsrMatrix AdjacencyCsr(const WeightedGraph& graph) {

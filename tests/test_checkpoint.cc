@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "core/online_monitor.h"
@@ -768,6 +771,155 @@ TEST(MonitorCheckpointTest, InconsistentPresenceByteRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(loader.num_snapshots(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Buffered writer
+
+// The format's byte composition written out directly, one field at a time:
+// what CheckpointWriter must emit however it batches its stream writes.
+class PerFieldEncoding {
+ public:
+  void U8(uint8_t value) { bytes_.push_back(static_cast<char>(value)); }
+  void U32(uint32_t value) {
+    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(value >> (8 * i)));
+  }
+  void U64(uint64_t value) {
+    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(value >> (8 * i)));
+  }
+  void Bytes(const std::string& value) { bytes_ += value; }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+};
+
+// Writes exactly `size` payload bytes as a deterministic mix of field
+// widths (so field boundaries land at every offset around the buffer edge)
+// to both the writer and the per-field encoding.
+void WriteMixedPayload(size_t size, CheckpointWriter* writer,
+                       PerFieldEncoding* expected) {
+  size_t written = 0;
+  for (uint64_t i = 0; written < size; ++i) {
+    const size_t left = size - written;
+    const uint64_t value = i * 0x9E3779B97F4A7C15ULL;
+    if (i % 7 == 6 && left >= 1000) {
+      const std::string blob(300 + i % 700, static_cast<char>('a' + i % 26));
+      writer->WriteBytes(blob.data(), blob.size());
+      expected->Bytes(blob);
+      written += blob.size();
+    } else if (i % 3 == 0 && left >= 8) {
+      writer->WriteDouble(std::bit_cast<double>(value));
+      expected->U64(value);
+      written += 8;
+    } else if (i % 3 == 1 && left >= 4) {
+      writer->WriteU32(static_cast<uint32_t>(value));
+      expected->U32(static_cast<uint32_t>(value));
+      written += 4;
+    } else {
+      writer->WriteU8(static_cast<uint8_t>(value));
+      expected->U8(static_cast<uint8_t>(value));
+      written += 1;
+    }
+  }
+}
+
+constexpr size_t kBuffer = CheckpointWriter::kBufferBytes;
+const size_t kPayloadSizes[] = {0,           1,           kBuffer - 1,
+                                kBuffer,     kBuffer + 1, 3 * kBuffer + 5,
+                                (size_t{5} << 20) + 3};
+
+TEST(CheckpointWriterTest, BufferedBytesEqualPerFieldEncoding) {
+  for (size_t size : kPayloadSizes) {
+    SCOPED_TRACE("payload of " + std::to_string(size) + " bytes");
+    std::ostringstream out;
+    CheckpointWriter writer(&out);
+    PerFieldEncoding expected;
+    WriteMixedPayload(size, &writer, &expected);
+    ASSERT_TRUE(writer.Finish().ok());
+    EXPECT_EQ(out.str().size(), size);
+    EXPECT_TRUE(out.str() == expected.bytes());
+  }
+}
+
+TEST(CheckpointWriterTest, SingleBlobsAroundTheBufferSize) {
+  // One WriteString per payload, behind a partly filled buffer: blobs that
+  // overflow it bypass it, and the bytes stay in order.
+  for (size_t size : kPayloadSizes) {
+    SCOPED_TRACE("blob of " + std::to_string(size) + " bytes");
+    const std::string blob(size, 'z');
+    std::ostringstream out;
+    CheckpointWriter writer(&out);
+    writer.WriteU8(7);
+    writer.WriteString(blob);
+    writer.WriteU32(0xA1B2C3D4u);
+    ASSERT_TRUE(writer.Finish().ok());
+    PerFieldEncoding expected;
+    expected.U8(7);
+    expected.U64(size);
+    expected.Bytes(blob);
+    expected.U32(0xA1B2C3D4u);
+    EXPECT_TRUE(out.str() == expected.bytes());
+  }
+}
+
+// Counts the stream writes the writer issues.
+class CountingBuffer : public std::stringbuf {
+ public:
+  size_t writes() const { return writes_; }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize size) override {
+    ++writes_;
+    return std::stringbuf::xsputn(data, size);
+  }
+
+ private:
+  size_t writes_ = 0;
+};
+
+TEST(CheckpointWriterTest, StreamWritesAreBufferSized) {
+  CountingBuffer buffer;
+  std::ostream out(&buffer);
+  CheckpointWriter writer(&out);
+  PerFieldEncoding expected;
+  const size_t size = size_t{2} << 20;
+  WriteMixedPayload(size, &writer, &expected);
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_TRUE(buffer.str() == expected.bytes());
+  // Every flush but the last hands over more than kBuffer - 1000 bytes
+  // (the largest field is a sub-1000-byte blob).
+  EXPECT_LE(buffer.writes(), size / (kBuffer - 1000) + 1);
+}
+
+// A stream device that accepts nothing.
+class RejectingBuffer : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(CheckpointWriterTest, FinishReportsRejectedWrites) {
+  for (size_t size : {size_t{1}, kBuffer + 1, size_t{1} << 20}) {
+    SCOPED_TRACE("payload of " + std::to_string(size) + " bytes");
+    RejectingBuffer device;
+    std::ostream out(&device);
+    CheckpointWriter writer(&out);
+    PerFieldEncoding unused;
+    WriteMixedPayload(size, &writer, &unused);
+    const Status finished = writer.Finish();
+    ASSERT_FALSE(finished.ok());
+    EXPECT_EQ(finished.code(), StatusCode::kIoError);
+  }
+}
+
+TEST(CheckpointWriterTest, MonitorCheckpointIntoRejectingStreamIsIoError) {
+  OnlineCadMonitor monitor;
+  RejectingBuffer device;
+  std::ostream out(&device);
+  const Status saved = monitor.SaveCheckpoint(&out);
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include "io/event_stream.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "reference_event_parser.h"
 
 namespace cad {
 namespace {
@@ -252,6 +256,131 @@ TEST(ReadEventStreamTest, SkipOverloadReportsRejectedCount) {
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events->size(), 2u);
   EXPECT_EQ(rejected, 1u);
+}
+
+TEST(EventStreamReaderTest, RejectsIdsPastNodeIdRangeStrict) {
+  // 2^32 + 1 used to wrap silently to node 1.
+  std::istringstream in("0 1 0\n4294967297 3 0\n");
+  EventStreamReader reader(&in);
+  ASSERT_TRUE(reader.Next().ok());
+  auto bad = reader.Next();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(bad.status().message().find("exceeds 4294967295"),
+            std::string::npos);
+}
+
+TEST(EventStreamReaderTest, RejectsIdsPastNodeIdRangeSkip) {
+  std::istringstream in(
+      "0 1 0\n"
+      "4294967297 3 0\n"
+      "2 4294967296 0\n"
+      "4294967295 2 0\n");
+  EventStreamReader reader(&in, EventErrorPolicy::kSkip);
+  std::vector<TimestampedEvent> events;
+  while (true) {
+    auto next = reader.Next();
+    ASSERT_TRUE(next.ok());
+    if (!next->has_value()) break;
+    events.push_back(**next);
+  }
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].u, 4294967295u);  // the largest id still fits
+  EXPECT_EQ(reader.events_rejected_parse(), 2u);
+}
+
+TEST(ReadEventStreamTest, RejectsIdsPastNodeIdRange) {
+  std::istringstream strict("1 2 0\n4294967297 3 0\n");
+  auto failed = ReadEventStream(&strict);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("line 2"), std::string::npos);
+
+  std::istringstream skipped("1 2 0\n4294967297 3 0\n");
+  size_t rejected = 0;
+  auto events = ReadEventStream(&skipped, EventErrorPolicy::kSkip, &rejected);
+  ASSERT_TRUE(events.ok());
+  EXPECT_EQ(events->size(), 1u);
+  EXPECT_EQ(rejected, 1u);
+}
+
+// Tokens where a from_chars reading could part from strtod/strtoll: signs,
+// partial exponents, hex, inf/nan, underflow and overflow, leading zeros.
+const char* const kParserCorpusTokens[] = {
+    "+1",     "-0",      "1.",        ".5",     "1e",     "1e+",
+    "0x1p3",  "inf",     "nan",       "1e-310", "1e-400", "1e309",
+    "9223372036854775808", "-9223372036854775809", "007", "-1",
+    "4294967295", "4294967296", "1E5",  "2.5e-3", "0.0",   "-0.0",
+    "00",     "0e5",     "0e-999",    "1.7976931348623157e308",
+    "4.9e-324", "2.2250738585072014e-308", "-nan",  "+inf",  "INF",
+    "infinity", "1e0001", "abc",      "1..2",   "--1",    "1-2",
+    "-",      ".",       "e5",        "1e5.5",  "0.1",    "123456789012345678901234567890"};
+
+std::vector<std::string> ParserCorpusLines() {
+  std::vector<std::string> lines = {
+      "1\t2\t3\r",  "  1  2  3  4  ", "1 2",     "1 2 3 4 5",
+      "# comment",    "#",              "",        "\t",
+      "1 2 3 #",      "\t1 2 3.5\t0.25\r", "1 2 3 4\r\n"};
+  for (const char* token : kParserCorpusTokens) {
+    const std::string t = token;
+    lines.push_back(t + " 2 3");
+    lines.push_back("1 " + t + " 3");
+    lines.push_back("1 2 " + t);
+    lines.push_back("1 2 3 " + t);
+  }
+  return lines;
+}
+
+TEST(EventParserDifferentialTest, CorpusMatchesReferenceLineByLine) {
+  for (const std::string& line : ParserCorpusLines()) {
+    for (EventIdMode mode :
+         {EventIdMode::kAuto, EventIdMode::kInteger, EventIdMode::kNamed}) {
+      for (bool vocabulary : {false, true}) {
+        EXPECT_EQ(testing_reference::CompareWithReference(
+                      line + "\n", EventErrorPolicy::kStrict, vocabulary,
+                      mode),
+                  "")
+            << "line '" << line << "'";
+      }
+    }
+  }
+}
+
+TEST(EventParserDifferentialTest, CorpusMatchesReferenceAsOneStream) {
+  std::string text;
+  for (const std::string& line : ParserCorpusLines()) text += line + "\n";
+  for (EventIdMode mode :
+       {EventIdMode::kAuto, EventIdMode::kInteger, EventIdMode::kNamed}) {
+    for (bool vocabulary : {false, true}) {
+      EXPECT_EQ(testing_reference::CompareWithReference(
+                    text, EventErrorPolicy::kSkip, vocabulary, mode),
+                "");
+      EXPECT_EQ(testing_reference::CompareWithReference(
+                    text, EventErrorPolicy::kStrict, vocabulary, mode),
+                "");
+    }
+  }
+}
+
+TEST(EventParserDifferentialTest, FastPathValuesAreBitIdentical) {
+  // Decimal values across the double range, read by the fast path, must be
+  // bit-for-bit what strtod returns.
+  Rng rng(17);
+  std::string text;
+  for (int i = 0; i < 2000; ++i) {
+    const double mantissa = rng.Uniform(-10.0, 10.0);
+    const int exponent = static_cast<int>(rng.UniformInt(600)) - 300;
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%d %d %.17fe%d %.*g\n",
+                  static_cast<int>(rng.UniformInt(1000)),
+                  static_cast<int>(rng.UniformInt(1000)), mantissa, exponent,
+                  static_cast<int>(1 + rng.UniformInt(17)),
+                  std::fabs(mantissa) * 1e3);
+    text += buffer;
+  }
+  EXPECT_EQ(testing_reference::CompareWithReference(
+                text, EventErrorPolicy::kSkip, false, EventIdMode::kInteger),
+            "");
 }
 
 TEST(EventWindowAggregatorTest, CreateValidatesOptions) {

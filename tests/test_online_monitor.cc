@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "datagen/rmat.h"
 #include "datagen/toy_example.h"
 #include "obs/obs.h"
 
@@ -339,6 +342,120 @@ TEST(OnlineMonitorTest, SlidingWindowForgetsOldEvents) {
   ASSERT_TRUE(monitor.Observe(TwoTeams(4.0)).ok());
   ASSERT_TRUE(monitor.Observe(TwoTeams(4.0)).ok());  // burst transitions aged out
   EXPECT_LT(monitor.current_delta(), delta_during_burst);
+}
+
+// An R-MAT stream with background churn, a burst, and a growing node set:
+// snapshot t keeps the edges among its first kGrowingSizes[t] nodes.
+constexpr size_t kGrowingSizes[] = {300, 300, 340, 340, 400, 400, 400, 400};
+
+std::vector<WeightedGraph> GrowingRmatStream() {
+  RmatTemporalOptions options;
+  options.base.num_nodes = 400;
+  options.base.num_edges = 1600;
+  options.base.min_weight = 0.5;
+  options.base.max_weight = 2.0;
+  options.base.seed = 5;
+  options.num_snapshots = std::size(kGrowingSizes);
+  options.anomaly_snapshot = 5;
+  Result<TemporalGraphSequence> sequence = MakeRmatTemporalSequence(options);
+  CAD_CHECK_OK(sequence.status());
+  std::vector<WeightedGraph> stream;
+  for (size_t t = 0; t < sequence->num_snapshots(); ++t) {
+    WeightedGraph snapshot(kGrowingSizes[t]);
+    for (const Edge& edge : sequence->Snapshot(t).Edges()) {
+      if (edge.v < kGrowingSizes[t]) {
+        CAD_CHECK_OK(snapshot.AddEdgeWeight(edge.u, edge.v, edge.weight));
+      }
+    }
+    stream.push_back(std::move(snapshot));
+  }
+  return stream;
+}
+
+OnlineMonitorOptions IncrementalApproxOptions() {
+  OnlineMonitorOptions options;
+  options.detector.engine = CommuteEngine::kApprox;
+  options.detector.approx.embedding_dim = 8;
+  options.detector.approx.seed = 3;
+  options.incremental = true;
+  options.warmup_transitions = 1;
+  options.max_history = 3;
+  return options;
+}
+
+std::string CheckpointBytes(const OnlineCadMonitor& monitor) {
+  std::ostringstream out;
+  CAD_CHECK_OK(monitor.SaveCheckpoint(&out));
+  return out.str();
+}
+
+void ExpectSameReport(const std::optional<AnomalyReport>& a,
+                      const std::optional<AnomalyReport>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (!a.has_value()) return;
+  EXPECT_EQ(a->transition, b->transition);
+  EXPECT_EQ(a->nodes, b->nodes);
+  ASSERT_EQ(a->edges.size(), b->edges.size());
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (size_t i = 0; i < a->edges.size(); ++i) {
+    EXPECT_EQ(a->edges[i].pair, b->edges[i].pair);
+    EXPECT_EQ(bits(a->edges[i].score), bits(b->edges[i].score));
+    EXPECT_EQ(bits(a->edges[i].weight_delta), bits(b->edges[i].weight_delta));
+    EXPECT_EQ(bits(a->edges[i].commute_delta),
+              bits(b->edges[i].commute_delta));
+    EXPECT_EQ(bits(a->edges[i].commute_before),
+              bits(b->edges[i].commute_before));
+  }
+}
+
+TEST(OnlineMonitorTest, MoveInObserveMatchesCopyingObserve) {
+  const std::vector<WeightedGraph> stream = GrowingRmatStream();
+  OnlineCadMonitor by_copy(IncrementalApproxOptions());
+  OnlineCadMonitor by_move(IncrementalApproxOptions());
+  size_t reports = 0;
+  for (const WeightedGraph& snapshot : stream) {
+    WeightedGraph handed_over = snapshot;
+    auto copied = by_copy.Observe(snapshot);
+    auto moved = by_move.Observe(std::move(handed_over));
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    ExpectSameReport(*copied, *moved);
+    if (copied->has_value()) ++reports;
+    EXPECT_EQ(CheckpointBytes(by_copy), CheckpointBytes(by_move));
+  }
+  EXPECT_GT(reports, 0u);
+  EXPECT_EQ(by_move.num_nodes(), 400u);
+}
+
+TEST(OnlineMonitorTest, RestoredMonitorContinuesByteIdentically) {
+  // Restoring rebuilds the previous window's edge list from the restored
+  // snapshot; the continued run must match the uninterrupted one byte for
+  // byte, across growth windows and the burst.
+  const std::vector<WeightedGraph> stream = GrowingRmatStream();
+  OnlineCadMonitor uninterrupted(IncrementalApproxOptions());
+  std::vector<std::optional<AnomalyReport>> expected;
+  for (const WeightedGraph& snapshot : stream) {
+    auto report = uninterrupted.Observe(snapshot);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    expected.push_back(*report);
+  }
+  for (size_t split : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
+    SCOPED_TRACE("split at window " + std::to_string(split));
+    OnlineCadMonitor first(IncrementalApproxOptions());
+    for (size_t t = 0; t < split; ++t) {
+      ASSERT_TRUE(first.Observe(stream[t]).ok());
+    }
+    std::istringstream saved(CheckpointBytes(first));
+    OnlineCadMonitor resumed(IncrementalApproxOptions());
+    ASSERT_TRUE(resumed.LoadCheckpoint(&saved).ok());
+    for (size_t t = split; t < stream.size(); ++t) {
+      WeightedGraph snapshot = stream[t];
+      auto report = resumed.Observe(std::move(snapshot));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ExpectSameReport(*report, expected[t]);
+    }
+    EXPECT_EQ(CheckpointBytes(resumed), CheckpointBytes(uninterrupted));
+  }
 }
 
 }  // namespace

@@ -419,6 +419,31 @@ TEST(TenantFinishTest, SecondFinishAndPostFinishBatchesAreRejected) {
   EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
 }
 
+// --- id range ----------------------------------------------------------------
+
+TEST(TenantIdRangeTest, RejectsIntegerIdsPastNodeIdRange) {
+  // 2^32 + 1 used to wrap silently to node 1.
+  const std::vector<WireEvent> events = {
+      {"1", "2", 0.5, 1.0}, {"4294967297", "3", 0.5, 1.0}, {"2", "3", 0.5, 1.0}};
+  TenantOptions options;
+  options.monitor = ExactMonitor();
+  Result<std::unique_ptr<Tenant>> strict = Tenant::Create("strict", options);
+  ASSERT_TRUE(strict.ok());
+  const Status failed = (*strict)->ApplyBatch(events);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failed.message().find("exceeds 4294967295"), std::string::npos)
+      << failed.ToString();
+
+  options.error_policy = EventErrorPolicy::kSkip;
+  Result<std::unique_ptr<Tenant>> skipping = Tenant::Create("skip", options);
+  ASSERT_TRUE(skipping.ok());
+  ASSERT_TRUE((*skipping)->ApplyBatch(events).ok());
+  const std::string stats = (*skipping)->StatsJson();
+  EXPECT_NE(stats.find("\"fed\":2"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"rejected_parse\":1"), std::string::npos) << stats;
+}
+
 // --- open/enqueue validation ------------------------------------------------
 
 TEST(FleetOpenTest, ValidatesNamesAndIsIdempotent) {

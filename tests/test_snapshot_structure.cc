@@ -3,7 +3,9 @@
 // constructions in reference_graph.h.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,6 +154,88 @@ TEST(SnapshotStructureTest, EdgesAreSortedByPair) {
                 (NodePair{edges[i].u, edges[i].v}.Key()));
     }
   }
+}
+
+// A long AddEdgeWeight sequence over a few slots, so keys are inserted,
+// grown, deleted and re-inserted through several rehashes, with the delta
+// kinds the single-probe path must route correctly.
+double DrawDelta(Rng* rng, double current) {
+  switch (rng->UniformInt(10)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return -current;  // exact deletion
+    case 3:
+      return -rng->Uniform(0.0, 2.0 * current + 1.0);  // may go negative
+    case 4:
+      return 1e308;  // overflows once the weight is large
+    case 5: {
+      const double special[] = {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::denorm_min()};
+      return special[rng->UniformInt(4)];
+    }
+    case 6:
+      return 1.0 / 3.0;
+    default:
+      return rng->Uniform(0.0, 1.0);  // fractional
+  }
+}
+
+TEST(AddEdgeWeightTest, MatchesFindThenSetEdgeReference) {
+  constexpr size_t kNodes = 40;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    WeightedGraph graph(kNodes);
+    WeightedGraph reference(kNodes);
+    for (int step = 0; step < 20000; ++step) {
+      // Mostly valid endpoints, some self-loops and out-of-range ids.
+      const auto u = static_cast<NodeId>(rng.UniformInt(kNodes + 1));
+      const auto v = static_cast<NodeId>(rng.UniformInt(kNodes + 1));
+      const double delta = DrawDelta(&rng, reference.EdgeWeight(u, v));
+      const Status got = graph.AddEdgeWeight(u, v, delta);
+      const Status want =
+          testing_reference::AddEdgeWeight(&reference, u, v, delta);
+      ASSERT_EQ(got.code(), want.code()) << "step " << step;
+      ASSERT_EQ(got.message(), want.message()) << "step " << step;
+    }
+    EXPECT_EQ(graph.Edges(), reference.Edges());
+    EXPECT_EQ(std::bit_cast<uint64_t>(graph.Volume()),
+              std::bit_cast<uint64_t>(reference.Volume()));
+    const std::vector<double> degrees = graph.WeightedDegrees();
+    const std::vector<double> reference_degrees = reference.WeightedDegrees();
+    ASSERT_EQ(degrees.size(), reference_degrees.size());
+    EXPECT_EQ(std::memcmp(degrees.data(), reference_degrees.data(),
+                          degrees.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(AddEdgeWeightTest, AggregatedSnapshotsSumInTheReferenceOrder) {
+  // Event-style aggregation (positive fractional weights, many repeats) on
+  // a graph large enough for many rehashes: hash-order sums must agree bit
+  // for bit, since the Laplacian diagonal is built from them.
+  Rng rng(99);
+  WeightedGraph graph(3000);
+  WeightedGraph reference(3000);
+  for (int event = 0; event < 60000; ++event) {
+    const auto u = static_cast<NodeId>(rng.UniformInt(3000));
+    const auto v = static_cast<NodeId>(rng.UniformInt(3000));
+    const double weight = rng.Uniform(0.0, 3.0);
+    ASSERT_EQ(graph.AddEdgeWeight(u, v, weight).code(),
+              testing_reference::AddEdgeWeight(&reference, u, v, weight).code());
+  }
+  EXPECT_EQ(graph.Edges(), reference.Edges());
+  EXPECT_EQ(std::bit_cast<uint64_t>(graph.Volume()),
+            std::bit_cast<uint64_t>(reference.Volume()));
+  const std::vector<double> degrees = graph.WeightedDegrees();
+  const std::vector<double> reference_degrees = reference.WeightedDegrees();
+  EXPECT_EQ(std::memcmp(degrees.data(), reference_degrees.data(),
+                        degrees.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

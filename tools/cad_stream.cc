@@ -365,7 +365,7 @@ int Run(int argc, char** argv) {
 
   const auto observe = [&](WeightedGraph snapshot) -> Result<bool> {
     Result<std::optional<AnomalyReport>> report =
-        monitor.Observe(snapshot);
+        monitor.Observe(std::move(snapshot));
     if (!report.ok()) return report.status();
     if (report->has_value()) {
       WriteReportRows(**report, vocab.empty() ? nullptr : &vocab, out);
@@ -433,7 +433,7 @@ int Run(int argc, char** argv) {
       continue;
     }
     completed.clear();
-    const Status added = aggregator.Add(event, &completed);
+    const Status added = aggregator.Add(event, *event_window, &completed);
     if (!added.ok()) {
       if (policy == EventErrorPolicy::kStrict) {
         std::cerr << "event at line " << reader.line_number() << ": "
