@@ -144,6 +144,7 @@ void BM_LaplacianSpMM(benchmark::State& state) {
 BENCHMARK(BM_LaplacianSpMM)
     ->Args({100000, 8})
     ->Args({100000, 32})
+    ->Args({100000, 50})
     ->Args({1000000, 16});
 
 void BM_IcApplyxK(benchmark::State& state) {
@@ -346,7 +347,9 @@ size_t RunSpmmCheck() {
   };
 
   for (const size_t n : {size_t{500}, size_t{4000}}) {
-    for (const size_t k : {size_t{1}, size_t{5}, size_t{32}}) {
+    // Past 16 columns the SpMM runs 16-wide chunks plus a narrow tail.
+    for (const size_t k : {size_t{1}, size_t{5}, size_t{16}, size_t{17},
+                           size_t{33}, size_t{50}}) {
       const WeightedGraph g = BenchGraph(n);
       const CsrMatrix a = g.ToAdjacencyCsr();
       const DenseMatrix x = BenchBlock(n, k);

@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -88,6 +90,14 @@ void ParallelFor(size_t count, size_t num_threads,
 }
 
 size_t HardwareThreads() {
+  // The CPUs this thread may run on: under `taskset` or a cpuset-limited
+  // container that is fewer than the host's hardware threads.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int allowed_count = CPU_COUNT(&allowed);
+    if (allowed_count > 0) return static_cast<size_t>(allowed_count);
+  }
   const unsigned int count = std::thread::hardware_concurrency();
   return count == 0 ? 1 : static_cast<size_t>(count);
 }

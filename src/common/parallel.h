@@ -42,7 +42,8 @@ void SetParallelHooks(const ParallelHooks* hooks);
 void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 
-/// \brief Number of hardware threads, with a floor of 1.
+/// \brief Number of CPUs the calling thread may run on (its affinity mask),
+/// falling back to std::thread::hardware_concurrency(), with a floor of 1.
 size_t HardwareThreads();
 
 }  // namespace cad

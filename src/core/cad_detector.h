@@ -49,6 +49,9 @@ struct CadOptions {
   /// T * n^2 doubles. When approx.warm_start is set, Analyze always runs
   /// the serial snapshot loop (temporal reuse is inherently sequential);
   /// set approx.cg.num_threads to parallelize within each snapshot instead.
+  /// OnlineCadMonitor also passes it to ComputeTransitionScores, whose
+  /// per-pair commute lookups then run on this many threads (bit-identical
+  /// as well).
   size_t analysis_threads = 1;
 };
 

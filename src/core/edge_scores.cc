@@ -5,9 +5,17 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "graph/edge_delta.h"
 
 namespace cad {
+
+namespace {
+
+/// Pairs per commute-lookup task in ComputeTransitionScores.
+constexpr size_t kLookupBlockPairs = 4096;
+
+}  // namespace
 
 const char* EdgeScoreKindToString(EdgeScoreKind kind) {
   switch (kind) {
@@ -27,11 +35,12 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
                                          const WeightedGraph& after,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind) {
+                                         EdgeScoreKind kind,
+                                         size_t num_threads) {
   CAD_CHECK_EQ(before.num_nodes(), after.num_nodes());
   return ComputeTransitionScores(before.num_nodes(), before.Edges(),
                                  after.Edges(), oracle_before, oracle_after,
-                                 kind);
+                                 kind, num_threads);
 }
 
 TransitionScores ComputeTransitionScores(size_t n,
@@ -39,7 +48,8 @@ TransitionScores ComputeTransitionScores(size_t n,
                                          const std::vector<Edge>& after_edges,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind) {
+                                         EdgeScoreKind kind,
+                                         size_t num_threads) {
   CAD_CHECK_EQ(oracle_before.num_nodes(), n);
   CAD_CHECK_EQ(oracle_after.num_nodes(), n);
 
@@ -55,24 +65,46 @@ TransitionScores ComputeTransitionScores(size_t n,
   result.edges.reserve(support_size);
   result.node_scores.assign(n, 0.0);
 
-  // First pass: raw deltas.
-  double max_abs_weight_delta = 0.0;
-  double max_abs_commute_delta = 0.0;
+  // First pass: the support, in key order, with its weight deltas.
   MergeEdgeLists(
       before_edges, after_edges,
       [&](NodeId u, NodeId v, double weight_before, double weight_after) {
         ScoredEdge scored;
         scored.pair = NodePair{u, v};
         scored.weight_delta = weight_after - weight_before;
-        scored.commute_before = oracle_before.CommuteTime(u, v);
-        scored.commute_delta =
-            oracle_after.CommuteTime(u, v) - scored.commute_before;
-        max_abs_weight_delta =
-            std::max(max_abs_weight_delta, std::fabs(scored.weight_delta));
-        max_abs_commute_delta =
-            std::max(max_abs_commute_delta, std::fabs(scored.commute_delta));
         result.edges.push_back(scored);
       });
+
+  // The two k-dimensional commute-time lookups per pair, the pass's largest
+  // cost, run in fixed blocks of pairs. Every pair's values come from the
+  // same expressions at any thread count, and the block count depends only
+  // on the support size, so neither the scores nor ParallelFor's
+  // parallel.* counters depend on num_threads.
+  const size_t num_blocks =
+      (support_size + kLookupBlockPairs - 1) / kLookupBlockPairs;
+  ParallelFor(num_blocks, num_threads, [&](size_t block) {
+    const size_t end = std::min(support_size, (block + 1) * kLookupBlockPairs);
+    for (size_t i = block * kLookupBlockPairs; i < end; ++i) {
+      ScoredEdge& scored = result.edges[i];
+      scored.commute_before =
+          oracle_before.CommuteTime(scored.pair.u, scored.pair.v);
+      scored.commute_delta =
+          oracle_after.CommuteTime(scored.pair.u, scored.pair.v) -
+          scored.commute_before;
+    }
+  });
+
+  // The maxima kSum normalizes by.
+  double max_abs_weight_delta = 0.0;
+  double max_abs_commute_delta = 0.0;
+  if (kind == EdgeScoreKind::kSum) {
+    for (const ScoredEdge& scored : result.edges) {
+      max_abs_weight_delta =
+          std::max(max_abs_weight_delta, std::fabs(scored.weight_delta));
+      max_abs_commute_delta =
+          std::max(max_abs_commute_delta, std::fabs(scored.commute_delta));
+    }
+  }
 
   // Second pass: fuse deltas into the selected score.
   for (ScoredEdge& scored : result.edges) {

@@ -95,11 +95,15 @@ size_t CountSelectedEdges(const TransitionScores& scores, double delta);
 /// analysis, which treats the number of nonzero score entries as O(m).
 /// The support is one merge of the two snapshots' sorted edge lists
 /// (MergeEdgeLists), and `edges` is reserved to exactly its size.
+/// `num_threads` workers run the per-pair commute-time lookups in fixed
+/// blocks of 4096 pairs; the merge and every sum, maximum and sort stay
+/// serial, so the result is bit-identical at any thread count.
 TransitionScores ComputeTransitionScores(const WeightedGraph& before,
                                          const WeightedGraph& after,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind);
+                                         EdgeScoreKind kind,
+                                         size_t num_threads = 1);
 
 /// ComputeTransitionScores for a caller that already holds both snapshots'
 /// Edges() lists (`num_nodes` is their shared node count); saves
@@ -109,7 +113,8 @@ TransitionScores ComputeTransitionScores(size_t num_nodes,
                                          const std::vector<Edge>& after_edges,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind);
+                                         EdgeScoreKind kind,
+                                         size_t num_threads = 1);
 
 /// \brief Selects the anomalous edge set E_t for threshold `delta`:
 /// the smallest prefix of the (descending) score order such that the scores

@@ -192,7 +192,8 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
     // Score the transition that just completed.
     history_.push_back(ComputeTransitionScores(
         snapshot.num_nodes(), previous_edges_, edges, *previous_oracle_,
-        *oracle, options_.detector.score_kind));
+        *oracle, options_.detector.score_kind,
+        options_.detector.analysis_threads));
     ++num_transitions_total_;
     CAD_METRIC_INC("monitor.transitions");
   }

@@ -15,6 +15,10 @@ namespace cad {
 
 namespace {
 
+/// Widest column group one lockstep sweep advances: the SpMM kernel's
+/// register-accumulator width (linalg/sparse_matrix.cc).
+constexpr size_t kMaxGroupWidth = 16;
+
 /// Shared read-only preconditioner state, dispatched by kind so the
 /// per-iteration block apply carries no closure indirection.
 struct BlockPreconditioner {
@@ -79,29 +83,39 @@ Result<BlockPreconditioner> MakeBlockPreconditioner(
   return Status::Internal("unknown preconditioner kind");
 }
 
-/// The lockstep CG kernel: advances all columns of B through one shared
-/// SpMM/preconditioner sweep per iteration, with per-column scalars and an
-/// active mask that freezes converged columns. Every floating-point
-/// operation touching column c happens in exactly the order a scalar PCG on
-/// column c alone would execute it, so a column's solution and iteration
-/// count do not depend on which other columns share the block. Writes the
-/// n x k solution into *x (resized here).
+/// The lockstep CG kernel on one column group: advances columns [begin,
+/// end) of B through one shared SpMM/preconditioner sweep per iteration,
+/// with per-column scalars and an active mask that freezes converged
+/// columns. Every floating-point operation touching column c happens in
+/// exactly the order a scalar PCG on column c alone would execute it, so a
+/// column's solution and iteration count do not depend on which other
+/// columns share the group. B and X0 are read in place through their row
+/// stride, and the solution is written into the same columns of *x, which
+/// must be n x B.cols() and zero in those columns. Returns the group's
+/// summaries in column order.
 Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
                                              const DenseMatrix& b,
+                                             size_t begin, size_t end,
                                              const BlockPreconditioner& precond,
                                              const CgOptions& options,
                                              const DenseMatrix* x0,
                                              DenseMatrix* x) {
+  CAD_TRACE_SPAN("pcg_column_group");
   const size_t n = a.rows();
-  const size_t k = b.cols();
+  const size_t k = end - begin;  // the group's width; c below is local
   std::vector<CgSummary> summaries(k);
-  *x = DenseMatrix(n, k);
 
-  // Per-column ||b||, accumulated in the same ascending-i order as Norm2.
+  // R starts as the group's columns of B. Per-column ||b|| is accumulated
+  // in the same ascending-i order as Norm2.
+  DenseMatrix r(n, k);
   std::vector<double> accum(k, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    const double* bi = b.row(i);
-    for (size_t c = 0; c < k; ++c) accum[c] += bi[c] * bi[c];
+    const double* bi = b.row(i) + begin;
+    double* ri = r.mutable_row(i);
+    for (size_t c = 0; c < k; ++c) {
+      ri[c] = bi[c];
+      accum[c] += bi[c] * bi[c];
+    }
   }
   std::vector<double> b_norm(k, 0.0);
   std::vector<double> target(k, 0.0);
@@ -117,15 +131,15 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     }
   }
 
-  DenseMatrix r = b;
   if (x0 != nullptr && !active.empty()) {
-    *x = *x0;
-    // Zero-rhs columns keep the b = 0 contract (x = 0) regardless of guess.
-    for (size_t c = 0; c < k; ++c) {
-      if (b_norm[c] != 0.0) continue;
-      for (size_t i = 0; i < n; ++i) (*x)(i, c) = 0.0;
+    // X starts at the guess. Zero-rhs columns are not copied: they keep the
+    // b = 0 contract (x = 0) regardless of guess.
+    for (size_t i = 0; i < n; ++i) {
+      const double* gi = x0->row(i) + begin;
+      double* xi = x->mutable_row(i) + begin;
+      for (const uint32_t c : active) xi[c] = gi[c];
     }
-    a.MultiplyAccumulateBlock(-1.0, *x0, &r);  // R = B - A X0
+    a.MultiplyAccumulateColumns(-1.0, *x0, begin, &r);  // R = B - A X0
     std::fill(accum.begin(), accum.end(), 0.0);
     for (size_t i = 0; i < n; ++i) {
       const double* ri = r.row(i);
@@ -187,7 +201,7 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     // uses, so convergence decisions match the scalar recurrence.
     std::fill(accum.begin(), accum.end(), 0.0);
     for (size_t i = 0; i < n; ++i) {
-      double* xi = x->mutable_row(i);
+      double* xi = x->mutable_row(i) + begin;
       double* ri = r.mutable_row(i);
       const double* pi = p.row(i);
       const double* api = ap.row(i);
@@ -262,39 +276,6 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
   return summaries;
 }
 
-/// Columns [begin, end) of `m` as a m.rows() x (end - begin) block.
-DenseMatrix CopyColumns(const DenseMatrix& m, size_t begin, size_t end) {
-  DenseMatrix out(m.rows(), end - begin);
-  for (size_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.row(i) + begin;
-    std::copy(src, src + (end - begin), out.mutable_row(i));
-  }
-  return out;
-}
-
-/// LockstepSolve on columns [begin, end) of B (and of X0, when given),
-/// through copies of those columns; writes the solutions into the same
-/// columns of *x, which must already be n x k.
-Result<std::vector<CgSummary>> SolveColumnRange(
-    const CsrMatrix& a, const DenseMatrix& b,
-    const BlockPreconditioner& precond, const CgOptions& options,
-    const DenseMatrix* x0, size_t begin, size_t end, DenseMatrix* x) {
-  CAD_TRACE_SPAN("pcg_block_chunk");
-  const DenseMatrix chunk_b = CopyColumns(b, begin, end);
-  DenseMatrix chunk_x0;
-  if (x0 != nullptr) chunk_x0 = CopyColumns(*x0, begin, end);
-  DenseMatrix chunk_x;
-  Result<std::vector<CgSummary>> summaries =
-      LockstepSolve(a, chunk_b, precond, options,
-                    x0 != nullptr ? &chunk_x0 : nullptr, &chunk_x);
-  if (!summaries.ok()) return summaries;
-  for (size_t i = 0; i < x->rows(); ++i) {
-    const double* src = chunk_x.row(i);
-    std::copy(src, src + (end - begin), x->mutable_row(i) + begin);
-  }
-  return summaries;
-}
-
 /// Records the per-system outcome counters shared by Solve and SolveBlock.
 /// Gauges (last-write-wins) are set only from deterministic single-threaded
 /// points.
@@ -365,10 +346,10 @@ Result<CgSummary> SolveVector(const CgOptions& options, const CsrMatrix& a,
   const DenseMatrix b_block(n, 1, b);
   DenseMatrix x0_block;
   if (x0 != nullptr) x0_block = DenseMatrix(n, 1, *x0);
-  DenseMatrix x_block;
+  DenseMatrix x_block(n, 1);
   std::vector<CgSummary> summaries;
   CAD_ASSIGN_OR_RETURN(
-      summaries, LockstepSolve(a, b_block, precond, options,
+      summaries, LockstepSolve(a, b_block, 0, 1, precond, options,
                                x0 != nullptr ? &x0_block : nullptr, &x_block));
   *x = std::move(x_block.mutable_data());
   RecordSolveMetrics(summaries[0]);
@@ -434,39 +415,38 @@ Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveBlock(
 
   const size_t n = a.rows();
   const size_t k = b.cols();
-  // Columns are split into one contiguous chunk per thread, each advanced
-  // in lockstep by one task. Chunking only regroups which columns share a
-  // sweep; it never changes any column's arithmetic, so solutions do not
-  // depend on the thread count. A single chunk solves in the caller's
-  // blocks with no copies. The tasks are indexed by column, not chunk, so
+  // Columns are split into contiguous groups, at least one per thread and
+  // none wider than kMaxGroupWidth, each advanced in lockstep by one task
+  // in the caller's blocks. Grouping only regroups which columns share a sweep; it
+  // never changes any column's arithmetic, so solutions do not depend on
+  // the thread count. The tasks are indexed by column, not group, so
   // ParallelFor's parallel.* counters are the same at any thread count (the
-  // metrics determinism contract): a chunk runs in the task of its first
+  // metrics determinism contract): a group runs in the task of its first
   // column and every other task is empty.
-  const size_t num_chunks =
-      std::max<size_t>(std::min(options_.num_threads, k), 1);
-  std::vector<size_t> chunk_begin(num_chunks + 1);
-  for (size_t chunk = 0; chunk <= num_chunks; ++chunk) {
-    chunk_begin[chunk] = chunk * k / num_chunks;
+  const size_t num_groups =
+      std::max({std::min(options_.num_threads, k),
+                (k + kMaxGroupWidth - 1) / kMaxGroupWidth, size_t{1}});
+  std::vector<size_t> group_begin(num_groups + 1);
+  for (size_t group = 0; group <= num_groups; ++group) {
+    group_begin[group] = group * k / num_groups;
   }
   std::vector<CgSummary> summaries(k);
-  std::vector<Status> statuses(num_chunks);
-  if (num_chunks > 1 || k == 0) *x = DenseMatrix(n, k);
+  std::vector<Status> statuses(num_groups);
+  *x = DenseMatrix(n, k);
   ParallelFor(k, options_.num_threads, [&](size_t column) {
-    const size_t chunk = static_cast<size_t>(
-        std::upper_bound(chunk_begin.begin(), chunk_begin.end(), column) -
-        chunk_begin.begin() - 1);
-    if (chunk_begin[chunk] != column) return;
-    Result<std::vector<CgSummary>> chunk_summaries =
-        num_chunks == 1
-            ? LockstepSolve(a, b, precond, options_, context.initial_guess, x)
-            : SolveColumnRange(a, b, precond, options_, context.initial_guess,
-                               chunk_begin[chunk], chunk_begin[chunk + 1], x);
-    if (!chunk_summaries.ok()) {
-      statuses[chunk] = chunk_summaries.status();
+    const size_t group = static_cast<size_t>(
+        std::upper_bound(group_begin.begin(), group_begin.end(), column) -
+        group_begin.begin() - 1);
+    if (group_begin[group] != column) return;
+    Result<std::vector<CgSummary>> group_summaries =
+        LockstepSolve(a, b, group_begin[group], group_begin[group + 1],
+                      precond, options_, context.initial_guess, x);
+    if (!group_summaries.ok()) {
+      statuses[group] = group_summaries.status();
       return;
     }
-    std::copy(chunk_summaries->begin(), chunk_summaries->end(),
-              summaries.begin() + static_cast<long>(chunk_begin[chunk]));
+    std::copy(group_summaries->begin(), group_summaries->end(),
+              summaries.begin() + static_cast<long>(column));
   });
   for (const Status& status : statuses) {
     if (!status.ok()) return status;

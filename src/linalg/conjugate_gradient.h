@@ -31,10 +31,11 @@ struct CgOptions {
   /// Iteration cap; 0 means 10 * n + 100.
   size_t max_iterations = 0;
   CgPreconditioner preconditioner = CgPreconditioner::kJacobi;
-  /// Worker threads for SolveBlock: the k columns are split into one
-  /// contiguous chunk per thread, each advanced in lockstep on its own.
-  /// 1 = serial, which solves in the caller's blocks with no chunk copies.
-  /// The preconditioner is built once and shared read-only.
+  /// Worker threads for SolveBlock: the k columns are split into
+  /// max(min(num_threads, k), ceil(k / 16)) contiguous groups, so no group
+  /// is wider than 16 columns, and each group is advanced in lockstep by one
+  /// task, in place in the caller's blocks. 1 = serial. Results do not
+  /// depend on it. The preconditioner is built once and shared read-only.
   size_t num_threads = 1;
   /// No effect; removed together with the benchmark harness's assignment.
   bool use_block_solver = false;
@@ -115,15 +116,17 @@ class ConjugateGradientSolver {
                           std::vector<double>* x) const;
 
   /// Lockstep block solve of A X = B for a row-major n x k right-hand-side
-  /// block: every CG iteration advances all still-unconverged systems
-  /// through one shared SpMM sweep with per-system scalars (alpha, beta,
-  /// residual norms) and a convergence mask that freezes finished columns.
+  /// block: the columns are split into groups of at most 16 (see
+  /// CgOptions::num_threads), and every CG iteration advances a group's
+  /// still-unconverged systems through one shared SpMM sweep with
+  /// per-system scalars (alpha, beta, residual norms) and a convergence
+  /// mask that freezes finished columns.
   /// The preconditioner (an IC(0) factorization included) is built once for
   /// all k systems unless CgSolveContext supplies one. Each column's
   /// floating-point sequence is that of a scalar PCG on the column alone,
   /// so solutions, residuals, and iteration counts do not depend on k, on
-  /// which columns share the block, or on num_threads (columns are chunked
-  /// across threads; chunking never mixes columns). Writes the n x k
+  /// which columns share the block, or on num_threads (columns are grouped
+  /// across threads; grouping never mixes columns). Writes the n x k
   /// solution block into *x.
   [[nodiscard]] Result<std::vector<CgSummary>> SolveBlock(
       const CsrMatrix& a, const DenseMatrix& b, DenseMatrix* x,

@@ -174,90 +174,87 @@ inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
   }
 }
 
-/// One row of the block product for k <= 16, dispatched to the exact
-/// compile-time width so the whole row runs in one pass with k register
-/// accumulators.
+/// Columns [c0, c0 + width) of one CSR row for width <= 16, dispatched to
+/// the exact compile-time width so they run in one pass with `width`
+/// register accumulators.
 template <bool kOverwrite>
 inline void AccumulateRowNarrow(const double* values, const uint32_t* cols,
                                 size_t begin, size_t end, const double* x,
-                                size_t k, double alpha, double* yi) {
-  switch (k) {
-    case 1: AccumulateRowChunk<1, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 2: AccumulateRowChunk<2, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 3: AccumulateRowChunk<3, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 4: AccumulateRowChunk<4, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 5: AccumulateRowChunk<5, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 6: AccumulateRowChunk<6, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 7: AccumulateRowChunk<7, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 8: AccumulateRowChunk<8, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 9: AccumulateRowChunk<9, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 10: AccumulateRowChunk<10, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 11: AccumulateRowChunk<11, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 12: AccumulateRowChunk<12, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 13: AccumulateRowChunk<13, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 14: AccumulateRowChunk<14, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 15: AccumulateRowChunk<15, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 16: AccumulateRowChunk<16, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
+                                size_t stride, size_t c0, size_t width,
+                                double alpha, double* yi) {
+  switch (width) {
+    case 1: AccumulateRowChunk<1, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 2: AccumulateRowChunk<2, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 3: AccumulateRowChunk<3, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 4: AccumulateRowChunk<4, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 5: AccumulateRowChunk<5, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 6: AccumulateRowChunk<6, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 7: AccumulateRowChunk<7, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 8: AccumulateRowChunk<8, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 9: AccumulateRowChunk<9, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 10: AccumulateRowChunk<10, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 11: AccumulateRowChunk<11, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 12: AccumulateRowChunk<12, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 13: AccumulateRowChunk<13, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 14: AccumulateRowChunk<14, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 15: AccumulateRowChunk<15, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 16: AccumulateRowChunk<16, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
     default: break;
   }
 }
+
+constexpr size_t kMaxChunkWidth = 16;
 
 }  // namespace
 
 template <bool kOverwrite>
 void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
-                                 DenseMatrix* y) const {
+                                 size_t x_begin, DenseMatrix* y) const {
   CAD_DCHECK(x.rows() == cols_ && y->rows() == rows_ &&
-             y->cols() == x.cols());
-  const size_t k = x.cols();
+             x_begin + y->cols() <= x.cols());
+  const size_t k = y->cols();
   // Per-row accumulators: column c follows the exact FP sequence of
   // MultiplyAccumulate on column c (a local sum over the row's nonzeros in
   // CSR order, then one `+= alpha * sum`), so the block product is
   // bit-identical to k independent SpMVs — the determinism contract the
-  // block CG path relies on. For k <= 16 the row dispatches to a
-  // compile-time width with register accumulators (AccumulateRowChunk);
-  // wider blocks keep the single-pass heap accumulators. Neither variant
-  // mixes columns, so neither can change bits.
-  if (k >= 1 && k <= 16) {
-    const double* xd = x.data().data();
-    for (size_t i = 0; i < rows_; ++i) {
-      AccumulateRowNarrow<kOverwrite>(values_.data(), col_indices_.data(),
-                                      row_offsets_[i], row_offsets_[i + 1],
-                                      xd, k, alpha, y->mutable_row(i));
-    }
-    return;
-  }
-  std::vector<double> sums(k);
-  const size_t k4 = k - k % 4;
+  // block CG path relies on. Each row runs in register-accumulator chunks
+  // of 16 columns plus one narrower tail chunk (AccumulateRowChunk);
+  // chunking never mixes columns, so it cannot change bits. X is read in
+  // place from column x_begin through its row stride.
+  const size_t stride = x.cols();
+  const double* xd = x.data().data() + x_begin;
+  const size_t tail_begin = k - k % kMaxChunkWidth;
   for (size_t i = 0; i < rows_; ++i) {
-    std::fill(sums.begin(), sums.end(), 0.0);
-    for (size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-      const double v = values_[p];
-      const double* xj = x.row(col_indices_[p]);
-      size_t c = 0;
-      for (; c < k4; c += 4) {
-        sums[c] += v * xj[c];
-        sums[c + 1] += v * xj[c + 1];
-        sums[c + 2] += v * xj[c + 2];
-        sums[c + 3] += v * xj[c + 3];
-      }
-      for (; c < k; ++c) sums[c] += v * xj[c];
-    }
+    const size_t begin = row_offsets_[i];
+    const size_t end = row_offsets_[i + 1];
     double* yi = y->mutable_row(i);
-    for (size_t c = 0; c < k; ++c) {
-      yi[c] = kOverwrite ? 0.0 + alpha * sums[c] : yi[c] + alpha * sums[c];
+    for (size_t c0 = 0; c0 < tail_begin; c0 += kMaxChunkWidth) {
+      AccumulateRowChunk<kMaxChunkWidth, kOverwrite>(
+          values_.data(), col_indices_.data(), begin, end, xd, stride, c0,
+          alpha, yi);
     }
+    AccumulateRowNarrow<kOverwrite>(values_.data(), col_indices_.data(),
+                                    begin, end, xd, stride, tail_begin,
+                                    k - tail_begin, alpha, yi);
   }
 }
 
 void CsrMatrix::MultiplyAccumulateBlock(double alpha, const DenseMatrix& x,
                                         DenseMatrix* y) const {
-  BlockProductImpl<false>(alpha, x, y);
+  CAD_DCHECK(y->cols() == x.cols());
+  BlockProductImpl<false>(alpha, x, 0, y);
+}
+
+void CsrMatrix::MultiplyAccumulateColumns(double alpha, const DenseMatrix& x,
+                                          size_t x_begin,
+                                          DenseMatrix* y) const {
+  BlockProductImpl<false>(alpha, x, x_begin, y);
 }
 
 void CsrMatrix::MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                                        DenseMatrix* y) const {
-  BlockProductImpl<true>(alpha, x, y);
+  CAD_DCHECK(y->cols() == x.cols());
+  BlockProductImpl<true>(alpha, x, 0, y);
 }
 
 double CsrMatrix::At(uint32_t row, uint32_t col) const {

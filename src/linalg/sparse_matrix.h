@@ -110,6 +110,12 @@ class CsrMatrix {
   void MultiplyAccumulateBlock(double alpha, const DenseMatrix& x,
                                DenseMatrix* y) const;
 
+  /// Y += alpha * A X[:, x_begin, x_begin + Y.cols()): the accumulate form
+  /// on a contiguous column range of X, read in place through X's row
+  /// stride (no resize). Same bit-identity guarantee per column.
+  void MultiplyAccumulateColumns(double alpha, const DenseMatrix& x,
+                                 size_t x_begin, DenseMatrix* y) const;
+
   /// Y = alpha * A X without reading Y first (no resize; *y must already be
   /// rows() x X.cols()). Each output is computed as `0.0 + alpha * sum`, so
   /// the result is bitwise identical to zero-filling Y and calling
@@ -156,10 +162,10 @@ class CsrMatrix {
   size_t RowEnd(size_t i) const { return row_offsets_[i + 1]; }
 
  private:
-  // Shared body of MultiplyAccumulateBlock / MultiplyOverwriteBlock; the
-  // flag only changes how each finished row sum lands in Y.
+  // Shared body of the block products over X's columns [x_begin, x_begin +
+  // Y.cols()); the flag only changes how each finished row sum lands in Y.
   template <bool kOverwrite>
-  void BlockProductImpl(double alpha, const DenseMatrix& x,
+  void BlockProductImpl(double alpha, const DenseMatrix& x, size_t x_begin,
                         DenseMatrix* y) const;
 
   size_t rows_;

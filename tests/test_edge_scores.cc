@@ -1,9 +1,11 @@
 #include "core/edge_scores.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "commute/approx_commute.h"
 #include "commute/exact_commute.h"
+#include "obs/metrics.h"
 #include "reference_scores.h"
 #include "reference_selection.h"
 
@@ -454,6 +457,62 @@ TEST(MergeJoinScoringTest, EmptySnapshotOnEitherSide) {
                          "empty after");
   ExpectMatchesReference(empty, empty, *oracle_empty, *oracle_empty,
                          "both empty");
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter_name, value] : obs::SnapshotMetrics().counters) {
+    if (counter_name == name) return value;
+  }
+  return 0;
+}
+
+TEST(MergeJoinScoringTest, ParallelLookupsMatchSerial) {
+  // More than three 4096-pair lookup blocks, the last one partial.
+  Rng rng(9);
+  const WeightedGraph before = RandomScoringGraph(600, 11000, &rng);
+  const WeightedGraph after = Churned(before, 2000, &rng);
+  const size_t support =
+      ComputeTransitionScores(before, after, *ApproxOracle(before),
+                              *ApproxOracle(after), EdgeScoreKind::kAdj)
+          .edges.size();
+  ASSERT_GE(support, 3 * 4096u + 1);
+  ASSERT_NE(support % 4096, 0u);
+
+  auto exact_before = ExactCommuteTime::Build(before);
+  auto exact_after = ExactCommuteTime::Build(after);
+  ASSERT_TRUE(exact_before.ok());
+  ASSERT_TRUE(exact_after.ok());
+  const auto approx_before = ApproxOracle(before);
+  const auto approx_after = ApproxOracle(after);
+  const std::pair<const CommuteTimeOracle*, const CommuteTimeOracle*>
+      oracles[] = {{approx_before.get(), approx_after.get()},
+                   {&*exact_before, &*exact_after}};
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  for (const auto& [oracle_before, oracle_after] : oracles) {
+    for (const EdgeScoreKind kind : kAllKinds) {
+      const TransitionScores reference = testing_reference::ScoreTransition(
+          before, after, *oracle_before, *oracle_after, kind);
+      std::vector<std::pair<uint64_t, uint64_t>> parallel_deltas;
+      for (const size_t threads : {1, 2, 4, 8}) {
+        const std::string what =
+            std::string(oracle_before == approx_before.get() ? "approx "
+                                                             : "exact ") +
+            EdgeScoreKindToString(kind) + " threads=" +
+            std::to_string(threads);
+        const uint64_t calls = CounterValue("parallel.calls");
+        const uint64_t tasks = CounterValue("parallel.tasks");
+        const TransitionScores scores = ComputeTransitionScores(
+            before, after, *oracle_before, *oracle_after, kind, threads);
+        parallel_deltas.emplace_back(CounterValue("parallel.calls") - calls,
+                                     CounterValue("parallel.tasks") - tasks);
+        ExpectSameScores(scores, reference, *oracle_before, what);
+        EXPECT_EQ(parallel_deltas.back(), parallel_deltas.front()) << what;
+      }
+    }
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

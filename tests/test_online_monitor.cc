@@ -458,5 +458,40 @@ TEST(OnlineMonitorTest, RestoredMonitorContinuesByteIdentically) {
   }
 }
 
+TEST(OnlineMonitorTest, ThreadCountDoesNotChangeReportsOrCheckpoint) {
+  // k = 20 solves as 2 column groups at one thread and 4 at four, and each
+  // transition scores more than one 4096-pair lookup block.
+  RmatTemporalOptions rmat;
+  rmat.base.num_nodes = 1000;
+  rmat.base.num_edges = 6000;
+  rmat.base.min_weight = 0.5;
+  rmat.base.max_weight = 2.0;
+  rmat.base.seed = 9;
+  rmat.num_snapshots = 6;
+  rmat.anomaly_snapshot = 3;
+  Result<TemporalGraphSequence> sequence = MakeRmatTemporalSequence(rmat);
+  ASSERT_TRUE(sequence.ok()) << sequence.status().ToString();
+  OnlineMonitorOptions serial_options = IncrementalApproxOptions();
+  serial_options.detector.approx.embedding_dim = 20;
+  OnlineMonitorOptions parallel_options = serial_options;
+  parallel_options.detector.analysis_threads = 4;
+  parallel_options.detector.approx.cg.num_threads = 4;
+  OnlineCadMonitor serial(serial_options);
+  OnlineCadMonitor parallel(parallel_options);
+  size_t reports = 0;
+  for (size_t t = 0; t < sequence->num_snapshots(); ++t) {
+    SCOPED_TRACE("window " + std::to_string(t));
+    auto serial_report = serial.Observe(sequence->Snapshot(t));
+    auto parallel_report = parallel.Observe(sequence->Snapshot(t));
+    ASSERT_TRUE(serial_report.ok()) << serial_report.status().ToString();
+    ASSERT_TRUE(parallel_report.ok()) << parallel_report.status().ToString();
+    ExpectSameReport(*serial_report, *parallel_report);
+    if (serial_report->has_value()) ++reports;
+    EXPECT_EQ(CheckpointBytes(serial), CheckpointBytes(parallel));
+  }
+  EXPECT_GT(reports, 0u);
+  EXPECT_GT(serial.history().back().edges.size(), 4096u);
+}
+
 }  // namespace
 }  // namespace cad

@@ -1,5 +1,8 @@
 #include "common/parallel.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -46,6 +49,27 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
 }
 
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1u); }
+
+TEST(HardwareThreadsTest, CountsOnlyAllowedCpus) {
+  // Pinned to one CPU (as under `taskset -c N`), the thread may run on one
+  // CPU whatever the host has.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(original), &original),
+            0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &original)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t single;
+  CPU_ZERO(&single);
+  CPU_SET(first, &single);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(single), &single), 0);
+  const size_t pinned = HardwareThreads();
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(original), &original),
+            0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(HardwareThreads(), static_cast<size_t>(CPU_COUNT(&original)));
+}
 
 TEST(ParallelSolveTest, ParallelSolveBlockMatchesSerial) {
   RandomGraphOptions opts;

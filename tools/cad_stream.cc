@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "core/online_monitor.h"
 #include "graph/node_vocabulary.h"
@@ -81,7 +82,7 @@ int Run(int argc, char** argv) {
   std::string engine = "auto";
   int64_t k = 50;
   int64_t seed = 1;
-  int64_t threads = 1;
+  auto threads = static_cast<int64_t>(HardwareThreads());
   bool warm_start = false;
   double refactor_threshold = 0.1;
   bool incremental = false;
@@ -141,7 +142,9 @@ int Run(int argc, char** argv) {
                   "relative-residual bound for reusing a cached embedding "
                   "column under --incremental (approximate engine)");
   flags.AddInt64("threads", &threads,
-                 "worker threads for the per-window Laplacian solves");
+                 "worker threads for the per-window Laplacian solves and "
+                 "scoring lookups; outputs do not depend on it (default: "
+                 "the CPUs this process may run on)");
   flags.AddString("stats_json", &stats_json,
                   "write one heartbeat JSON line per --stats_every windows "
                   "here ('-' for stdout); see DESIGN.md §10 for the schema");
