@@ -23,8 +23,9 @@ struct ApproxCommuteOptions {
   size_t embedding_dim = 50;
   /// Seed for the random projection.
   uint64_t seed = 1;
-  /// Linear solver configuration for the k Laplacian systems. Set
-  /// cg.num_threads > 1 to solve the k independent systems concurrently.
+  /// Linear solver configuration for the k Laplacian systems;
+  /// cg.num_threads (default: every allowed CPU) solves the k independent
+  /// systems concurrently.
   CgOptions cg;
   /// Numerical handling shared with the exact engine.
   CommuteTimeOptions commute;

@@ -1,6 +1,5 @@
 #include "core/cad_detector.h"
 
-#include "common/parallel.h"
 #include "commute/solver_cache.h"
 #include "obs/obs.h"
 
@@ -25,6 +24,42 @@ Result<std::unique_ptr<CommuteTimeOracle>> Boxed(
   if (!oracle.ok()) return oracle.status();
   return std::unique_ptr<CommuteTimeOracle>(
       new ApproxCommuteEmbedding(std::move(oracle).ValueOrDie()));
+}
+
+/// Scores the transitions of the timeline `snapshots` (at least two, in
+/// order).
+Result<std::vector<TransitionScores>> ScoreTimeline(
+    const CadDetector& detector,
+    const std::vector<const WeightedGraph*>& snapshots) {
+  const CadOptions& options = detector.options();
+  std::vector<TransitionScores> all_scores;
+  all_scores.reserve(snapshots.size() - 1);
+  // One cache per timeline: snapshot t's embedding and IC(0) factor carry
+  // into snapshot t+1's build (no-op unless approx.warm_start is set and
+  // the approximate engine is selected).
+  CommuteSolverCache cache(options.approx.refactor_threshold);
+  CommuteSolverCache* cache_ptr = options.approx.warm_start ? &cache : nullptr;
+  // Each snapshot's sorted edge list and oracle are derived once and shared
+  // by its build and its two adjacent transitions, so at most two of each
+  // are live. Threads work inside each step: the build's column groups
+  // (approx.cg.num_threads) and the transition's commute lookups
+  // (analysis_threads).
+  std::vector<Edge> previous_edges = snapshots[0]->Edges();
+  std::unique_ptr<CommuteTimeOracle> previous;
+  CAD_ASSIGN_OR_RETURN(
+      previous, detector.BuildOracle(*snapshots[0], previous_edges, cache_ptr));
+  for (size_t t = 1; t < snapshots.size(); ++t) {
+    std::vector<Edge> current_edges = snapshots[t]->Edges();
+    std::unique_ptr<CommuteTimeOracle> current;
+    CAD_ASSIGN_OR_RETURN(
+        current, detector.BuildOracle(*snapshots[t], current_edges, cache_ptr));
+    all_scores.push_back(ComputeTransitionScores(
+        snapshots[t - 1]->num_nodes(), previous_edges, current_edges,
+        *previous, *current, options.score_kind, options.analysis_threads));
+    previous = std::move(current);
+    previous_edges = std::move(current_edges);
+  }
+  return all_scores;
 }
 
 }  // namespace
@@ -154,57 +189,12 @@ Result<std::vector<TransitionScores>> CadDetector::Analyze(
   CAD_TRACE_SPAN("cad_analyze");
   CAD_METRIC_INC("cad.analyses");
   CAD_METRIC_ADD("cad.transitions_scored", sequence.num_transitions());
-  // Build each snapshot's oracle once; transition t uses oracles t and t+1.
-  // Warm-started timelines must visit snapshots in order (each build feeds
-  // the next one's initial guesses), so they always take the serial loop.
-  if (options_.analysis_threads > 1 && !options_.approx.warm_start) {
-    // Parallel path: materialize all oracles, then score all transitions.
-    // Costs O(T) oracles of memory instead of 2 but parallelizes both the
-    // dominant build stage and the scoring stage.
-    const size_t num_snapshots = sequence.num_snapshots();
-    std::vector<std::unique_ptr<CommuteTimeOracle>> oracles(num_snapshots);
-    std::vector<Status> statuses(num_snapshots);
-    ParallelFor(num_snapshots, options_.analysis_threads, [&](size_t t) {
-      Result<std::unique_ptr<CommuteTimeOracle>> oracle =
-          BuildOracle(sequence.Snapshot(t));
-      if (oracle.ok()) {
-        oracles[t] = std::move(oracle).ValueOrDie();
-      } else {
-        statuses[t] = oracle.status();
-      }
-    });
-    for (const Status& status : statuses) {
-      if (!status.ok()) return status;
-    }
-    std::vector<TransitionScores> all_scores(sequence.num_transitions());
-    ParallelFor(all_scores.size(), options_.analysis_threads, [&](size_t t) {
-      all_scores[t] = ComputeTransitionScores(
-          sequence.Snapshot(t), sequence.Snapshot(t + 1), *oracles[t],
-          *oracles[t + 1], options_.score_kind);
-    });
-    return all_scores;
+  std::vector<const WeightedGraph*> snapshots;
+  snapshots.reserve(sequence.num_snapshots());
+  for (size_t t = 0; t < sequence.num_snapshots(); ++t) {
+    snapshots.push_back(&sequence.Snapshot(t));
   }
-
-  std::vector<TransitionScores> all_scores;
-  all_scores.reserve(sequence.num_transitions());
-  // One cache per timeline: snapshot t's embedding and IC(0) factor carry
-  // into snapshot t+1's build (no-op unless approx.warm_start is set and
-  // the approximate engine is selected).
-  CommuteSolverCache cache(options_.approx.refactor_threshold);
-  CommuteSolverCache* cache_ptr =
-      options_.approx.warm_start ? &cache : nullptr;
-  std::unique_ptr<CommuteTimeOracle> previous;
-  CAD_ASSIGN_OR_RETURN(previous, BuildOracle(sequence.Snapshot(0), cache_ptr));
-  for (size_t t = 0; t + 1 < sequence.num_snapshots(); ++t) {
-    std::unique_ptr<CommuteTimeOracle> current;
-    CAD_ASSIGN_OR_RETURN(current,
-                         BuildOracle(sequence.Snapshot(t + 1), cache_ptr));
-    all_scores.push_back(
-        ComputeTransitionScores(sequence.Snapshot(t), sequence.Snapshot(t + 1),
-                                *previous, *current, options_.score_kind));
-    previous = std::move(current);
-  }
-  return all_scores;
+  return ScoreTimeline(*this, snapshots);
 }
 
 Result<TransitionScores> CadDetector::AnalyzeTransition(
@@ -214,15 +204,9 @@ Result<TransitionScores> CadDetector::AnalyzeTransition(
   }
   // A two-snapshot timeline still benefits from warm-starting `after` with
   // `before`'s embedding and factorization.
-  CommuteSolverCache cache(options_.approx.refactor_threshold);
-  CommuteSolverCache* cache_ptr =
-      options_.approx.warm_start ? &cache : nullptr;
-  std::unique_ptr<CommuteTimeOracle> oracle_before;
-  CAD_ASSIGN_OR_RETURN(oracle_before, BuildOracle(before, cache_ptr));
-  std::unique_ptr<CommuteTimeOracle> oracle_after;
-  CAD_ASSIGN_OR_RETURN(oracle_after, BuildOracle(after, cache_ptr));
-  return ComputeTransitionScores(before, after, *oracle_before, *oracle_after,
-                                 options_.score_kind);
+  std::vector<TransitionScores> scores;
+  CAD_ASSIGN_OR_RETURN(scores, ScoreTimeline(*this, {&before, &after}));
+  return std::move(scores.front());
 }
 
 Result<TransitionNodeScores> CadDetector::ScoreTransitions(

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "commute/approx_commute.h"
 #include "commute/exact_commute.h"
 #include "core/detector.h"
@@ -42,17 +43,13 @@ struct CadOptions {
   /// is a sizable fraction of the graph. Only read by
   /// BuildOracleIncremental.
   double churn_threshold = 0.25;
-  /// Worker threads for Analyze(): snapshot oracles are built and
-  /// transitions scored concurrently (results are bit-identical to the
-  /// serial pass). 1 = serial. NOTE: with threads > 1 all T oracles are
-  /// held in memory at once instead of two — for the exact engine that is
-  /// T * n^2 doubles. When approx.warm_start is set, Analyze always runs
-  /// the serial snapshot loop (temporal reuse is inherently sequential);
-  /// set approx.cg.num_threads to parallelize within each snapshot instead.
-  /// OnlineCadMonitor also passes it to ComputeTransitionScores, whose
-  /// per-pair commute lookups then run on this many threads (bit-identical
-  /// as well).
-  size_t analysis_threads = 1;
+  /// Worker threads for the per-pair commute-time lookups of every
+  /// transition Analyze, AnalyzeTransition and OnlineCadMonitor score (see
+  /// ComputeTransitionScores). Snapshots are still visited in order with two
+  /// oracles live, so threading costs no memory; the builds' Laplacian
+  /// solves thread through approx.cg.num_threads. Results are bit-identical
+  /// at any count. Defaults to the CPUs this process may run on.
+  size_t analysis_threads = HardwareThreads();
 };
 
 /// \brief The paper's Algorithm 1: commute-time based anomaly localization

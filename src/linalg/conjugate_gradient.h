@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
@@ -36,7 +37,8 @@ struct CgOptions {
   /// is wider than 16 columns, and each group is advanced in lockstep by one
   /// task, in place in the caller's blocks. 1 = serial. Results do not
   /// depend on it. The preconditioner is built once and shared read-only.
-  size_t num_threads = 1;
+  /// Defaults to the CPUs this process may run on (HardwareThreads()).
+  size_t num_threads = HardwareThreads();
   /// No effect; removed together with the benchmark harness's assignment.
   bool use_block_solver = false;
 };

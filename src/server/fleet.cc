@@ -31,6 +31,18 @@ Status EnsureDirectory(const std::string& path) {
 
 }  // namespace
 
+TenantOptions TenantOptionsFor(const FleetOptions& options,
+                               const std::string& name) {
+  TenantOptions tenant = options.tenant;
+  if (!options.data_dir.empty()) {
+    tenant.checkpoint_path = options.data_dir + "/" + name + kCheckpointSuffix;
+    tenant.output_path = options.data_dir + "/" + name + ".csv";
+  }
+  tenant.monitor.detector.analysis_threads = 1;
+  tenant.monitor.detector.approx.cg.num_threads = 1;
+  return tenant;
+}
+
 TenantFleet::TenantFleet(FleetOptions options)
     : options_(std::move(options)) {}
 
@@ -75,14 +87,8 @@ Result<OpenReply> TenantFleet::Open(const std::string& name) {
   }
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
-    TenantOptions tenant_options = options_.tenant;
-    if (!options_.data_dir.empty()) {
-      tenant_options.checkpoint_path =
-          options_.data_dir + "/" + name + kCheckpointSuffix;
-      tenant_options.output_path = options_.data_dir + "/" + name + ".csv";
-    }
     Result<std::unique_ptr<Tenant>> tenant =
-        Tenant::Create(name, std::move(tenant_options));
+        Tenant::Create(name, TenantOptionsFor(options_, name));
     if (!tenant.ok()) return tenant.status();
     Entry entry;
     entry.tenant = std::move(*tenant);

@@ -38,6 +38,13 @@ struct FleetOptions {
   TenantOptions tenant;
 };
 
+/// The options tenant `name` opens with: the fleet's template, with the
+/// per-tenant paths under data_dir and one solve thread — the fleet's
+/// workers already spread tenants over the cores, so each tenant solves and
+/// scores on the worker that runs it.
+TenantOptions TenantOptionsFor(const FleetOptions& options,
+                               const std::string& name);
+
 /// \brief The multi-tenant core of cad_server: owns every Tenant, a shared
 /// worker pool that drains tenant queues (at most one worker per tenant at
 /// a time), the shared solver-cache budget, and the drain sequence.

@@ -473,6 +473,8 @@ TEST(OnlineMonitorTest, ThreadCountDoesNotChangeReportsOrCheckpoint) {
   ASSERT_TRUE(sequence.ok()) << sequence.status().ToString();
   OnlineMonitorOptions serial_options = IncrementalApproxOptions();
   serial_options.detector.approx.embedding_dim = 20;
+  serial_options.detector.analysis_threads = 1;
+  serial_options.detector.approx.cg.num_threads = 1;
   OnlineMonitorOptions parallel_options = serial_options;
   parallel_options.detector.analysis_threads = 4;
   parallel_options.detector.approx.cg.num_threads = 4;

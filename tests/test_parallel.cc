@@ -4,7 +4,11 @@
 #include <sched.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +16,10 @@
 #include "commute/approx_commute.h"
 #include "core/cad_detector.h"
 #include "datagen/random_graphs.h"
+#include "datagen/rmat.h"
 #include "linalg/conjugate_gradient.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace cad {
 namespace {
@@ -104,38 +111,125 @@ TEST(ParallelSolveTest, ParallelSolveBlockMatchesSerial) {
   }
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& [counter_name, value] : obs::SnapshotMetrics().counters) {
+    if (counter_name == name) return value;
+  }
+  return 0;
+}
+
+void ExpectSameScores(const TransitionScores& a, const TransitionScores& b,
+                      const std::string& what) {
+  EXPECT_EQ(Bits(a.total_score), Bits(b.total_score)) << what;
+  ASSERT_EQ(a.edges.size(), b.edges.size()) << what;
+  for (size_t e = 0; e < a.edges.size(); ++e) {
+    const ScoredEdge& x = a.edges[e];
+    const ScoredEdge& y = b.edges[e];
+    ASSERT_EQ(x.pair, y.pair) << what << " edge " << e;
+    EXPECT_EQ(Bits(x.score), Bits(y.score)) << what << " edge " << e;
+    EXPECT_EQ(Bits(x.weight_delta), Bits(y.weight_delta)) << what;
+    EXPECT_EQ(Bits(x.commute_delta), Bits(y.commute_delta)) << what;
+    EXPECT_EQ(Bits(x.commute_before), Bits(y.commute_before)) << what;
+  }
+  ASSERT_EQ(a.node_scores.size(), b.node_scores.size()) << what;
+  for (size_t i = 0; i < a.node_scores.size(); ++i) {
+    EXPECT_EQ(Bits(a.node_scores[i]), Bits(b.node_scores[i]))
+        << what << " node " << i;
+  }
+}
+
 TEST(ParallelSolveTest, ParallelAnalyzeMatchesSerial) {
-  // A 6-snapshot sequence with churn; parallel snapshot analysis must be
-  // bit-identical to the serial pass.
+  // Analyze and AnalyzeTransition thread only inside each step (the builds'
+  // column groups and the transitions' lookup blocks), so every output bit
+  // and every parallel.* counter must match the serial pass. The exact
+  // engine runs a small sequence with churn; the approximate one an R-MAT
+  // sequence whose k = 20 solves split into 2..7 column groups and whose
+  // transitions span more than one 4096-pair lookup block.
   RandomGraphOptions opts;
   opts.num_nodes = 60;
   opts.average_degree = 5.0;
   opts.seed = 21;
-  TemporalGraphSequence seq(60);
+  TemporalGraphSequence small(60);
   WeightedGraph current = MakeRandomSparseGraph(opts);
   Rng rng(31);
   for (int t = 0; t < 6; ++t) {
-    CAD_CHECK_OK(seq.Append(current));
+    CAD_CHECK_OK(small.Append(current));
     current = PerturbGraph(current, 0.2, 0.05, &rng);
   }
+  RmatTemporalOptions rmat;
+  rmat.base.num_nodes = 800;
+  rmat.base.num_edges = 4500;
+  rmat.base.min_weight = 0.5;
+  rmat.base.max_weight = 2.0;
+  rmat.base.seed = 9;
+  rmat.num_snapshots = 3;
+  rmat.anomaly_snapshot = 2;
+  Result<TemporalGraphSequence> large = MakeRmatTemporalSequence(rmat);
+  ASSERT_TRUE(large.ok()) << large.status().ToString();
 
-  CadOptions serial;
-  serial.engine = CommuteEngine::kExact;
-  CadOptions parallel = serial;
-  parallel.analysis_threads = 4;
-  auto a = CadDetector(serial).Analyze(seq);
-  auto b = CadDetector(parallel).Analyze(seq);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t t = 0; t < a->size(); ++t) {
-    EXPECT_EQ((*a)[t].total_score, (*b)[t].total_score) << "transition " << t;
-    ASSERT_EQ((*a)[t].edges.size(), (*b)[t].edges.size());
-    for (size_t e = 0; e < (*a)[t].edges.size(); ++e) {
-      EXPECT_EQ((*a)[t].edges[e].pair, (*b)[t].edges[e].pair);
-      EXPECT_EQ((*a)[t].edges[e].score, (*b)[t].edges[e].score);
+  CadOptions exact;
+  exact.engine = CommuteEngine::kExact;
+  CadOptions cold;
+  cold.engine = CommuteEngine::kApprox;
+  cold.approx.embedding_dim = 20;
+  cold.approx.seed = 5;
+  CadOptions warm = cold;
+  warm.approx.warm_start = true;
+  warm.approx.cg.preconditioner = CgPreconditioner::kIncompleteCholesky;
+  const struct {
+    const char* name;
+    CadOptions options;
+    const TemporalGraphSequence* sequence;
+  } configs[] = {{"exact", exact, &small},
+                 {"approx cold", cold, &*large},
+                 {"approx warm_start", warm, &*large}};
+
+  const obs::ScopedMetricsEnable metrics;
+  for (const auto& config : configs) {
+    std::vector<TransitionScores> serial;
+    TransitionScores serial_transition;
+    std::pair<uint64_t, uint64_t> serial_parallel_counts;
+    for (const size_t threads : {1, 2, 3, 4, 7}) {
+      const std::string what = std::string(config.name) +
+                               " threads=" + std::to_string(threads);
+      CadOptions options = config.options;
+      options.analysis_threads = threads;
+      options.approx.cg.num_threads = threads;
+      const CadDetector detector(options);
+      const uint64_t calls = CounterValue("parallel.calls");
+      const uint64_t tasks = CounterValue("parallel.tasks");
+      Result<std::vector<TransitionScores>> analysis =
+          detector.Analyze(*config.sequence);
+      const std::pair<uint64_t, uint64_t> parallel_counts = {
+          CounterValue("parallel.calls") - calls,
+          CounterValue("parallel.tasks") - tasks};
+      ASSERT_TRUE(analysis.ok()) << what << ": "
+                                 << analysis.status().ToString();
+      ASSERT_EQ(analysis->size(), config.sequence->num_transitions()) << what;
+      Result<TransitionScores> transition = detector.AnalyzeTransition(
+          config.sequence->Snapshot(0), config.sequence->Snapshot(1));
+      ASSERT_TRUE(transition.ok()) << what;
+      // A two-snapshot timeline scores exactly the sequence's first
+      // transition, warm start included.
+      ExpectSameScores(*transition, analysis->front(), what + " transition");
+      if (threads == 1) {
+        serial = std::move(*analysis);
+        serial_transition = std::move(*transition);
+        serial_parallel_counts = parallel_counts;
+        continue;
+      }
+      for (size_t t = 0; t < serial.size(); ++t) {
+        ExpectSameScores((*analysis)[t], serial[t],
+                         what + " transition " + std::to_string(t));
+      }
+      ExpectSameScores(*transition, serial_transition, what + " transition");
+      EXPECT_EQ(parallel_counts, serial_parallel_counts) << what;
     }
-    EXPECT_EQ((*a)[t].node_scores, (*b)[t].node_scores);
+    if (config.options.engine == CommuteEngine::kApprox) {
+      EXPECT_GT(serial.back().edges.size(), 4096u) << config.name;
+    }
   }
 }
 
@@ -149,6 +243,7 @@ TEST(ParallelSolveTest, ParallelEmbeddingMatchesSerial) {
   ApproxCommuteOptions serial;
   serial.embedding_dim = 16;
   serial.seed = 11;
+  serial.cg.num_threads = 1;
   ApproxCommuteOptions parallel = serial;
   parallel.cg.num_threads = 4;
 

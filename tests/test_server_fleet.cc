@@ -466,6 +466,26 @@ TEST(FleetOpenTest, ValidatesNamesAndIsIdempotent) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
+TEST(FleetOpenTest, TenantsOpenWithOneSolveThread) {
+  // The workers spread tenants over the cores, so every tenant Open creates
+  // solves and scores on one thread, whatever the template (or the
+  // library default, every allowed CPU) asks for.
+  ScopedTempDir dir;
+  OnlineMonitorOptions monitor = ExactMonitor();
+  monitor.detector.analysis_threads = 8;
+  monitor.detector.approx.cg.num_threads = 8;
+  for (const FleetOptions& options :
+       {FleetFor(dir.path(), monitor), FleetOptions()}) {
+    const TenantOptions tenant = TenantOptionsFor(options, "acme");
+    EXPECT_EQ(tenant.monitor.detector.analysis_threads, 1u);
+    EXPECT_EQ(tenant.monitor.detector.approx.cg.num_threads, 1u);
+  }
+  const TenantOptions tenant =
+      TenantOptionsFor(FleetFor(dir.path(), monitor), "acme");
+  EXPECT_EQ(tenant.checkpoint_path, dir.path() + "/acme.ckpt");
+  EXPECT_EQ(tenant.output_path, dir.path() + "/acme.csv");
+}
+
 TEST(FleetOpenTest, RejectsNegativeOrNanNodesPerTransitionAtCreate) {
   // The server validates its tenant template at start-up, so a bad --l
   // fails cad_server with a Status instead of a CHECK in the first window.

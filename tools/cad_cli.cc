@@ -16,6 +16,7 @@
 
 #include "app/pipeline.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "graph/node_vocabulary.h"
 #include "graph/temporal_stats.h"
 #include "io/dot_writer.h"
@@ -47,7 +48,7 @@ int Run(int argc, char** argv) {
   double l = 5.0;
   int64_t k = 50;
   int64_t seed = 1;
-  int64_t threads = 1;
+  auto threads = static_cast<int64_t>(HardwareThreads());
   bool classify = true;
   bool warm_start = false;
   double refactor_threshold = 0.1;
@@ -75,7 +76,9 @@ int Run(int argc, char** argv) {
   flags.AddInt64("k", &k, "embedding dimension for the approximate engine");
   flags.AddInt64("seed", &seed, "seed for the approximate engine");
   flags.AddInt64("threads", &threads,
-                 "worker threads (snapshot analysis + Laplacian solves)");
+                 "worker threads for each snapshot's Laplacian solves and "
+                 "each transition's scoring lookups; outputs do not depend "
+                 "on it (default: the CPUs this process may run on)");
   flags.AddBool("warm_start", &warm_start,
                 "seed each snapshot's Laplacian solves with the previous "
                 "snapshot's commute embedding (approximate engine)");
@@ -119,6 +122,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  if (threads < 1) {
+    std::cerr << "--threads must be >= 1\n";
+    return 2;
+  }
   if (stats_every < 0) {
     std::cerr << "--stats_every must be >= 0\n";
     return 2;
