@@ -428,6 +428,15 @@ Result<NodeVocabulary> ReadNodeVocabulary(CheckpointReader* reader) {
 
 // --- Atomic file replacement ------------------------------------------------
 
+Status FsyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot reopen " + path + " for fsync");
+  const int synced = ::fsync(fd);
+  ::close(fd);
+  if (synced != 0) return Status::IoError("fsync failed: " + path);
+  return Status::OK();
+}
+
 Status WriteFileAtomic(const std::string& path,
                        const std::function<Status(std::ostream*)>& writer) {
   const std::string tmp_path = path + ".tmp";
@@ -452,13 +461,11 @@ Status WriteFileAtomic(const std::string& path,
   // The ofstream is closed; push the bytes to stable storage through a plain
   // descriptor so the rename below never publishes a name whose data still
   // lives only in the page cache.
-  const int fd = ::open(tmp_path.c_str(), O_RDONLY);
-  if (fd < 0 || ::fsync(fd) != 0) {
-    if (fd >= 0) ::close(fd);
+  const Status synced = FsyncPath(tmp_path);
+  if (!synced.ok()) {
     std::remove(tmp_path.c_str());
-    return Status::IoError("fsync failed: " + tmp_path);
+    return synced;
   }
-  ::close(fd);
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
     return Status::IoError("rename failed: " + tmp_path + " -> " + path);

@@ -139,6 +139,10 @@ void WriteTransitionScores(CheckpointWriter* writer,
 [[nodiscard]] Result<TransitionScores> ReadTransitionScores(
     CheckpointReader* reader);
 
+/// fsync by path, for files written through an ofstream (which exposes no
+/// descriptor); a read-only open is enough for fsync on POSIX.
+[[nodiscard]] Status FsyncPath(const std::string& path);
+
 /// \brief Writes a file atomically and durably: `writer` streams the new
 /// contents into `<path>.tmp`, the bytes are flushed and fsync'd, and the
 /// temp file is renamed over `path` (atomic on POSIX), so a crash at any

@@ -105,12 +105,12 @@ Result<int64_t> ParseInt64Token(std::string_view token) {
 }
 
 /// Parses the tokens of one non-blank, non-comment line of the event
-/// format. With a vocabulary, endpoint tokens are interned as names;
-/// interning happens only after every other field validates, so rejected
-/// lines never pollute the vocabulary.
+/// format, then hands the fields to `decoder`. The timestamp is checked here
+/// before the weight token is read, so a line with both defects reports its
+/// timestamp, as the reference parser does.
 Result<TimestampedEvent> ParseEventLine(const LineTokens& fields,
                                         size_t line_number,
-                                        NodeVocabulary* vocabulary) {
+                                        EventDecoder* decoder) {
   const auto error_at = [line_number](const std::string& message) {
     return Status::InvalidArgument("line " + std::to_string(line_number) +
                                    ": " + message);
@@ -125,44 +125,17 @@ Result<TimestampedEvent> ParseEventLine(const LineTokens& fields,
   if (!std::isfinite(*timestamp)) {
     return error_at("non-finite timestamp");
   }
-  TimestampedEvent event;
-  event.timestamp = *timestamp;
+  double weight = 1.0;
   if (fields.count == 4) {
-    Result<double> weight = ParseDoubleToken(fields.token[3]);
-    if (!weight.ok()) {
+    Result<double> parsed_weight = ParseDoubleToken(fields.token[3]);
+    if (!parsed_weight.ok()) {
       return error_at("malformed weight");
     }
-    if (!std::isfinite(*weight) || *weight < 0.0) {
-      return error_at("weight must be finite and >= 0");
-    }
-    event.weight = *weight;
+    weight = *parsed_weight;
   }
-  if (vocabulary == nullptr) {
-    Result<int64_t> u = ParseInt64Token(fields.token[0]);
-    Result<int64_t> v = ParseInt64Token(fields.token[1]);
-    if (!u.ok() || !v.ok() || *u < 0 || *v < 0) {
-      return error_at("malformed event");
-    }
-    constexpr int64_t kMaxId = std::numeric_limits<NodeId>::max();
-    if (*u > kMaxId || *v > kMaxId) {
-      return error_at("node id exceeds " + std::to_string(kMaxId));
-    }
-    event.u = static_cast<NodeId>(*u);
-    event.v = static_cast<NodeId>(*v);
-  } else {
-    // Validate both names before interning either, so a line rejected on
-    // its second endpoint leaves the vocabulary untouched.
-    const Status valid_u = NodeVocabulary::ValidateNodeName(fields.token[0]);
-    if (!valid_u.ok()) return error_at(valid_u.message());
-    const Status valid_v = NodeVocabulary::ValidateNodeName(fields.token[1]);
-    if (!valid_v.ok()) return error_at(valid_v.message());
-    Result<NodeId> u = vocabulary->Intern(fields.token[0]);
-    if (!u.ok()) return error_at(u.status().message());
-    Result<NodeId> v = vocabulary->Intern(fields.token[1]);
-    if (!v.ok()) return error_at(v.status().message());
-    event.u = *u;
-    event.v = *v;
-  }
+  Result<TimestampedEvent> event =
+      decoder->Decode(fields.token[0], fields.token[1], *timestamp, weight);
+  if (!event.ok()) return error_at(event.status().message());
   return event;
 }
 
@@ -245,14 +218,66 @@ Result<TemporalGraphSequence> AggregateEventStream(
   return sequence;
 }
 
+EventDecoder::EventDecoder(NodeVocabulary* vocabulary, EventIdMode id_mode)
+    : vocabulary_(vocabulary), id_mode_(id_mode) {
+  // Named interpretation needs somewhere to put the names.
+  if (vocabulary_ == nullptr) id_mode_ = EventIdMode::kInteger;
+}
+
+Result<TimestampedEvent> EventDecoder::Decode(std::string_view u,
+                                              std::string_view v,
+                                              double timestamp,
+                                              double weight) {
+  if (!std::isfinite(timestamp)) {
+    return Status::InvalidArgument("non-finite timestamp");
+  }
+  if (!std::isfinite(weight) || weight < 0.0) {
+    return Status::InvalidArgument("weight must be finite and >= 0");
+  }
+  TimestampedEvent event;
+  event.timestamp = timestamp;
+  event.weight = weight;
+  // Commit the stream's id mode on its first record so every later record
+  // is interpreted consistently (a numeric token in a named stream is a
+  // name; an alphabetic token in an integer stream is malformed).
+  const bool named = id_mode_ == EventIdMode::kNamed ||
+                     (id_mode_ == EventIdMode::kAuto &&
+                      !(LooksLikeIntegerId(u) && LooksLikeIntegerId(v)));
+  if (!named) {
+    Result<int64_t> u_id = ParseInt64Token(u);
+    Result<int64_t> v_id = ParseInt64Token(v);
+    if (!u_id.ok() || !v_id.ok() || *u_id < 0 || *v_id < 0) {
+      return Status::InvalidArgument("malformed event");
+    }
+    constexpr int64_t kMaxId = std::numeric_limits<NodeId>::max();
+    if (*u_id > kMaxId || *v_id > kMaxId) {
+      return Status::InvalidArgument("node id exceeds " +
+                                     std::to_string(kMaxId));
+    }
+    event.u = static_cast<NodeId>(*u_id);
+    event.v = static_cast<NodeId>(*v_id);
+  } else {
+    // Validate both names before interning either, so a record rejected on
+    // its second endpoint leaves the vocabulary untouched.
+    CAD_RETURN_NOT_OK(NodeVocabulary::ValidateNodeName(u));
+    CAD_RETURN_NOT_OK(NodeVocabulary::ValidateNodeName(v));
+    CAD_ASSIGN_OR_RETURN(event.u, vocabulary_->Intern(u));
+    CAD_ASSIGN_OR_RETURN(event.v, vocabulary_->Intern(v));
+  }
+  // Only an accepted record commits the mode: a rejected one interned
+  // nothing, so the next well-formed record should decide.
+  if (id_mode_ == EventIdMode::kAuto) {
+    id_mode_ = named ? EventIdMode::kNamed : EventIdMode::kInteger;
+  }
+  return event;
+}
+
 EventStreamReader::EventStreamReader(std::istream* in,
                                      EventErrorPolicy policy,
                                      NodeVocabulary* vocabulary,
                                      EventIdMode id_mode)
-    : in_(in), policy_(policy), vocabulary_(vocabulary), id_mode_(id_mode) {
+    : in_(in), policy_(policy), decoder_(vocabulary, id_mode) {
   CAD_CHECK(in != nullptr);
-  // Named interpretation needs somewhere to put the names.
-  if (vocabulary_ == nullptr) id_mode_ = EventIdMode::kInteger;
 }
 
 Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
@@ -260,27 +285,11 @@ Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
     ++line_number_;
     const LineTokens fields = TokenizeLine(line_);
     if (fields.count == 0 || fields.token[0].front() == '#') continue;
-    bool committed_this_line = false;
-    if (id_mode_ == EventIdMode::kAuto) {
-      // Commit the stream's id mode on its first data line so every later
-      // line is interpreted consistently (a numeric token in a named stream
-      // is a name; an alphabetic token in an integer stream is malformed).
-      id_mode_ = (fields.count >= 2 && LooksLikeIntegerId(fields.token[0]) &&
-                  LooksLikeIntegerId(fields.token[1]))
-                     ? EventIdMode::kInteger
-                     : EventIdMode::kNamed;
-      committed_this_line = true;
-    }
-    Result<TimestampedEvent> event = ParseEventLine(
-        fields, line_number_,
-        id_mode_ == EventIdMode::kNamed ? vocabulary_ : nullptr);
+    Result<TimestampedEvent> event =
+        ParseEventLine(fields, line_number_, &decoder_);
     if (event.ok()) {
       return std::optional<TimestampedEvent>(*event);
     }
-    // Garbage must not lock the mode: a rejected line never interned
-    // anything (endpoints are validated before interning), so the next
-    // well-formed line should decide.
-    if (committed_this_line) id_mode_ = EventIdMode::kAuto;
     if (policy_ == EventErrorPolicy::kStrict) {
       return event.status();
     }
@@ -297,15 +306,6 @@ Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
   return std::optional<TimestampedEvent>();
 }
 
-Result<std::vector<TimestampedEvent>> ReadEventStream(std::istream* in) {
-  return ReadEventStream(in, EventErrorPolicy::kStrict, nullptr);
-}
-
-Result<std::vector<TimestampedEvent>> ReadEventStream(
-    std::istream* in, EventErrorPolicy policy, size_t* events_rejected) {
-  return ReadEventStream(in, policy, events_rejected, nullptr);
-}
-
 Result<std::vector<TimestampedEvent>> ReadEventStream(
     std::istream* in, EventErrorPolicy policy, size_t* events_rejected,
     NodeVocabulary* vocabulary, EventIdMode id_mode) {
@@ -317,19 +317,8 @@ Result<std::vector<TimestampedEvent>> ReadEventStream(
     if (!event.has_value()) break;
     events.push_back(*event);
   }
-  if (events_rejected != nullptr) *events_rejected = reader.events_rejected();
+  if (events_rejected != nullptr) *events_rejected = reader.events_rejected_parse();
   return events;
-}
-
-Result<std::vector<TimestampedEvent>> ReadEventStreamFile(
-    const std::string& path) {
-  return ReadEventStreamFile(path, EventErrorPolicy::kStrict, nullptr);
-}
-
-Result<std::vector<TimestampedEvent>> ReadEventStreamFile(
-    const std::string& path, EventErrorPolicy policy,
-    size_t* events_rejected) {
-  return ReadEventStreamFile(path, policy, events_rejected, nullptr);
 }
 
 Result<std::vector<TimestampedEvent>> ReadEventStreamFile(

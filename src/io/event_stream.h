@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -59,7 +60,8 @@ enum class EventErrorPolicy {
   kSkip,
 };
 
-/// \brief How event endpoint tokens are interpreted (DESIGN.md §8).
+/// \brief How event endpoint tokens are interpreted (DESIGN.md §8). The
+/// values are persisted (server tenant checkpoints); do not renumber.
 enum class EventIdMode {
   /// Decide from the first data line: if both endpoint tokens parse as
   /// non-negative integers the stream is integer-keyed, otherwise named.
@@ -70,6 +72,34 @@ enum class EventIdMode {
   /// Every endpoint token — numeric-looking or not — is interned into the
   /// vocabulary in first-appearance order.
   kNamed,
+};
+
+/// \brief The record step of EventStreamReader, for callers whose records
+/// arrive already split into endpoints, timestamp and weight (the server's
+/// wire events). Decode commits the id mode on the first record it sees,
+/// validates every field, and only then interns names. A rejected record
+/// leaves both the vocabulary and the id mode as they were, so garbage
+/// neither pollutes the vocabulary nor locks the mode.
+class EventDecoder {
+ public:
+  /// Without a vocabulary the decoder is always integer-keyed.
+  explicit EventDecoder(NodeVocabulary* vocabulary = nullptr,
+                        EventIdMode id_mode = EventIdMode::kAuto);
+
+  /// One record. Malformed fields are InvalidArgument with the reader's
+  /// messages ("malformed event", "node id exceeds ...", ...), without a
+  /// location: the caller knows where the record came from.
+  [[nodiscard]] Result<TimestampedEvent> Decode(std::string_view u,
+                                                std::string_view v,
+                                                double timestamp,
+                                                double weight);
+
+  /// The resolved id mode: kAuto until the first accepted record commits it.
+  EventIdMode id_mode() const { return id_mode_; }
+
+ private:
+  NodeVocabulary* vocabulary_;
+  EventIdMode id_mode_;
 };
 
 /// \brief Incremental reader for the event text format:
@@ -86,11 +116,10 @@ enum class EventIdMode {
 /// memory.
 ///
 /// With a vocabulary attached, endpoint tokens are interned as string names
-/// per EventIdMode. A line's endpoints are interned only after every other
-/// field validates, so rejected lines never pollute the vocabulary. The
-/// caller owns the vocabulary; replaying a stream prefix reproduces a
-/// vocabulary prefix, which is what makes checkpoint resume of named
-/// streams exact.
+/// per EventIdMode. Each line's fields go through an EventDecoder, so
+/// rejected lines never pollute the vocabulary. The caller owns the
+/// vocabulary; replaying a stream prefix reproduces a vocabulary prefix,
+/// which is what makes checkpoint resume of named streams exact.
 class EventStreamReader {
  public:
   explicit EventStreamReader(
@@ -107,22 +136,17 @@ class EventStreamReader {
   size_t line_number() const { return line_number_; }
 
   /// Records dropped so far under EventErrorPolicy::kSkip because they
-  /// failed to parse. (Range rejections happen downstream, at the window
-  /// aggregator; see `io.events_rejected_range`.)
-  size_t events_rejected() const { return events_rejected_parse_; }
-
-  /// Alias for events_rejected(), named for symmetry with the
-  /// `io.events_rejected_parse` metric.
+  /// failed to parse (the `io.events_rejected_parse` metric). Range
+  /// rejections happen downstream, at the window aggregator.
   size_t events_rejected_parse() const { return events_rejected_parse_; }
 
   /// The resolved id mode: kAuto until the first data line commits it.
-  EventIdMode id_mode() const { return id_mode_; }
+  EventIdMode id_mode() const { return decoder_.id_mode(); }
 
  private:
   std::istream* in_;
   EventErrorPolicy policy_;
-  NodeVocabulary* vocabulary_;
-  EventIdMode id_mode_;
+  EventDecoder decoder_;
   // Reused across Next() calls so reading a line allocates only when it is
   // longer than every line before it.
   std::string line_;
@@ -130,35 +154,24 @@ class EventStreamReader {
   size_t events_rejected_parse_ = 0;
 };
 
-/// Text format, one event per line; see EventStreamReader. Strict policy:
-/// the first malformed line aborts with a line-numbered error.
-[[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStream(std::istream* in);
-
-/// ReadEventStream with an explicit error policy. Under kSkip,
-/// `*events_rejected` (optional) receives the dropped-record count.
+/// Reads a whole stream in the text format (see EventStreamReader) under
+/// `policy`; strict by default, so the first malformed line aborts with a
+/// line-numbered error. Under kSkip, `*events_rejected` (optional) receives
+/// the dropped-record count. With a vocabulary, endpoint tokens are
+/// interpreted per `id_mode` (auto-detected from the first data line by
+/// default), interning names into `*vocabulary` in first-appearance order;
+/// integer-keyed streams leave it empty.
 [[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStream(
-    std::istream* in, EventErrorPolicy policy, size_t* events_rejected);
-
-/// Vocabulary-aware variant: endpoint tokens are interpreted per `id_mode`
-/// (auto-detected from the first data line by default), interning names
-/// into `*vocabulary` in first-appearance order. Integer-keyed streams
-/// leave the vocabulary empty.
-[[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStream(
-    std::istream* in, EventErrorPolicy policy, size_t* events_rejected,
-    NodeVocabulary* vocabulary, EventIdMode id_mode = EventIdMode::kAuto);
+    std::istream* in, EventErrorPolicy policy = EventErrorPolicy::kStrict,
+    size_t* events_rejected = nullptr, NodeVocabulary* vocabulary = nullptr,
+    EventIdMode id_mode = EventIdMode::kAuto);
 
 /// File variant of ReadEventStream.
 [[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStreamFile(
-    const std::string& path);
-
-/// File variant with an explicit error policy.
-[[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStreamFile(
-    const std::string& path, EventErrorPolicy policy, size_t* events_rejected);
-
-/// File variant of the vocabulary-aware read.
-[[nodiscard]] Result<std::vector<TimestampedEvent>> ReadEventStreamFile(
-    const std::string& path, EventErrorPolicy policy, size_t* events_rejected,
-    NodeVocabulary* vocabulary, EventIdMode id_mode = EventIdMode::kAuto);
+    const std::string& path,
+    EventErrorPolicy policy = EventErrorPolicy::kStrict,
+    size_t* events_rejected = nullptr, NodeVocabulary* vocabulary = nullptr,
+    EventIdMode id_mode = EventIdMode::kAuto);
 
 /// \brief Configuration for EventWindowAggregator.
 struct EventWindowOptions {

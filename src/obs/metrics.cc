@@ -245,8 +245,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, timer] : timers_) timer->Reset();
 }
 
-namespace {
-
 HistogramData SnapshotHistogram(const Histogram& histogram) {
   HistogramData data;
   data.count = histogram.count();
@@ -260,8 +258,6 @@ HistogramData SnapshotHistogram(const Histogram& histogram) {
   }
   return data;
 }
-
-}  // namespace
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);

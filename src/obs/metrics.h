@@ -146,6 +146,9 @@ struct HistogramData {
   double Quantile(double q) const;
 };
 
+/// Point-in-time HistogramData view of a live histogram.
+HistogramData SnapshotHistogram(const Histogram& histogram);
+
 struct TimerData {
   uint64_t count = 0;
   uint64_t total_ns = 0;

@@ -6,14 +6,13 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "app/stream_session.h"
 #include "common/result.h"
 #include "core/online_monitor.h"
-#include "graph/node_vocabulary.h"
 #include "io/event_stream.h"
 #include "obs/metrics.h"
 #include "obs/stats_reporter.h"
@@ -31,7 +30,7 @@ inline constexpr uint8_t kTenantCheckpointVersion = 1;
 
 /// Per-tenant configuration. TenantFleet fills paths and defaults; every
 /// field must match across a kill/restart for byte-identical resumption
-/// (like cad_stream, options are not stored in the checkpoint).
+/// (options are not stored in the checkpoint).
 struct TenantOptions {
   OnlineMonitorOptions monitor;
   /// Window length / start of window 0 in event-timestamp units.
@@ -47,7 +46,7 @@ struct TenantOptions {
   size_t checkpoint_every = 0;
   /// Envelope-checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
-  /// Anomaly-report CSV file (cad_stream's exact row format); empty keeps
+  /// Anomaly-report CSV file (the StreamSession row format); empty keeps
   /// rows only in the in-memory tail.
   std::string output_path;
   /// Report rows retained in memory for the kReport query.
@@ -56,9 +55,10 @@ struct TenantOptions {
   size_t stats_every = 0;
 };
 
-/// \brief One stream's worth of server state: an OnlineCadMonitor, its
-/// window aggregator and vocabulary, the ingest queue, the report CSV, and
-/// the checkpoint envelope that ties them together (DESIGN.md §13).
+/// \brief One stream's worth of server state: a StreamSession (the monitor,
+/// its window aggregator and vocabulary), the wire-event decoder, the ingest
+/// queue, the report CSV, and the checkpoint envelope that ties them
+/// together (DESIGN.md §13).
 ///
 /// Threading contract: ApplyBatch / Finish / Checkpoint are "processing"
 /// calls and must be externally serialized (TenantFleet schedules at most
@@ -83,9 +83,8 @@ class Tenant {
   /// emitting report rows and interval checkpoints as windows complete.
   [[nodiscard]] Status ApplyBatch(const std::vector<WireEvent>& events);
 
-  /// End of stream: verifies the resume checkpoint was not ahead of the
-  /// replayed events, scores the final partial window (matching
-  /// cad_stream's flush), and writes a final checkpoint. Idempotent-hostile:
+  /// End of stream: StreamSession::Finish (the stale-checkpoint check and
+  /// the final partial window), then a final checkpoint. Idempotent-hostile:
   /// a finished tenant rejects further batches.
   [[nodiscard]] Status Finish();
 
@@ -113,8 +112,8 @@ class Tenant {
 
   const std::string& name() const { return name_; }
   BoundedBatchQueue& queue() { return queue_; }
-  bool resumed() const { return resumed_; }
-  size_t first_window() const { return first_window_; }
+  bool resumed() const { return session_.resumed(); }
+  size_t first_window() const { return session_.first_window(); }
 
   /// Snapshot of the node-set high-water mark for OpenReply. Thread-safe.
   uint64_t NumNodesForReply() const;
@@ -127,18 +126,17 @@ class Tenant {
   /// call: fleet invokes it only while the tenant is not scheduled.
   void EvictSolverCache();
 
-  /// Windows observed so far, as last published. Thread-safe.
-  uint64_t WindowsObserved() const;
-
  private:
-  Tenant(std::string name, TenantOptions options);
+  Tenant(std::string name, TenantOptions options, StreamSession session);
 
-  /// Restores monitor + envelope fields from checkpoint_path.
+  /// Restores the session + envelope fields from checkpoint_path.
   [[nodiscard]] Status LoadFromCheckpoint();
   /// Truncates/opens the report CSV consistent with resume state.
   [[nodiscard]] Status OpenOutput();
   [[nodiscard]] Status ApplyEvent(const WireEvent& event);
-  [[nodiscard]] Status ObserveWindow(WeightedGraph snapshot);
+  /// Observes every window the session has pending: report rows to the CSV
+  /// and the tail, interval checkpoints when due.
+  [[nodiscard]] Status ObservePendingWindows();
   /// Marks the tenant failed and returns the same status.
   [[nodiscard]] Status Fail(const Status& status);
   /// Publishes the processing-side counters into the query snapshot.
@@ -150,27 +148,20 @@ class Tenant {
   const TenantOptions options_;
 
   // --- processing-side state (serialized by the fleet scheduler) ---------
-  OnlineCadMonitor monitor_;
-  NodeVocabulary vocab_;
-  std::optional<EventWindowAggregator> aggregator_;
-  EventIdMode id_mode_ = EventIdMode::kAuto;
+  StreamSession session_;
+  /// Interns into the session's vocabulary; its committed id mode is
+  /// checkpointed so a resumed tenant reads replayed endpoints the same way.
+  EventDecoder decoder_;
   std::ofstream output_;
   bool output_open_ = false;
   /// Bytes of report CSV the tenant has accounted for (header + rows, or the
   /// envelope's offset on resume). Tracked explicitly rather than via
   /// tellp() so append-mode streams cannot under-report the offset.
   uint64_t csv_bytes_ = 0;
-  bool resumed_ = false;
   bool finished_ = false;
-  size_t first_window_ = 0;
-  std::optional<size_t> max_window_seen_;
-  size_t last_checkpoint_window_ = 0;
   uint64_t events_received_ = 0;
-  uint64_t events_fed_ = 0;
-  uint64_t events_skipped_resume_ = 0;
-  uint64_t events_rejected_parse_ = 0;
-  uint64_t events_rejected_range_ = 0;
-  uint64_t events_before_start_ = 0;
+  /// Wire events the decoder rejected under kSkip.
+  uint64_t events_rejected_decode_ = 0;
   std::ostringstream heartbeat_buffer_;
   std::unique_ptr<obs::StatsReporter> stats_;
   Status failed_ = Status::OK();
@@ -193,11 +184,9 @@ class Tenant {
     double delta = 0.0;
     uint64_t num_nodes = 0;
     uint64_t events_received = 0;
-    uint64_t events_fed = 0;
-    uint64_t events_skipped_resume = 0;
+    /// Every rejection, decode or windowing, counts as rejected_parse.
     uint64_t events_rejected_parse = 0;
-    uint64_t events_rejected_range = 0;
-    uint64_t events_before_start = 0;
+    StreamEventCounts counts;
     uint64_t rejections = 0;
     size_t cache_bytes = 0;
     bool finished = false;

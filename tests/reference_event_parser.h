@@ -185,8 +185,8 @@ inline std::string CompareWithReference(const std::string& text,
              std::to_string(reader.line_number());
     }
   }
-  if (reader.events_rejected() != reference.events_rejected()) {
-    return "rejected " + std::to_string(reader.events_rejected()) +
+  if (reader.events_rejected_parse() != reference.events_rejected()) {
+    return "rejected " + std::to_string(reader.events_rejected_parse()) +
            " vs reference " + std::to_string(reference.events_rejected());
   }
   if (reader.id_mode() != reference.id_mode()) return "id mode differs";

@@ -237,7 +237,7 @@ TEST(EventStreamReaderTest, SkipPolicyCountsRejectedRecords) {
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[1].v, 3u);
   EXPECT_EQ(events[2].u, 8u);
-  EXPECT_EQ(reader.events_rejected(), 4u);
+  EXPECT_EQ(reader.events_rejected_parse(), 4u);
 }
 
 TEST(EventStreamReaderTest, RejectsNonFiniteFields) {

@@ -1,7 +1,8 @@
 // Multi-tenant fleet tests (src/server/fleet.h, src/server/tenant.h):
 // kill/resume byte-identity for the exact and warm-start approximate
 // engines, bounded-queue backpressure accounting, shared cache-budget
-// eviction, stale-checkpoint rejection, finish semantics, and a concurrent
+// eviction, stale-checkpoint rejection, finish semantics, wire-event
+// decoding that matches the event-file reader, and a concurrent
 // multi-producer ingest stress whose non-timer metrics must be invariant to
 // the worker-thread count (the TSan target).
 
@@ -17,11 +18,14 @@
 #include <thread>
 #include <vector>
 
+#include "app/stream_session.h"
+#include "common/strings.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "server/event_queue.h"
 #include "server/fleet.h"
 #include "server/tenant.h"
+#include "stream_session_paths.h"
 
 namespace cad::server {
 namespace {
@@ -442,6 +446,74 @@ TEST(TenantIdRangeTest, RejectsIntegerIdsPastNodeIdRange) {
   const std::string stats = (*skipping)->StatsJson();
   EXPECT_NE(stats.find("\"fed\":2"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"rejected_parse\":1"), std::string::npos) << stats;
+}
+
+// --- wire-event decoding ------------------------------------------------------
+
+/// The records as event-file lines, for the EventStreamReader path.
+std::string AsEventText(const std::vector<WireEvent>& events) {
+  std::string text;
+  for (const WireEvent& event : events) {
+    text += event.u + " " + event.v + " " + FormatDouble(event.timestamp, 17) +
+            " " + FormatDouble(event.weight, 17) + "\n";
+  }
+  return text;
+}
+
+TEST(TenantDecodeTest, RejectedWireEventDoesNotPolluteVocabulary) {
+  // The negative weight rejects the first event; its endpoints must not be
+  // interned, so the node set is {carol, dave, erin}, as cad_stream builds.
+  const std::vector<WireEvent> events = {{"alice", "bob", 0.0, -1.0},
+                                         {"carol", "dave", 0.5, 1.0},
+                                         {"carol", "erin", 1.5, 1.0}};
+  ScopedTempDir dir;
+  TenantOptions options;
+  options.monitor = ExactMonitor();
+  options.error_policy = EventErrorPolicy::kSkip;
+  options.output_path = dir.path() + "/skip.csv";
+  Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("skip", options);
+  ASSERT_TRUE(tenant.ok());
+  ASSERT_TRUE((*tenant)->ApplyBatch(events).ok());
+  ASSERT_TRUE((*tenant)->Finish().ok());
+
+  StreamSessionOptions reader_options;
+  reader_options.monitor = ExactMonitor();
+  reader_options.error_policy = EventErrorPolicy::kSkip;
+  const testing_paths::ReaderPathResult reader =
+      testing_paths::RunReaderPath(reader_options, AsEventText(events), "");
+  ASSERT_TRUE(reader.status.ok()) << reader.status.ToString();
+  EXPECT_EQ(reader.num_nodes, 3u);
+  EXPECT_EQ(reader.fed, 2u);
+  EXPECT_EQ(reader.rejected, 1u);
+
+  const std::string stats = (*tenant)->StatsJson();
+  EXPECT_EQ(JsonInt(stats, "num_nodes"), 3) << stats;
+  EXPECT_EQ((*tenant)->NumNodesForReply(), 3u);
+  EXPECT_EQ(JsonInt(stats, "fed"), 2) << stats;
+  EXPECT_EQ(JsonInt(stats, "rejected_parse"), 1) << stats;
+  tenant->reset();  // closes the report CSV (no checkpoint flushed it)
+  EXPECT_EQ(ReadFile(options.output_path), reader.csv);
+}
+
+TEST(TenantDecodeTest, GarbageFirstEventDoesNotLockIdMode) {
+  // The tenant counterpart of EventStreamReaderTest's
+  // GarbageFirstLineDoesNotLockIdMode: a rejected integer-looking first
+  // event must not commit integer mode; the named events after it decide.
+  const std::vector<WireEvent> events = {{"1", "2", std::nan(""), 1.0},
+                                         {"alice", "bob", 0.5, 1.0},
+                                         {"carol", "dave", 1.5, 1.0}};
+  TenantOptions options;
+  options.monitor = ExactMonitor();
+  options.error_policy = EventErrorPolicy::kSkip;
+  Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("garbage", options);
+  ASSERT_TRUE(tenant.ok());
+  ASSERT_TRUE((*tenant)->ApplyBatch(events).ok());
+  ASSERT_TRUE((*tenant)->Finish().ok());
+  const std::string stats = (*tenant)->StatsJson();
+  EXPECT_EQ(JsonInt(stats, "fed"), 2) << stats;
+  EXPECT_EQ(JsonInt(stats, "rejected_parse"), 1) << stats;
+  EXPECT_EQ(JsonInt(stats, "windows"), 2) << stats;
+  EXPECT_EQ(JsonInt(stats, "num_nodes"), 4) << stats;
 }
 
 // --- open/enqueue validation ------------------------------------------------

@@ -1,8 +1,10 @@
 // cad_stream — fault-tolerant streaming anomaly monitor over an event file.
 //
-// Reads timestamped events '<u> <v> <t> [w]' in time order, aggregates them
-// into fixed-length windows, and feeds each completed window to an
-// OnlineCadMonitor, printing one CSV row per reported anomalous edge. Unlike
+// Reads timestamped events '<u> <v> <t> [w]' in time order and drives a
+// StreamSession (src/app/stream_session.h) with them: events are aggregated
+// into fixed-length windows, each completed window is fed to an
+// OnlineCadMonitor, and one CSV row is printed per reported anomalous edge.
+// The server's tenants run the same session over wire events. Unlike
 // cad_cli --events, the file is never materialized as a whole sequence:
 // memory stays O(window + max_history).
 //
@@ -32,19 +34,16 @@
 // distinct from 0 (completed), 1 (runtime error), and 2 (usage error) — so
 // a supervisor can tell an interrupted run from a failed one.
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "app/stream_session.h"
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "core/online_monitor.h"
-#include "graph/node_vocabulary.h"
 #include "core/checkpoint.h"
 #include "io/event_stream.h"
 #include "obs/obs.h"
@@ -52,17 +51,6 @@
 
 namespace cad {
 namespace {
-
-void WriteReportRows(const AnomalyReport& report,
-                     const NodeVocabulary* vocabulary, std::ostream* out) {
-  for (const ScoredEdge& edge : report.edges) {
-    (*out) << report.transition << "," << NodeLabel(vocabulary, edge.pair.u)
-           << "," << NodeLabel(vocabulary, edge.pair.v) << ","
-           << FormatDouble(edge.score, 9) << ","
-           << FormatDouble(edge.weight_delta, 9) << ","
-           << FormatDouble(edge.commute_delta, 9) << "\n";
-  }
-}
 
 int Run(int argc, char** argv) {
   FlagParser flags;
@@ -178,7 +166,6 @@ int Run(int argc, char** argv) {
     std::cerr << "--num_nodes must be >= 0 (0 = discover the node set)\n";
     return 2;
   }
-  const bool grow_mode = num_nodes == 0;
   if (checkpoint_every > 0 && checkpoint.empty()) {
     std::cerr << "--checkpoint_every requires --checkpoint\n";
     return 2;
@@ -201,12 +188,6 @@ int Run(int argc, char** argv) {
   if ((stats_every > 0) != !stats_json.empty()) {
     std::cerr << "--stats_every and --stats_json must be used together\n";
     return 2;
-  }
-  // A bad target would trip CalibrateDelta's CHECK at the first window.
-  const Status valid_l = ValidateNodesPerTransition(l);
-  if (!valid_l.ok()) {
-    std::cerr << valid_l.ToString() << "\n";
-    return 1;
   }
 
   // Turn observability on before the monitor is built so every window is
@@ -244,6 +225,13 @@ int Run(int argc, char** argv) {
       std::cerr << written.ToString() << "\n";
     }
   };
+  // Reports a runtime error, dumps the flight recorder, and gives the exit
+  // code; `line` as for dump_flight_as.
+  const auto fail = [&](const std::string& message, size_t line) {
+    std::cerr << message << "\n";
+    dump_flight_as("stream.failure", static_cast<double>(line));
+    return 1;
+  };
 
   // Graceful-stop plumbing: SIGINT/SIGTERM raise a flag the monitor loop
   // checks at window granularity (async-signal-safe; src/server/signal_util).
@@ -253,7 +241,13 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  OnlineMonitorOptions monitor_options;
+  StreamSessionOptions session_options;
+  session_options.window_length = window;
+  session_options.start_time = start_time;
+  session_options.num_nodes = static_cast<size_t>(num_nodes);
+  session_options.error_policy = policy;
+  session_options.checkpoint_every = static_cast<size_t>(checkpoint_every);
+  OnlineMonitorOptions& monitor_options = session_options.monitor;
   monitor_options.nodes_per_transition = l;
   monitor_options.warmup_transitions = static_cast<size_t>(warmup);
   monitor_options.max_history = static_cast<size_t>(max_history);
@@ -276,7 +270,14 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  OnlineCadMonitor monitor(monitor_options);
+  Result<StreamSession> created =
+      StreamSession::Create(std::move(session_options));
+  if (!created.ok()) {
+    std::cerr << created.status().ToString() << "\n";
+    return 1;
+  }
+  StreamSession& session = *created;
+  const OnlineCadMonitor& monitor = session.monitor();
 
   // Heartbeat sink + reporter must outlive the monitor loop. Constructed
   // before any window is observed, so the first record's deltas cover the
@@ -295,33 +296,23 @@ int Run(int argc, char** argv) {
     }
     stats = std::make_unique<obs::StatsReporter>(
         stats_out, static_cast<uint64_t>(stats_every));
-    monitor.SetStatsReporter(stats.get());
+    session.mutable_monitor()->SetStatsReporter(stats.get());
   }
 
+  // A resumed run skips the events of windows the checkpoint holds, using
+  // the same bucketing arithmetic, so resumption never re-feeds or splits a
+  // window.
   const bool resumed = !resume_from.empty();
   if (resumed) {
-    const Status loaded = monitor.LoadCheckpointFile(resume_from);
-    if (!loaded.ok()) {
-      std::cerr << "resume failed: " << loaded.ToString() << "\n";
-      dump_flight_as("stream.failure", 0.0);
-      return 1;
-    }
+    std::ifstream resume_file(resume_from, std::ios::binary);
+    const Status loaded =
+        resume_file.is_open()
+            ? session.Resume(&resume_file)
+            : Status::IoError("cannot open for reading: " + resume_from);
+    if (!loaded.ok()) return fail("resume failed: " + loaded.ToString(), 0);
     std::cerr << "resumed at window " << monitor.num_snapshots() << " ("
               << monitor.num_transitions() << " transitions, delta="
               << FormatDouble(monitor.current_delta(), 9) << ")\n";
-  }
-  // Windows before this index were fully observed before the checkpoint was
-  // taken; their events are skipped below using the same bucketing
-  // arithmetic, so resumption never re-feeds or splits a window.
-  const size_t first_window = monitor.num_snapshots();
-
-  // Working vocabulary: the reader interns string endpoints here in
-  // first-appearance order. On resume it is seeded from the checkpoint, so
-  // replaying the stream prefix re-interns every name to the same id; on an
-  // integer-keyed run it stays empty and nothing changes.
-  NodeVocabulary vocab;
-  if (resumed && monitor.vocabulary() != nullptr) {
-    vocab = *monitor.vocabulary();
   }
 
   std::ofstream output_file;
@@ -336,147 +327,76 @@ int Run(int argc, char** argv) {
   }
   // Header only on fresh runs: a resumed run's rows concatenate onto the
   // killed run's file to reproduce the uninterrupted output byte-for-byte.
-  if (!resumed) {
-    (*out) << "transition,u,v,score,weight_delta,commute_delta\n";
-  }
+  if (!resumed) (*out) << kReportCsvHeader;
 
   std::ifstream events_file(events);
   if (!events_file.is_open()) {
     std::cerr << "cannot open --events " << events << "\n";
     return 1;
   }
-  EventStreamReader reader(&events_file, policy, &vocab);
+  EventStreamReader reader(&events_file, policy, session.vocabulary());
 
-  EventWindowOptions window_options;
-  window_options.window_length = window;
-  window_options.start_time = start_time;
-  // In grow mode a resumed run seeds the aggregator at the checkpoint's
-  // high-water mark (events from already-processed windows are skipped, so
-  // they can no longer grow it); the node set then keeps growing from there.
-  window_options.num_nodes =
-      grow_mode ? std::max(vocab.size(), monitor.num_nodes())
-                : static_cast<size_t>(num_nodes);
-  window_options.grow_nodes = grow_mode;
-  window_options.first_window = first_window;
-  Result<EventWindowAggregator> aggregator_result =
-      EventWindowAggregator::Create(window_options);
-  if (!aggregator_result.ok()) {
-    std::cerr << aggregator_result.status().ToString() << "\n";
-    return 1;
-  }
-  EventWindowAggregator& aggregator = *aggregator_result;
-
-  const auto observe = [&](WeightedGraph snapshot) -> Result<bool> {
-    Result<std::optional<AnomalyReport>> report =
-        monitor.Observe(std::move(snapshot));
-    if (!report.ok()) return report.status();
-    if (report->has_value()) {
-      WriteReportRows(**report, vocab.empty() ? nullptr : &vocab, out);
-    }
-    if (checkpoint_every > 0 &&
-        monitor.num_snapshots() %
-                static_cast<size_t>(checkpoint_every) == 0) {
-      // Named streams checkpoint in format v2 carrying the vocabulary so a
-      // resumed run renders the same names; integer streams stay v1
-      // byte-identical.
-      if (!vocab.empty()) monitor.SetVocabulary(vocab);
-      CAD_RETURN_NOT_OK(monitor.SaveCheckpointFile(checkpoint));
-      CAD_METRIC_INC("stream.checkpoints");
-      CAD_FLIGHT_NOTE("stream.checkpoint",
-                      static_cast<double>(monitor.num_snapshots()));
-      std::cerr << "checkpoint written at window " << monitor.num_snapshots()
-                << "\n";
-    }
+  const auto write_checkpoint = [&]() -> Status {
+    CAD_RETURN_NOT_OK(WriteFileAtomic(checkpoint, [&](std::ostream* file) {
+      return session.SaveCheckpoint(file);
+    }));
+    CAD_METRIC_INC("stream.checkpoints");
+    CAD_FLIGHT_NOTE("stream.checkpoint",
+                    static_cast<double>(monitor.num_snapshots()));
+    std::cerr << "checkpoint written at window " << monitor.num_snapshots()
+              << "\n";
+    return Status::OK();
+  };
+  const auto limit_reached = [&] {
     return max_snapshots > 0 &&
            monitor.num_snapshots() >= static_cast<size_t>(max_snapshots);
   };
+  // Observes the session's pending windows, writing report rows and
+  // interval checkpoints. True when the run must stop before the next
+  // window: --max_snapshots is reached, or a stop signal arrived (window
+  // boundaries are the consistent points).
+  const auto observe_pending = [&]() -> Result<bool> {
+    while (session.pending_windows() > 0) {
+      Result<StreamSession::Window> observed = session.ObserveNext();
+      if (!observed.ok()) return observed.status();
+      for (const std::string& row : observed->report_rows) {
+        (*out) << row << "\n";
+      }
+      if (observed->checkpoint_due) CAD_RETURN_NOT_OK(write_checkpoint());
+      if (limit_reached() || server::StopRequested()) return true;
+    }
+    return false;
+  };
 
-  size_t events_fed = 0;
-  size_t events_skipped_resume = 0;
-  size_t events_rejected_range = 0;
-  // Highest window index any event mapped to (including events skipped on
-  // resume): the stale-checkpoint check below compares it against
-  // first_window once the stream ends.
-  std::optional<size_t> max_window_seen;
   bool stopped_early = false;
   bool interrupted = false;
-  std::vector<WeightedGraph> completed;
-  while (!stopped_early && !interrupted) {
+  while (true) {
     if (server::StopRequested()) {
       interrupted = true;
       break;
     }
     Result<std::optional<TimestampedEvent>> next = reader.Next();
-    if (!next.ok()) {
-      std::cerr << next.status().ToString() << "\n";
-      dump_flight_as("stream.failure", static_cast<double>(reader.line_number()));
-      return 1;
-    }
+    const size_t line = reader.line_number();
+    if (!next.ok()) return fail(next.status().ToString(), line);
     if (!next->has_value()) break;
-    const TimestampedEvent& event = **next;
-    Result<size_t> event_window = aggregator.WindowIndex(event.timestamp);
-    if (!event_window.ok()) {
-      // Timestamps before --start_time are dropped, matching the batch
-      // aggregator; anything else (non-finite, absurdly far out) follows
-      // the error policy.
-      if (event.timestamp < start_time) continue;
-      if (policy == EventErrorPolicy::kStrict) {
-        std::cerr << event_window.status().ToString() << "\n";
-        dump_flight_as("stream.failure", static_cast<double>(reader.line_number()));
-        return 1;
-      }
-      CAD_METRIC_INC("io.events_rejected");
-      continue;
+    const Result<bool> fed = session.Offer(**next);
+    if (!fed.ok()) {
+      return fail("event at line " + std::to_string(line) + ": " +
+                      fed.status().ToString(),
+                  line);
     }
-    if (!max_window_seen.has_value() || *event_window > *max_window_seen) {
-      max_window_seen = *event_window;
+    if (*fed) {
+      // Windows completed by this event but not yet fed to the monitor: the
+      // backlog an out-of-order burst creates. Deterministic (a function of
+      // the event data alone), so it is a plain gauge.
+      CAD_METRIC_SET("stream.queue_depth", session.pending_windows());
     }
-    if (*event_window < first_window) {
-      ++events_skipped_resume;  // consumed by the run that checkpointed
-      continue;
-    }
-    completed.clear();
-    const Status added = aggregator.Add(event, *event_window, &completed);
-    if (!added.ok()) {
-      if (policy == EventErrorPolicy::kStrict) {
-        std::cerr << "event at line " << reader.line_number() << ": "
-                  << added.ToString() << "\n";
-        dump_flight_as("stream.failure", static_cast<double>(reader.line_number()));
-        return 1;
-      }
-      // Endpoints past a declared --num_nodes are data loss of a different
-      // kind than malformed lines; count them separately so a too-small
-      // node set is diagnosable (moot in grow mode, where they grow the
-      // window instead).
-      if (added.code() == StatusCode::kOutOfRange) {
-        ++events_rejected_range;
-        CAD_METRIC_INC("io.events_rejected_range");
-      }
-      CAD_METRIC_INC("io.events_rejected");
-      continue;
-    }
-    ++events_fed;
-    // Windows completed by this event but not yet fed to the monitor: the
-    // backlog an out-of-order burst creates. Deterministic (a function of
-    // the event data alone), so it is a plain gauge.
-    CAD_METRIC_SET("stream.queue_depth", completed.size());
-    for (WeightedGraph& snapshot : completed) {
-      Result<bool> stop = observe(std::move(snapshot));
-      if (!stop.ok()) {
-        std::cerr << stop.status().ToString() << "\n";
-        dump_flight_as("stream.failure", static_cast<double>(reader.line_number()));
-        return 1;
-      }
-      if (*stop) {
-        stopped_early = true;
-        break;
-      }
-      // Window boundaries are the consistent points: a stop request between
-      // backlogged windows takes effect before the next Observe.
-      if (server::StopRequested()) {
-        interrupted = true;
-        break;
-      }
+    const Result<bool> stop = observe_pending();
+    if (!stop.ok()) return fail(stop.status().ToString(), line);
+    if (*stop) {
+      stopped_early = limit_reached();
+      interrupted = !stopped_early;
+      break;
     }
   }
 
@@ -486,68 +406,29 @@ int Run(int argc, char** argv) {
     if (!checkpoint.empty()) {
       // Final checkpoint at the interrupt's window boundary: the run can be
       // resumed with --resume_from as if the interval had just fired.
-      if (!vocab.empty()) monitor.SetVocabulary(vocab);
-      const Status saved = monitor.SaveCheckpointFile(checkpoint);
-      if (!saved.ok()) {
-        std::cerr << saved.ToString() << "\n";
-        dump_flight_as("stream.failure", 0.0);
-        return 1;
-      }
-      CAD_METRIC_INC("stream.checkpoints");
-      CAD_FLIGHT_NOTE("stream.checkpoint",
-                      static_cast<double>(monitor.num_snapshots()));
-      std::cerr << "checkpoint written at window " << monitor.num_snapshots()
-                << "\n";
+      const Status saved = write_checkpoint();
+      if (!saved.ok()) return fail(saved.ToString(), 0);
     }
     dump_flight_as("stream.interrupted",
                    static_cast<double>(server::StopSignal()));
   }
 
-  // A checkpoint "ahead" of the stream — resuming at a window the replayed
-  // events never reach — means the stream and checkpoint do not belong
-  // together (wrong file, or a different --window/--start_time bucketing).
-  // Silently accepting it would re-feed the trailing windows into monitor
-  // state that already contains them, double-counting them in the
-  // calibration history.
-  if (!interrupted && !stopped_early && resumed) {
-    const size_t stream_windows =
-        max_window_seen.has_value() ? *max_window_seen + 1 : 0;
-    if (first_window > stream_windows) {
-      const Status stale = Status::IoError(
-          "resume checkpoint is ahead of the event stream: it resumes at "
-          "window " +
-          std::to_string(first_window) + " but the stream ends at " +
-          (max_window_seen.has_value()
-               ? "window " + std::to_string(*max_window_seen)
-               : "no window at all") +
-          " (events file line " + std::to_string(reader.line_number()) +
-          "); wrong --events file, or mismatched --window/--start_time");
-      std::cerr << stale.ToString() << "\n";
-      dump_flight_as("stream.failure",
-                     static_cast<double>(reader.line_number()));
-      return 1;
+  // End of stream: the stale-checkpoint check, then the final (possibly
+  // partial) window, matching the batch aggregation. A max_snapshots stop
+  // simulates a kill and an interrupt is a suspension, so neither ends the
+  // stream.
+  if (!stopped_early && !interrupted) {
+    const Status ended = session.Finish();
+    if (!ended.ok()) {
+      return fail(ended.ToString() + " (events file line " +
+                      std::to_string(reader.line_number()) + ")",
+                  reader.line_number());
     }
+    const Result<bool> flushed = observe_pending();
+    if (!flushed.ok()) return fail(flushed.status().ToString(), 0);
   }
 
-  // End of stream: close the in-progress window so the final (possibly
-  // partial) snapshot is scored, matching the batch aggregation. A
-  // max_snapshots stop simulates a kill and an interrupt is a suspension,
-  // so neither flushes; a resumed run that added no events has nothing of
-  // its own to flush either.
-  if (!stopped_early && !interrupted && (!resumed || events_fed > 0)) {
-    Result<bool> stop = observe(aggregator.Flush());
-    if (!stop.ok()) {
-      std::cerr << stop.status().ToString() << "\n";
-      dump_flight_as("stream.failure", 0.0);
-      return 1;
-    }
-  }
-
-  if (!out->good()) {
-    std::cerr << "output write failed\n";
-    dump_flight_as("stream.failure", 0.0);
-    return 1;
-  }
+  if (!out->good()) return fail("output write failed", 0);
 
   // Exit-time observability exports (mirrors cad_cli).
   const auto write_export = [&](const std::string& target,
@@ -575,15 +456,16 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
+  const StreamEventCounts& counts = session.counts();
   std::cerr << "processed " << monitor.num_snapshots() << " windows, "
-            << monitor.num_transitions() << " transitions (fed " << events_fed
+            << monitor.num_transitions() << " transitions (fed " << counts.fed
             << " events";
-  if (resumed) std::cerr << ", skipped " << events_skipped_resume;
+  if (resumed) std::cerr << ", skipped " << counts.skipped_resume;
   if (policy == EventErrorPolicy::kSkip) {
     std::cerr << ", rejected "
-              << reader.events_rejected_parse() + events_rejected_range
+              << reader.events_rejected_parse() + counts.rejected_range
               << " (parse " << reader.events_rejected_parse() << ", range "
-              << events_rejected_range << ")";
+              << counts.rejected_range << ")";
   }
   std::cerr << "), delta=" << FormatDouble(monitor.current_delta(), 9) << "\n";
   // Exit 3 marks "interrupted, state saved": distinct from success and from
