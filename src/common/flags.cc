@@ -10,59 +10,86 @@ namespace cad {
 
 void FlagParser::AddInt64(const std::string& name, int64_t* target,
                           const std::string& help) {
-  flags_[name] = Flag{Type::kInt64, target, help, std::to_string(*target)};
+  flags_[name] = Flag{help, std::to_string(*target), false,
+                      [target](const std::string& value) -> Status {
+                        CAD_ASSIGN_OR_RETURN(*target, ParseInt64(value));
+                        return Status::OK();
+                      }};
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target,
                            const std::string& help) {
-  flags_[name] = Flag{Type::kDouble, target, help, FormatDouble(*target)};
+  flags_[name] = Flag{help, FormatDouble(*target), false,
+                      [target](const std::string& value) -> Status {
+                        CAD_ASSIGN_OR_RETURN(*target, ParseDouble(value));
+                        return Status::OK();
+                      }};
 }
 
 void FlagParser::AddBool(const std::string& name, bool* target,
                          const std::string& help) {
-  flags_[name] = Flag{Type::kBool, target, help, *target ? "true" : "false"};
+  flags_[name] = Flag{
+      help, *target ? "true" : "false", true,
+      [name, target](const std::string& value) -> Status {
+        if (value == "true" || value == "1" || value.empty()) {
+          *target = true;
+        } else if (value == "false" || value == "0") {
+          *target = false;
+        } else {
+          return Status::InvalidArgument("bad boolean for --" + name + ": " +
+                                         value);
+        }
+        return Status::OK();
+      }};
 }
 
 void FlagParser::AddString(const std::string& name, std::string* target,
                            const std::string& help) {
-  flags_[name] = Flag{Type::kString, target, help, *target};
+  flags_[name] = Flag{help, *target, false,
+                      [target](const std::string& value) -> Status {
+                        *target = value;
+                        return Status::OK();
+                      }};
 }
 
-Status FlagParser::SetValue(const std::string& name, const std::string& value) {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return Status::NotFound("unknown flag: --" + name);
-  }
-  Flag& flag = it->second;
-  switch (flag.type) {
-    case Type::kInt64: {
-      Result<int64_t> parsed = ParseInt64(value);
-      if (!parsed.ok()) return parsed.status();
-      *static_cast<int64_t*>(flag.target) = *parsed;
-      return Status::OK();
-    }
-    case Type::kDouble: {
-      Result<double> parsed = ParseDouble(value);
-      if (!parsed.ok()) return parsed.status();
-      *static_cast<double*>(flag.target) = *parsed;
-      return Status::OK();
-    }
-    case Type::kBool: {
-      if (value == "true" || value == "1" || value.empty()) {
-        *static_cast<bool*>(flag.target) = true;
-      } else if (value == "false" || value == "0") {
-        *static_cast<bool*>(flag.target) = false;
-      } else {
-        return Status::InvalidArgument("bad boolean for --" + name + ": " +
-                                       value);
-      }
-      return Status::OK();
-    }
-    case Type::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return Status::OK();
-  }
-  return Status::Internal("unreachable flag type");
+void FlagParser::AddCount(const std::string& name, uint64_t default_value,
+                          const std::string& help, uint64_t min_value,
+                          std::function<void(uint64_t)> store) {
+  flags_[name] = Flag{
+      help, std::to_string(default_value), false,
+      [name, min_value, store = std::move(store)](
+          const std::string& value) -> Status {
+        const Result<int64_t> parsed = ParseInt64(value);
+        if (!parsed.ok() || *parsed < 0 ||
+            static_cast<uint64_t>(*parsed) < min_value) {
+          return Status::InvalidArgument(
+              "--" + name + " must be an integer >= " +
+              std::to_string(min_value) + ", got '" + value + "'");
+        }
+        store(static_cast<uint64_t>(*parsed));
+        return Status::OK();
+      }};
+}
+
+void FlagParser::AddChoiceByIndex(const std::string& name,
+                                  std::vector<std::string> names,
+                                  size_t current, const std::string& help,
+                                  std::function<void(size_t)> store) {
+  const std::string shown_default = names[current];
+  flags_[name] = Flag{
+      help, shown_default, false,
+      [name, names = std::move(names), store = std::move(store)](
+          const std::string& value) -> Status {
+        for (size_t i = 0; i < names.size(); ++i) {
+          if (names[i] == value) {
+            store(i);
+            return Status::OK();
+          }
+        }
+        return Status::InvalidArgument("unknown --" + name + " '" + value +
+                                       "' (allowed: " + Join(names, ", ") +
+                                       ")");
+      }};
 }
 
 Status FlagParser::Parse(int argc, char** argv) {
@@ -77,20 +104,19 @@ Status FlagParser::Parse(int argc, char** argv) {
       return Status::InvalidArgument("unexpected positional argument: " + arg);
     }
     arg = arg.substr(2);
-    std::string name;
+    std::string name = arg;
     std::string value;
     const size_t eq = arg.find('=');
     if (eq != std::string::npos) {
       name = arg.substr(0, eq);
       value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      auto it = flags_.find(name);
-      if (it == flags_.end()) {
-        return Status::NotFound("unknown flag: --" + name);
-      }
-      // Booleans may appear bare; other types consume the next argument.
-      if (it->second.type == Type::kBool) {
+    }
+    auto it = flags_.find(name);
+    if (it == flags_.end()) {
+      return Status::NotFound("unknown flag: --" + name);
+    }
+    if (eq == std::string::npos) {
+      if (it->second.is_bool) {
         value = "true";
       } else {
         if (i + 1 >= argc) {
@@ -99,7 +125,7 @@ Status FlagParser::Parse(int argc, char** argv) {
         value = argv[++i];
       }
     }
-    CAD_RETURN_NOT_OK(SetValue(name, value));
+    CAD_RETURN_NOT_OK(it->second.set(value));
   }
   return Status::OK();
 }
@@ -112,6 +138,16 @@ std::string FlagParser::Usage() const {
        << flag.help << "\n";
   }
   return os.str();
+}
+
+std::optional<int> ParseToolFlags(FlagParser* flags, int argc, char** argv) {
+  const Status parsed = flags->Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::cerr << parsed.ToString() << "\n" << flags->Usage();
+    return 2;
+  }
+  if (flags->help_requested()) return 0;
+  return std::nullopt;
 }
 
 }  // namespace cad

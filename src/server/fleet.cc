@@ -38,8 +38,8 @@ TenantOptions TenantOptionsFor(const FleetOptions& options,
     tenant.checkpoint_path = options.data_dir + "/" + name + kCheckpointSuffix;
     tenant.output_path = options.data_dir + "/" + name + ".csv";
   }
-  tenant.monitor.detector.analysis_threads = 1;
-  tenant.monitor.detector.approx.cg.num_threads = 1;
+  tenant.session.monitor.detector.analysis_threads = 1;
+  tenant.session.monitor.detector.approx.cg.num_threads = 1;
   return tenant;
 }
 
@@ -53,8 +53,7 @@ Result<std::unique_ptr<TenantFleet>> TenantFleet::Create(
   }
   // Tenants open lazily; a template no tenant could run with is rejected at
   // start-up instead of at the first window.
-  CAD_RETURN_NOT_OK(ValidateNodesPerTransition(
-      options.tenant.monitor.nodes_per_transition));
+  CAD_RETURN_NOT_OK(StreamSession::Create(options.tenant.session).status());
   if (!options.tenant.checkpoint_path.empty() ||
       !options.tenant.output_path.empty()) {
     return Status::InvalidArgument(

@@ -48,19 +48,17 @@ Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
   if (options.queue_capacity_events == 0) {
     return Status::InvalidArgument("tenant queue capacity must be >= 1");
   }
-  if (options.checkpoint_every > 0 && options.checkpoint_path.empty()) {
+  if (options.session.num_nodes != 0) {
+    return Status::InvalidArgument(
+        "server tenants discover their node sets; session.num_nodes must "
+        "be 0");
+  }
+  if (options.session.checkpoint_every > 0 &&
+      options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "tenant checkpoint_every requires a checkpoint path");
   }
-  // Server streams always discover their node set (DESIGN.md §8 grow mode).
-  StreamSessionOptions session_options;
-  session_options.monitor = options.monitor;
-  session_options.window_length = options.window_length;
-  session_options.start_time = options.start_time;
-  session_options.error_policy = options.error_policy;
-  session_options.checkpoint_every = options.checkpoint_every;
-  Result<StreamSession> session =
-      StreamSession::Create(std::move(session_options));
+  Result<StreamSession> session = StreamSession::Create(options.session);
   if (!session.ok()) return session.status();
   std::unique_ptr<Tenant> tenant(
       new Tenant(name, std::move(options), std::move(*session)));
@@ -182,7 +180,7 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
   Status offered = Status::OK();
   if (decoded.ok()) {
     offered = session_.Offer(*decoded).status();
-  } else if (options_.error_policy == EventErrorPolicy::kSkip) {
+  } else if (options_.session.error_policy == EventErrorPolicy::kSkip) {
     ++events_rejected_decode_;
   } else {
     offered = decoded.status();

@@ -32,18 +32,14 @@ inline constexpr uint8_t kTenantCheckpointVersion = 1;
 /// field must match across a kill/restart for byte-identical resumption
 /// (options are not stored in the checkpoint).
 struct TenantOptions {
-  OnlineMonitorOptions monitor;
-  /// Window length / start of window 0 in event-timestamp units.
-  double window_length = 1.0;
-  double start_time = 0.0;
-  /// Malformed-event handling, per io/event_stream.h. Under kStrict the
-  /// first bad event fails the tenant (later requests for it report the
-  /// error); under kSkip bad events are counted and dropped.
-  EventErrorPolicy error_policy = EventErrorPolicy::kStrict;
+  /// The stream's windowing, error policy, checkpoint cadence and monitor.
+  /// Under kStrict the first bad event fails the tenant (later requests for
+  /// it report the error). num_nodes must stay 0 (Create rejects any other
+  /// value): tenants discover their node sets (DESIGN.md §8 grow mode). A
+  /// checkpoint_every above 0 requires checkpoint_path.
+  StreamSessionOptions session;
   /// Backpressure bound of the ingest queue, in events.
   size_t queue_capacity_events = 4096;
-  /// Checkpoint after every N observed windows (0 = only at Finish/drain).
-  size_t checkpoint_every = 0;
   /// Envelope-checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
   /// Anomaly-report CSV file (the StreamSession row format); empty keeps

@@ -116,5 +116,109 @@ TEST(FlagParserTest, EmptyArgvIsOk) {
   EXPECT_FALSE(flags.help_requested());
 }
 
+Status ParseArgs(FlagParser* flags, std::vector<std::string> storage) {
+  storage.insert(storage.begin(), "prog");
+  auto argv = MakeArgv(storage);
+  return flags->Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagParserTest, CountBindsUnsignedFields) {
+  FlagParser flags;
+  size_t k = 50;
+  uint64_t seed = 1;
+  flags.AddCount("k", &k, "");
+  flags.AddCount("seed", &seed, "");
+  ASSERT_TRUE(ParseArgs(&flags, {"--k", "8", "--seed=0"}).ok());
+  EXPECT_EQ(k, 8u);
+  EXPECT_EQ(seed, 0u);
+}
+
+TEST(FlagParserTest, CountRejectsNegativeOrNonIntegerNamingTheFlag) {
+  for (const std::string value : {"-1", "1.5", "abc", "", "9e99"}) {
+    FlagParser flags;
+    size_t warmup = 2;
+    flags.AddCount("warmup", &warmup, "");
+    const Status parsed = ParseArgs(&flags, {"--warmup=" + value});
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(parsed.message().find("--warmup"), std::string::npos)
+        << parsed.ToString();
+    EXPECT_EQ(warmup, 2u) << "a rejected value must not be stored";
+  }
+}
+
+TEST(FlagParserTest, CountEnforcesItsMinimum) {
+  FlagParser flags;
+  size_t threads = 4;
+  flags.AddCount("threads", &threads, "", 1);
+  const Status zero = ParseArgs(&flags, {"--threads", "0"});
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.message().find(">= 1"), std::string::npos) << zero;
+  ASSERT_TRUE(ParseArgs(&flags, {"--threads", "1"}).ok());
+  EXPECT_EQ(threads, 1u);
+}
+
+TEST(FlagParserTest, CountWithStoreWritesEveryField) {
+  FlagParser flags;
+  size_t a = 3;
+  size_t b = 3;
+  flags.AddCount("threads", a, "", 1, [&](uint64_t value) {
+    a = value;
+    b = value;
+  });
+  ASSERT_TRUE(ParseArgs(&flags, {"--threads=2"}).ok());
+  EXPECT_EQ(a, 2u);
+  EXPECT_EQ(b, 2u);
+  EXPECT_NE(flags.Usage().find("--threads (default: 3)"), std::string::npos);
+}
+
+enum class Fruit { kApple, kPear, kPlum };
+
+TEST(FlagParserTest, ChoiceBindsAnEnum) {
+  FlagParser flags;
+  Fruit fruit = Fruit::kApple;
+  flags.AddChoice("fruit", &fruit,
+                  {{"apple", Fruit::kApple},
+                   {"pear", Fruit::kPear},
+                   {"plum", Fruit::kPlum}},
+                  "");
+  ASSERT_TRUE(ParseArgs(&flags, {"--fruit", "plum"}).ok());
+  EXPECT_EQ(fruit, Fruit::kPlum);
+  ASSERT_TRUE(ParseArgs(&flags, {"--fruit=pear"}).ok());
+  EXPECT_EQ(fruit, Fruit::kPear);
+}
+
+TEST(FlagParserTest, ChoiceRejectsUnknownNameListingTheAllowedOnes) {
+  FlagParser flags;
+  Fruit fruit = Fruit::kPear;
+  flags.AddChoice("fruit", &fruit,
+                  {{"apple", Fruit::kApple}, {"pear", Fruit::kPear}}, "");
+  const Status parsed = ParseArgs(&flags, {"--fruit", "Apple"});
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.message().find("--fruit 'Apple'"), std::string::npos)
+      << parsed;
+  EXPECT_NE(parsed.message().find("apple, pear"), std::string::npos)
+      << parsed;
+  EXPECT_EQ(fruit, Fruit::kPear);
+}
+
+TEST(FlagParserTest, UsageShowsCountAndChoiceDefaults) {
+  FlagParser flags;
+  size_t k = 50;
+  Fruit fruit = Fruit::kPear;
+  flags.AddCount("k", &k, "embedding dimension");
+  flags.AddChoice("fruit", &fruit,
+                  {{"apple", Fruit::kApple}, {"pear", Fruit::kPear}},
+                  "which fruit");
+  const std::string usage = flags.Usage();
+  EXPECT_NE(usage.find("  --k (default: 50)  embedding dimension\n"),
+            std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("  --fruit (default: pear)  which fruit\n"),
+            std::string::npos)
+      << usage;
+}
+
 }  // namespace
 }  // namespace cad

@@ -147,9 +147,9 @@ FleetOptions FleetFor(const std::string& data_dir,
   FleetOptions options;
   options.num_workers = 4;
   options.data_dir = data_dir;
-  options.tenant.monitor = monitor;
-  options.tenant.window_length = 1.0;
-  options.tenant.checkpoint_every = 2;
+  options.tenant.session.monitor = monitor;
+  options.tenant.session.window_length = 1.0;
+  options.tenant.session.checkpoint_every = 2;
   return options;
 }
 
@@ -294,7 +294,7 @@ TEST(FleetBackpressureTest, EveryRejectionIsCountedAndNothingIsDropped) {
   FleetOptions options = FleetFor(dir.path(), ExactMonitor());
   options.num_workers = 1;
   options.tenant.queue_capacity_events = 8;  // tiny: force rejections
-  options.tenant.checkpoint_every = 0;
+  options.tenant.session.checkpoint_every = 0;
   Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
   ASSERT_TRUE(fleet.ok());
   ASSERT_TRUE((*fleet)->Open("bp").ok());
@@ -337,7 +337,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
   {
     ScopedTempDir dir;
     FleetOptions options = FleetFor(dir.path(), ApproxWarmStartMonitor());
-    options.tenant.checkpoint_every = 0;
+    options.tenant.session.checkpoint_every = 0;
     Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
     ASSERT_TRUE(fleet.ok());
     ASSERT_TRUE((*fleet)->Open("warm").ok());
@@ -350,7 +350,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
   {
     ScopedTempDir dir;
     FleetOptions options = FleetFor(dir.path(), ApproxWarmStartMonitor());
-    options.tenant.checkpoint_every = 0;
+    options.tenant.session.checkpoint_every = 0;
     options.cache_budget_bytes = 1;  // anything warm is over budget
     Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
     ASSERT_TRUE(fleet.ok());
@@ -374,7 +374,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
 TEST(TenantStaleCheckpointTest, CheckpointAheadOfReplayedStreamIsIoError) {
   ScopedTempDir dir;
   TenantOptions options;
-  options.monitor = ExactMonitor();
+  options.session.monitor = ExactMonitor();
   options.checkpoint_path = dir.path() + "/stale.ckpt";
   options.output_path = dir.path() + "/stale.csv";
 
@@ -403,11 +403,23 @@ TEST(TenantStaleCheckpointTest, CheckpointAheadOfReplayedStreamIsIoError) {
       << finished.ToString();
 }
 
+// --- configuration ----------------------------------------------------------
+
+TEST(TenantCreateTest, RejectsFixedNodeCount) {
+  // Tenants always run in grow mode; a session template with a node count
+  // is a configuration no tenant accepts.
+  TenantOptions options;
+  options.session.monitor = ExactMonitor();
+  options.session.num_nodes = 8;
+  EXPECT_EQ(Tenant::Create("fixed", options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- finish semantics -------------------------------------------------------
 
 TEST(TenantFinishTest, SecondFinishAndPostFinishBatchesAreRejected) {
   TenantOptions options;
-  options.monitor = ExactMonitor();
+  options.session.monitor = ExactMonitor();
   Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("once", options);
   ASSERT_TRUE(tenant.ok());
   const std::vector<WireEvent> events =
@@ -430,7 +442,7 @@ TEST(TenantIdRangeTest, RejectsIntegerIdsPastNodeIdRange) {
   const std::vector<WireEvent> events = {
       {"1", "2", 0.5, 1.0}, {"4294967297", "3", 0.5, 1.0}, {"2", "3", 0.5, 1.0}};
   TenantOptions options;
-  options.monitor = ExactMonitor();
+  options.session.monitor = ExactMonitor();
   Result<std::unique_ptr<Tenant>> strict = Tenant::Create("strict", options);
   ASSERT_TRUE(strict.ok());
   const Status failed = (*strict)->ApplyBatch(events);
@@ -439,7 +451,7 @@ TEST(TenantIdRangeTest, RejectsIntegerIdsPastNodeIdRange) {
   EXPECT_NE(failed.message().find("exceeds 4294967295"), std::string::npos)
       << failed.ToString();
 
-  options.error_policy = EventErrorPolicy::kSkip;
+  options.session.error_policy = EventErrorPolicy::kSkip;
   Result<std::unique_ptr<Tenant>> skipping = Tenant::Create("skip", options);
   ASSERT_TRUE(skipping.ok());
   ASSERT_TRUE((*skipping)->ApplyBatch(events).ok());
@@ -468,8 +480,8 @@ TEST(TenantDecodeTest, RejectedWireEventDoesNotPolluteVocabulary) {
                                          {"carol", "erin", 1.5, 1.0}};
   ScopedTempDir dir;
   TenantOptions options;
-  options.monitor = ExactMonitor();
-  options.error_policy = EventErrorPolicy::kSkip;
+  options.session.monitor = ExactMonitor();
+  options.session.error_policy = EventErrorPolicy::kSkip;
   options.output_path = dir.path() + "/skip.csv";
   Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("skip", options);
   ASSERT_TRUE(tenant.ok());
@@ -503,8 +515,8 @@ TEST(TenantDecodeTest, GarbageFirstEventDoesNotLockIdMode) {
                                          {"alice", "bob", 0.5, 1.0},
                                          {"carol", "dave", 1.5, 1.0}};
   TenantOptions options;
-  options.monitor = ExactMonitor();
-  options.error_policy = EventErrorPolicy::kSkip;
+  options.session.monitor = ExactMonitor();
+  options.session.error_policy = EventErrorPolicy::kSkip;
   Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("garbage", options);
   ASSERT_TRUE(tenant.ok());
   ASSERT_TRUE((*tenant)->ApplyBatch(events).ok());
@@ -549,8 +561,8 @@ TEST(FleetOpenTest, TenantsOpenWithOneSolveThread) {
   for (const FleetOptions& options :
        {FleetFor(dir.path(), monitor), FleetOptions()}) {
     const TenantOptions tenant = TenantOptionsFor(options, "acme");
-    EXPECT_EQ(tenant.monitor.detector.analysis_threads, 1u);
-    EXPECT_EQ(tenant.monitor.detector.approx.cg.num_threads, 1u);
+    EXPECT_EQ(tenant.session.monitor.detector.analysis_threads, 1u);
+    EXPECT_EQ(tenant.session.monitor.detector.approx.cg.num_threads, 1u);
   }
   const TenantOptions tenant =
       TenantOptionsFor(FleetFor(dir.path(), monitor), "acme");
@@ -571,12 +583,35 @@ TEST(FleetOpenTest, RejectsNegativeOrNanNodesPerTransitionAtCreate) {
     EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument) << l;
 
     TenantOptions options;
-    options.monitor = monitor;
+    options.session.monitor = monitor;
     const Result<std::unique_ptr<Tenant>> tenant =
         Tenant::Create("bad_l", options);
     ASSERT_FALSE(tenant.ok()) << l;
     EXPECT_EQ(tenant.status().code(), StatusCode::kInvalidArgument) << l;
   }
+}
+
+TEST(FleetOpenTest, RejectsBadWindowAtCreate) {
+  // The whole session template is validated at start-up with the checks
+  // StreamSession::Create runs, so a bad window fails cad_server before it
+  // listens instead of failing every tenant it opens.
+  for (const double window : {0.0, -1.0, std::nan("")}) {
+    ScopedTempDir dir;
+    FleetOptions options = FleetFor(dir.path(), ExactMonitor());
+    options.tenant.session.window_length = window;
+    const Result<std::unique_ptr<TenantFleet>> fleet =
+        TenantFleet::Create(options);
+    ASSERT_FALSE(fleet.ok()) << window;
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument) << window;
+    EXPECT_EQ(fleet.status(),
+              StreamSession::Create(options.tenant.session).status())
+        << window;
+  }
+  ScopedTempDir dir;
+  FleetOptions options = FleetFor(dir.path(), ExactMonitor());
+  options.tenant.session.start_time = std::nan("");
+  EXPECT_EQ(TenantFleet::Create(options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- concurrent ingest stress (TSan target) ---------------------------------
@@ -589,7 +624,7 @@ RunStress(size_t workers) {
   ScopedTempDir dir;
   FleetOptions options = FleetFor(dir.path(), ExactMonitor());
   options.num_workers = workers;
-  options.tenant.checkpoint_every = 0;
+  options.tenant.session.checkpoint_every = 0;
   // Ample capacity: rejections depend on scheduling and must stay 0 for
   // the cross-thread-count metric comparison.
   options.tenant.queue_capacity_events = 1u << 20;

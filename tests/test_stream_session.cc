@@ -155,9 +155,8 @@ StreamSessionOptions ReaderOptions(EventErrorPolicy policy) {
 TenantOptions TenantOptionsIn(const std::string& dir,
                               EventErrorPolicy policy) {
   TenantOptions options;
-  options.monitor = Monitor();
-  options.error_policy = policy;
-  options.checkpoint_every = 3;
+  options.session = ReaderOptions(policy);
+  options.session.checkpoint_every = 3;
   options.checkpoint_path = dir + "/parity.ckpt";
   options.output_path = dir + "/parity.csv";
   return options;

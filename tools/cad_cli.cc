@@ -12,11 +12,11 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
+#include <string>
 
 #include "app/pipeline.h"
-#include "common/flags.h"
-#include "common/parallel.h"
+#include "app/tool_flags.h"
 #include "graph/node_vocabulary.h"
 #include "graph/temporal_stats.h"
 #include "io/dot_writer.h"
@@ -29,62 +29,34 @@ namespace {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
+  PipelineOptions options;
   std::string input;
   std::string events;
   double window = 0.0;
-  std::string error_policy = "strict";
+  EventErrorPolicy policy = EventErrorPolicy::kStrict;
   std::string names_file;
   bool profile = false;
-  std::string method = "CAD";
-  std::string engine = "auto";
   std::string edges_csv;
   std::string nodes_csv;
   std::string json_out;
   std::string dot_dir;
-  std::string metrics_csv;
-  std::string trace_json;
-  std::string stats_json;
-  int64_t stats_every = 0;
-  double l = 5.0;
-  int64_t k = 50;
-  int64_t seed = 1;
-  auto threads = static_cast<int64_t>(HardwareThreads());
-  bool classify = true;
-  bool warm_start = false;
-  double refactor_threshold = 0.1;
   std::string preconditioner = "auto";
+  AddEventsFlag(&flags, &events);
+  AddWindowFlags(&flags, &window, &policy);
+  AddEngineFlags(&flags, &options.cad);
+  AddWarmStartFlags(&flags, &options.warm_start, &options.refactor_threshold);
+  AddTargetFlag(&flags, &options.nodes_per_transition);
+  AddThreadsFlag(&flags, &options.cad);
+  ObservabilityFlags observability(&flags);
   flags.AddString("input", &input,
                   "temporal edge list file (this or --events is required)");
-  flags.AddString("events", &events,
-                  "timestamped event file '<u> <v> <t> [w]'; aggregated "
-                  "into windows of --window; endpoints may be string names "
-                  "(auto-detected)");
-  flags.AddDouble("window", &window,
-                  "window length for --events aggregation");
-  flags.AddString("error_policy", &error_policy,
-                  "malformed --events records: strict (fail fast) or skip "
-                  "(drop and count)");
   flags.AddString("names", &names_file,
                   "optional node-name file (one name per line) used in "
                   "Graphviz output");
   flags.AddBool("profile", &profile,
                 "print per-snapshot / per-transition dataset statistics");
-  flags.AddString("method", &method, "CAD, ADJ, COM, SUM, ACT, CLC, or AFM");
-  flags.AddString("engine", &engine,
-                  "commute engine: auto, exact, or approx (CAD family)");
-  flags.AddDouble("l", &l, "target anomalous nodes per transition");
-  flags.AddInt64("k", &k, "embedding dimension for the approximate engine");
-  flags.AddInt64("seed", &seed, "seed for the approximate engine");
-  flags.AddInt64("threads", &threads,
-                 "worker threads for each snapshot's Laplacian solves and "
-                 "each transition's scoring lookups; outputs do not depend "
-                 "on it (default: the CPUs this process may run on)");
-  flags.AddBool("warm_start", &warm_start,
-                "seed each snapshot's Laplacian solves with the previous "
-                "snapshot's commute embedding (approximate engine)");
-  flags.AddDouble("refactor_threshold", &refactor_threshold,
-                  "relative Laplacian-diagonal drift above which a cached "
-                  "IC(0) factor is rebuilt under --warm_start");
+  flags.AddString("method", &options.method,
+                  "CAD, ADJ, COM, SUM, ACT, CLC, or AFM");
   flags.AddString("preconditioner", &preconditioner,
                   "CG preconditioner: auto, none, jacobi, or ic0 (auto = "
                   "ic0 under --warm_start, else jacobi)");
@@ -96,60 +68,38 @@ int Run(int argc, char** argv) {
                   "write the full report as JSON here ('-' for stdout)");
   flags.AddString("dot_dir", &dot_dir,
                   "write one highlighted Graphviz file per flagged transition");
-  flags.AddBool("classify", &classify,
+  flags.AddBool("classify", &options.classify_cases,
                 "label reported edges with the paper's Case 1/2/3 taxonomy");
-  flags.AddString("metrics_csv", &metrics_csv,
-                  "record runtime metrics and write them as CSV here "
-                  "('-' for stdout)");
-  flags.AddString("trace_json", &trace_json,
-                  "record trace spans and write Chrome trace JSON here "
-                  "(open in chrome://tracing; '-' for stdout)");
-  flags.AddString("stats_json", &stats_json,
-                  "write heartbeat JSON lines here ('-' for stdout); "
-                  "requires --stats_every");
-  flags.AddInt64("stats_every", &stats_every,
-                 "emit one heartbeat record per N completed pipeline stages "
-                 "(0 disables; enables metrics recording)");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n" << flags.Usage();
-    return 2;
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
   }
-  if (flags.help_requested()) return 0;
   if (input.empty() == events.empty()) {
     std::cerr << "exactly one of --input or --events is required\n"
               << flags.Usage();
     return 2;
   }
-
-  if (threads < 1) {
-    std::cerr << "--threads must be >= 1\n";
+  // "auto" upgrades warm-started runs to IC(0): the factorization is
+  // amortized across snapshots by the cache, so its higher build cost pays
+  // for itself; cold runs keep the cheap Jacobi default.
+  if (preconditioner == "auto") {
+    options.cad.approx.cg.preconditioner =
+        options.warm_start ? CgPreconditioner::kIncompleteCholesky
+                           : CgPreconditioner::kJacobi;
+  } else if (preconditioner == "none") {
+    options.cad.approx.cg.preconditioner = CgPreconditioner::kNone;
+  } else if (preconditioner == "jacobi") {
+    options.cad.approx.cg.preconditioner = CgPreconditioner::kJacobi;
+  } else if (preconditioner == "ic0") {
+    options.cad.approx.cg.preconditioner =
+        CgPreconditioner::kIncompleteCholesky;
+  } else {
+    std::cerr << "unknown --preconditioner '" << preconditioner << "'\n";
     return 2;
   }
-  if (stats_every < 0) {
-    std::cerr << "--stats_every must be >= 0\n";
-    return 2;
-  }
-  if ((stats_every > 0) != !stats_json.empty()) {
-    std::cerr << "--stats_every and --stats_json must be used together\n";
-    return 2;
-  }
-
   // Turn observability on before loading so the input stage is covered too.
-  if (!metrics_csv.empty() || stats_every > 0) {
-    obs::ResetMetrics();
-    obs::SetMetricsEnabled(true);
-  }
-  if (!trace_json.empty()) {
-    obs::ResetTracing();
-    obs::SetTracingEnabled(true);
-  }
-
-  EventErrorPolicy policy = EventErrorPolicy::kStrict;
-  if (error_policy == "skip") {
-    policy = EventErrorPolicy::kSkip;
-  } else if (error_policy != "strict") {
-    std::cerr << "unknown --error_policy '" << error_policy << "'\n";
+  const Status started = observability.Start();
+  if (!started.ok()) {
+    std::cerr << started.ToString() << "\n";
     return 2;
   }
 
@@ -214,60 +164,13 @@ int Run(int argc, char** argv) {
     node_names = sequence->vocabulary()->names();
   }
 
-  PipelineOptions options;
-  options.method = method;
-  options.nodes_per_transition = l;
-  options.classify_cases = classify;
-  options.cad.approx.embedding_dim = static_cast<size_t>(k);
-  options.cad.approx.seed = static_cast<uint64_t>(seed);
-  options.cad.analysis_threads = static_cast<size_t>(threads);
-  options.cad.approx.cg.num_threads = static_cast<size_t>(threads);
-  options.warm_start = warm_start;
-  options.refactor_threshold = refactor_threshold;
-  // "auto" upgrades warm-started runs to IC(0): the factorization is
-  // amortized across snapshots by the cache, so its higher build cost pays
-  // for itself; cold runs keep the cheap Jacobi default.
-  if (preconditioner == "auto") {
-    options.cad.approx.cg.preconditioner =
-        warm_start ? CgPreconditioner::kIncompleteCholesky
-                   : CgPreconditioner::kJacobi;
-  } else if (preconditioner == "none") {
-    options.cad.approx.cg.preconditioner = CgPreconditioner::kNone;
-  } else if (preconditioner == "jacobi") {
-    options.cad.approx.cg.preconditioner = CgPreconditioner::kJacobi;
-  } else if (preconditioner == "ic0") {
-    options.cad.approx.cg.preconditioner =
-        CgPreconditioner::kIncompleteCholesky;
-  } else {
-    std::cerr << "unknown --preconditioner '" << preconditioner << "'\n";
-    return 2;
+  // Heartbeats start here, after loading: one record per pipeline stage.
+  Result<obs::StatsReporter*> stats = observability.OpenStats();
+  if (!stats.ok()) {
+    std::cerr << stats.status().ToString() << "\n";
+    return 1;
   }
-  if (engine == "exact") {
-    options.cad.engine = CommuteEngine::kExact;
-  } else if (engine == "approx") {
-    options.cad.engine = CommuteEngine::kApprox;
-  } else if (engine != "auto") {
-    std::cerr << "unknown --engine '" << engine << "'\n";
-    return 2;
-  }
-
-  // Heartbeat sink + reporter must outlive the pipeline run.
-  std::ofstream stats_file;
-  std::unique_ptr<obs::StatsReporter> stats;
-  if (stats_every > 0) {
-    std::ostream* stats_out = &std::cout;
-    if (stats_json != "-") {
-      stats_file.open(stats_json);
-      if (!stats_file.is_open()) {
-        std::cerr << "cannot open --stats_json file " << stats_json << "\n";
-        return 1;
-      }
-      stats_out = &stats_file;
-    }
-    stats = std::make_unique<obs::StatsReporter>(
-        stats_out, static_cast<uint64_t>(stats_every));
-    options.stats = stats.get();
-  }
+  options.stats = *stats;
 
   Result<PipelineResult> result = RunAnomalyPipeline(*sequence, options);
   if (!result.ok()) {
@@ -276,74 +179,43 @@ int Run(int argc, char** argv) {
   }
 
   // Summary to stderr so stdout stays clean for piped CSV.
-  if (IsCommuteBasedMethod(method)) {
+  if (IsCommuteBasedMethod(options.method)) {
     size_t flagged = 0;
     for (const AnomalyReport& report : result->reports) {
       if (!report.nodes.empty()) ++flagged;
     }
-    std::cerr << method << ": delta=" << result->delta << ", " << flagged
-              << " of " << result->reports.size()
+    std::cerr << options.method << ": delta=" << result->delta << ", "
+              << flagged << " of " << result->reports.size()
               << " transitions flagged, " << result->edges.size()
               << " anomalous edges\n";
   } else {
-    std::cerr << method << ": node scores computed for "
+    std::cerr << options.method << ": node scores computed for "
               << result->node_scores.size() << " transitions\n";
   }
 
-  const auto write_csv = [&](const std::string& target,
-                             auto writer) -> Status {
-    if (target == "-") return writer(&std::cout);
-    std::ofstream file(target);
-    if (!file.is_open()) {
-      return Status::IoError("cannot open " + target);
+  // The reports, then the observability exports; the first failure ends
+  // the run.
+  const Status written = [&]() -> Status {
+    if (!edges_csv.empty()) {
+      CAD_RETURN_NOT_OK(WriteToTarget(edges_csv, [&](std::ostream* out) {
+        return WriteEdgeReportCsv(*result, out);
+      }));
     }
-    return writer(&file);
-  };
-
-  if (!edges_csv.empty()) {
-    const Status status = write_csv(edges_csv, [&](std::ostream* out) {
-      return WriteEdgeReportCsv(*result, out);
-    });
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
+    if (!nodes_csv.empty()) {
+      CAD_RETURN_NOT_OK(WriteToTarget(nodes_csv, [&](std::ostream* out) {
+        return WriteNodeScoresCsv(*result, out);
+      }));
     }
-  }
-  if (!nodes_csv.empty()) {
-    const Status status = write_csv(nodes_csv, [&](std::ostream* out) {
-      return WriteNodeScoresCsv(*result, out);
-    });
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
+    if (!json_out.empty()) {
+      CAD_RETURN_NOT_OK(WriteToTarget(json_out, [&](std::ostream* out) {
+        return WritePipelineResultJson(*result, out);
+      }));
     }
-  }
-  if (!json_out.empty()) {
-    const Status status = write_csv(json_out, [&](std::ostream* out) {
-      return WritePipelineResultJson(*result, out);
-    });
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!metrics_csv.empty()) {
-    const Status status = write_csv(metrics_csv, [&](std::ostream* out) {
-      return obs::WriteMetricsCsv(result->metrics, out);
-    });
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!trace_json.empty()) {
-    const Status status = write_csv(trace_json, [&](std::ostream* out) {
-      return obs::WriteChromeTraceJson(out);
-    });
-    if (!status.ok()) {
-      std::cerr << status.ToString() << "\n";
-      return 1;
-    }
+    return observability.WriteExports(result->metrics);
+  }();
+  if (!written.ok()) {
+    std::cerr << written.ToString() << "\n";
+    return 1;
   }
   if (!dot_dir.empty()) {
     for (const AnomalyReport& report : result->reports) {

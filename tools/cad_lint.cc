@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -86,14 +87,8 @@ int Run(int argc, char** argv) {
   flags.AddString("only", &only,
                   "comma-separated rule ids to run exclusively");
   flags.AddBool("quiet", &quiet, "print only the finding count");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed << "\n" << flags.Usage();
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.Usage();
-    return 0;
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
   }
   if (format != "text" && format != "json" && format != "github") {
     std::cerr << "cad_lint: --format must be text, json, or github\n";

@@ -22,11 +22,13 @@
 // uninterrupted run's report CSV byte-identically.
 
 #include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "common/flags.h"
+#include "app/tool_flags.h"
 #include "obs/obs.h"
 #include "server/fleet.h"
 #include "server/signal_util.h"
@@ -37,99 +39,48 @@ namespace {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
+  server::FleetOptions fleet_options;
+  server::TenantOptions& tenant = fleet_options.tenant;
+  tenant.session.checkpoint_every = 8;
   std::string socket_path;
-  std::string data_dir;
-  int64_t workers = 4;
-  int64_t cache_budget_mb = 0;
-  double window = 1.0;
-  double start_time = 0.0;
-  std::string error_policy = "strict";
-  int64_t queue_capacity = 4096;
-  int64_t checkpoint_every = 8;
-  int64_t report_tail = 64;
-  int64_t stats_every = 0;
-  double l = 5.0;
-  int64_t warmup = 2;
-  int64_t max_history = 0;
-  std::string engine = "auto";
-  int64_t k = 50;
-  int64_t seed = 1;
-  bool warm_start = false;
-  double refactor_threshold = 0.1;
-  bool incremental = false;
-  double churn_threshold = 0.25;
-  double incremental_tolerance = 0.15;
+  size_t cache_budget_mb = 0;
+  AddSessionFlags(&flags, &tenant.session);
+  AddStatsEveryFlag(&flags, &tenant.stats_every);
   flags.AddString("socket", &socket_path,
                   "unix-socket path the server listens on");
-  flags.AddString("data_dir", &data_dir,
+  flags.AddString("data_dir", &fleet_options.data_dir,
                   "directory for per-tenant checkpoints ('<name>.ckpt') and "
                   "report CSVs ('<name>.csv'); empty = no durable state");
-  flags.AddInt64("workers", &workers,
-                 "worker threads shared by all tenants (>= 1)");
-  flags.AddInt64("cache_budget_mb", &cache_budget_mb,
+  flags.AddCount("workers", &fleet_options.num_workers,
+                 "worker threads shared by all tenants", 1);
+  flags.AddCount("cache_budget_mb", &cache_budget_mb,
                  "shared solver-cache budget across tenants in MiB; "
                  "least-recently-active idle tenants are evicted above it "
                  "(0 = unlimited)");
-  flags.AddDouble("window", &window,
-                  "window length in timestamp units, shared by all tenants");
-  flags.AddDouble("start_time", &start_time, "timestamp of window 0's start");
-  flags.AddString("error_policy", &error_policy,
-                  "malformed-event handling per tenant: strict (first bad "
-                  "event fails the tenant) or skip (drop and count)");
-  flags.AddInt64("queue_capacity", &queue_capacity,
+  flags.AddCount("queue_capacity", &tenant.queue_capacity_events,
                  "per-tenant ingest-queue bound in events; full queues "
-                 "reject batches with kRejected (client retries)");
-  flags.AddInt64("checkpoint_every", &checkpoint_every,
-                 "checkpoint each tenant after every N observed windows "
-                 "(0 = only at finish/drain; requires --data_dir)");
-  flags.AddInt64("report_tail", &report_tail,
+                 "reject batches with kRejected (client retries)",
+                 1);
+  flags.AddCount("report_tail", &tenant.report_tail_rows,
                  "anomaly-report rows kept in memory per tenant for kReport");
-  flags.AddInt64("stats_every", &stats_every,
-                 "per-tenant heartbeat cadence in windows (0 disables); the "
-                 "latest heartbeat line rides the kStats reply");
-  flags.AddDouble("l", &l, "target anomalous nodes per transition");
-  flags.AddInt64("warmup", &warmup,
-                 "transitions observed before reports are emitted");
-  flags.AddInt64("max_history", &max_history,
-                 "calibration window in transitions (0 = unbounded)");
-  flags.AddString("engine", &engine, "commute engine: auto, exact, or approx");
-  flags.AddInt64("k", &k, "embedding dimension for the approximate engine");
-  flags.AddInt64("seed", &seed, "seed for the approximate engine");
-  flags.AddBool("warm_start", &warm_start,
-                "carry each window's embedding and IC(0) factor into the "
-                "next (approximate engine)");
-  flags.AddDouble("refactor_threshold", &refactor_threshold,
-                  "IC(0) staleness trigger under --warm_start");
-  flags.AddBool("incremental", &incremental,
-                "maintain each window's commute state incrementally "
-                "(DESIGN.md §12)");
-  flags.AddDouble("churn_threshold", &churn_threshold,
-                  "edge-churn ratio above which --incremental rebuilds");
-  flags.AddDouble("incremental_tolerance", &incremental_tolerance,
-                  "relative-residual bound for --incremental column reuse");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n" << flags.Usage();
-    return 2;
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
   }
-  if (flags.help_requested()) return 0;
   if (socket_path.empty()) {
     std::cerr << "--socket is required\n" << flags.Usage();
     return 2;
   }
-  if (workers < 1) {
-    std::cerr << "--workers must be >= 1\n";
-    return 2;
-  }
-  if (queue_capacity < 1) {
-    std::cerr << "--queue_capacity must be >= 1\n";
-    return 2;
-  }
-  if (checkpoint_every > 0 && data_dir.empty()) {
+  if (tenant.session.checkpoint_every > 0 && fleet_options.data_dir.empty()) {
     std::cerr << "--checkpoint_every requires --data_dir (use "
                  "--checkpoint_every 0 for a stateless server)\n";
     return 2;
   }
+  if (cache_budget_mb > (SIZE_MAX >> 20)) {
+    std::cerr << "--cache_budget_mb must be at most " << (SIZE_MAX >> 20)
+              << "\n";
+    return 2;
+  }
+  fleet_options.cache_budget_bytes = cache_budget_mb << 20;
 
   // Metrics are always on in the server: kMetrics/kStats queries and the
   // per-tenant latency histograms depend on the registry recording.
@@ -142,43 +93,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  server::FleetOptions fleet_options;
-  fleet_options.num_workers = static_cast<size_t>(workers);
-  fleet_options.cache_budget_bytes =
-      static_cast<size_t>(cache_budget_mb) * (1u << 20);
-  fleet_options.data_dir = data_dir;
-  server::TenantOptions& tenant = fleet_options.tenant;
-  tenant.window_length = window;
-  tenant.start_time = start_time;
-  if (error_policy == "skip") {
-    tenant.error_policy = EventErrorPolicy::kSkip;
-  } else if (error_policy != "strict") {
-    std::cerr << "unknown --error_policy '" << error_policy << "'\n";
-    return 2;
-  }
-  tenant.queue_capacity_events = static_cast<size_t>(queue_capacity);
-  tenant.checkpoint_every = static_cast<size_t>(checkpoint_every);
-  tenant.report_tail_rows = static_cast<size_t>(report_tail);
-  tenant.stats_every = static_cast<size_t>(stats_every);
-  tenant.monitor.nodes_per_transition = l;
-  tenant.monitor.warmup_transitions = static_cast<size_t>(warmup);
-  tenant.monitor.max_history = static_cast<size_t>(max_history);
-  tenant.monitor.detector.approx.embedding_dim = static_cast<size_t>(k);
-  tenant.monitor.detector.approx.seed = static_cast<uint64_t>(seed);
-  tenant.monitor.detector.approx.warm_start = warm_start;
-  tenant.monitor.detector.approx.refactor_threshold = refactor_threshold;
-  tenant.monitor.incremental = incremental;
-  tenant.monitor.detector.churn_threshold = churn_threshold;
-  tenant.monitor.detector.approx.incremental_tolerance = incremental_tolerance;
-  if (engine == "exact") {
-    tenant.monitor.detector.engine = CommuteEngine::kExact;
-  } else if (engine == "approx") {
-    tenant.monitor.detector.engine = CommuteEngine::kApprox;
-  } else if (engine != "auto") {
-    std::cerr << "unknown --engine '" << engine << "'\n";
-    return 2;
-  }
-
+  const size_t workers = fleet_options.num_workers;
   Result<std::unique_ptr<server::TenantFleet>> fleet =
       server::TenantFleet::Create(std::move(fleet_options));
   if (!fleet.ok()) {

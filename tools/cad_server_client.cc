@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,7 +195,7 @@ int Run(int argc, char** argv) {
   std::string tenant;
   std::string events;
   bool finish = false;
-  int64_t batch = 256;
+  size_t batch = 256;
   int64_t retry_ms = 2;
   bool ping = false;
   bool stats = false;
@@ -210,7 +211,7 @@ int Run(int argc, char** argv) {
   flags.AddBool("finish", &finish,
                 "send kFinish after --events (final window flush + "
                 "checkpoint)");
-  flags.AddInt64("batch", &batch, "events per kEvents frame");
+  flags.AddCount("batch", &batch, "events per kEvents frame", 1);
   flags.AddInt64("retry_ms", &retry_ms,
                  "backoff before retrying a kRejected batch");
   flags.AddBool("ping", &ping, "liveness probe");
@@ -221,12 +222,9 @@ int Run(int argc, char** argv) {
                 "print the tenant's recent anomaly-report rows (CSV)");
   flags.AddBool("metrics", &metrics, "print the whole metrics registry CSV");
   flags.AddBool("shutdown", &shutdown, "ask the server to drain and exit");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n" << flags.Usage();
-    return 2;
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
   }
-  if (flags.help_requested()) return 0;
   if (socket_path.empty()) {
     std::cerr << "--socket is required\n" << flags.Usage();
     return 2;
@@ -247,10 +245,6 @@ int Run(int argc, char** argv) {
     std::cerr << "--report requires --tenant\n";
     return 2;
   }
-  if (batch < 1) {
-    std::cerr << "--batch must be >= 1\n";
-    return 2;
-  }
   if (retry_ms < 0) {
     std::cerr << "--retry_ms must be >= 0\n";
     return 2;
@@ -264,8 +258,7 @@ int Run(int argc, char** argv) {
   const int fd = *connected;
   Status status = Status::OK();
   if (!events.empty()) {
-    status = StreamEvents(fd, tenant, events, static_cast<size_t>(batch),
-                          retry_ms, finish);
+    status = StreamEvents(fd, tenant, events, batch, retry_ms, finish);
   } else if (ping) {
     const Result<Frame> reply = Call(fd, MessageType::kPing, "");
     status = !reply.ok()               ? reply.status()

@@ -36,13 +36,11 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "app/stream_session.h"
-#include "common/flags.h"
-#include "common/parallel.h"
+#include "app/tool_flags.h"
 #include "common/strings.h"
 #include "core/checkpoint.h"
 #include "io/event_stream.h"
@@ -54,153 +52,53 @@ namespace {
 
 int Run(int argc, char** argv) {
   FlagParser flags;
+  StreamSessionOptions session_options;
+  // No default window: --window must be given, and 0 fails Create.
+  session_options.window_length = 0.0;
   std::string events;
-  double window = 0.0;
-  int64_t num_nodes = 0;
-  double start_time = 0.0;
-  std::string error_policy = "strict";
   std::string output = "-";
   std::string checkpoint;
-  int64_t checkpoint_every = 0;
   std::string resume_from;
-  int64_t max_snapshots = 0;
-  double l = 5.0;
-  int64_t warmup = 2;
-  int64_t max_history = 0;
-  std::string engine = "auto";
-  int64_t k = 50;
-  int64_t seed = 1;
-  auto threads = static_cast<int64_t>(HardwareThreads());
-  bool warm_start = false;
-  double refactor_threshold = 0.1;
-  bool incremental = false;
-  double churn_threshold = 0.25;
-  double incremental_tolerance = 0.15;
-  std::string stats_json;
-  int64_t stats_every = 0;
-  std::string metrics_csv;
-  std::string trace_json;
+  size_t max_snapshots = 0;
   std::string flight_recorder;
-  flags.AddString("events", &events,
-                  "timestamped event file '<u> <v> <t> [w]', time-ordered");
-  flags.AddDouble("window", &window, "window length in timestamp units");
-  flags.AddInt64("num_nodes", &num_nodes,
+  AddEventsFlag(&flags, &events);
+  AddSessionFlags(&flags, &session_options);
+  AddThreadsFlag(&flags, &session_options.monitor.detector);
+  ObservabilityFlags observability(&flags);
+  flags.AddCount("num_nodes", &session_options.num_nodes,
                  "fixed node-set size shared by every window; 0 discovers "
                  "the node set from the events (it grows as unseen "
                  "endpoints arrive)");
-  flags.AddDouble("start_time", &start_time, "timestamp of window 0's start");
-  flags.AddString("error_policy", &error_policy,
-                  "malformed-record handling: strict (fail fast) or skip "
-                  "(drop and count)");
   flags.AddString("output", &output,
                   "anomalous-edge CSV destination ('-' for stdout)");
   flags.AddString("checkpoint", &checkpoint,
                   "write monitor checkpoints to this file");
-  flags.AddInt64("checkpoint_every", &checkpoint_every,
-                 "checkpoint after every N observed windows (requires "
-                 "--checkpoint)");
   flags.AddString("resume_from", &resume_from,
                   "restore monitor state from this checkpoint before "
                   "streaming; already-processed windows are skipped");
-  flags.AddInt64("max_snapshots", &max_snapshots,
+  flags.AddCount("max_snapshots", &max_snapshots,
                  "stop after observing this many windows (0 = no limit); "
                  "the in-progress window is not flushed, simulating a kill");
-  flags.AddDouble("l", &l, "target anomalous nodes per transition");
-  flags.AddInt64("warmup", &warmup,
-                 "transitions observed before reports are emitted");
-  flags.AddInt64("max_history", &max_history,
-                 "calibration window in transitions (0 = unbounded)");
-  flags.AddString("engine", &engine,
-                  "commute engine: auto, exact, or approx");
-  flags.AddInt64("k", &k, "embedding dimension for the approximate engine");
-  flags.AddInt64("seed", &seed, "seed for the approximate engine");
-  flags.AddBool("warm_start", &warm_start,
-                "carry each window's embedding and IC(0) factor into the "
-                "next (approximate engine)");
-  flags.AddDouble("refactor_threshold", &refactor_threshold,
-                  "IC(0) staleness trigger under --warm_start");
-  flags.AddBool("incremental", &incremental,
-                "maintain each window's commute state incrementally from "
-                "the previous window's (implies --warm_start; DESIGN.md "
-                "§12)");
-  flags.AddDouble("churn_threshold", &churn_threshold,
-                  "edge-churn ratio above which --incremental falls back to "
-                  "a full rebuild for that window");
-  flags.AddDouble("incremental_tolerance", &incremental_tolerance,
-                  "relative-residual bound for reusing a cached embedding "
-                  "column under --incremental (approximate engine)");
-  flags.AddInt64("threads", &threads,
-                 "worker threads for the per-window Laplacian solves and "
-                 "scoring lookups; outputs do not depend on it (default: "
-                 "the CPUs this process may run on)");
-  flags.AddString("stats_json", &stats_json,
-                  "write one heartbeat JSON line per --stats_every windows "
-                  "here ('-' for stdout); see DESIGN.md §10 for the schema");
-  flags.AddInt64("stats_every", &stats_every,
-                 "emit a heartbeat after every N observed windows "
-                 "(0 disables; enables metrics recording)");
-  flags.AddString("metrics_csv", &metrics_csv,
-                  "record runtime metrics and write them as CSV here at "
-                  "exit ('-' for stdout)");
-  flags.AddString("trace_json", &trace_json,
-                  "record trace spans and write Chrome trace JSON here at "
-                  "exit (open in chrome://tracing; '-' for stdout)");
   flags.AddString("flight_recorder", &flight_recorder,
                   "keep a bounded ring of recent spans/events and dump it "
                   "as JSON to this file if the stream fails");
-  const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n" << flags.Usage();
-    return 2;
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
   }
-  if (flags.help_requested()) return 0;
   if (events.empty()) {
     std::cerr << "--events is required\n" << flags.Usage();
     return 2;
   }
-  if (window <= 0.0) {
-    std::cerr << "--window must be positive\n";
-    return 2;
-  }
-  if (num_nodes < 0) {
-    std::cerr << "--num_nodes must be >= 0 (0 = discover the node set)\n";
-    return 2;
-  }
-  if (checkpoint_every > 0 && checkpoint.empty()) {
+  if (session_options.checkpoint_every > 0 && checkpoint.empty()) {
     std::cerr << "--checkpoint_every requires --checkpoint\n";
     return 2;
   }
-  EventErrorPolicy policy = EventErrorPolicy::kStrict;
-  if (error_policy == "skip") {
-    policy = EventErrorPolicy::kSkip;
-  } else if (error_policy != "strict") {
-    std::cerr << "unknown --error_policy '" << error_policy << "'\n";
-    return 2;
-  }
-  if (threads < 1) {
-    std::cerr << "--threads must be >= 1\n";
-    return 2;
-  }
-  if (stats_every < 0) {
-    std::cerr << "--stats_every must be >= 0\n";
-    return 2;
-  }
-  if ((stats_every > 0) != !stats_json.empty()) {
-    std::cerr << "--stats_every and --stats_json must be used together\n";
-    return 2;
-  }
-
   // Turn observability on before the monitor is built so every window is
-  // covered. The heartbeat contract (one record per N windows, non-timer
-  // fields byte-identical across same-seed runs at any thread count) needs
-  // metrics recording on.
-  if (!metrics_csv.empty() || stats_every > 0) {
-    obs::ResetMetrics();
-    obs::SetMetricsEnabled(true);
-  }
-  if (!trace_json.empty()) {
-    obs::ResetTracing();
-    obs::SetTracingEnabled(true);
+  // covered.
+  const Status started = observability.Start();
+  if (!started.ok()) {
+    std::cerr << started.ToString() << "\n";
+    return 2;
   }
   if (!flight_recorder.empty()) {
     obs::ResetFlightRecorder();
@@ -241,35 +139,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  StreamSessionOptions session_options;
-  session_options.window_length = window;
-  session_options.start_time = start_time;
-  session_options.num_nodes = static_cast<size_t>(num_nodes);
-  session_options.error_policy = policy;
-  session_options.checkpoint_every = static_cast<size_t>(checkpoint_every);
-  OnlineMonitorOptions& monitor_options = session_options.monitor;
-  monitor_options.nodes_per_transition = l;
-  monitor_options.warmup_transitions = static_cast<size_t>(warmup);
-  monitor_options.max_history = static_cast<size_t>(max_history);
-  monitor_options.detector.approx.embedding_dim = static_cast<size_t>(k);
-  monitor_options.detector.approx.seed = static_cast<uint64_t>(seed);
-  monitor_options.detector.approx.warm_start = warm_start;
-  monitor_options.detector.approx.refactor_threshold = refactor_threshold;
-  monitor_options.incremental = incremental;
-  monitor_options.detector.churn_threshold = churn_threshold;
-  monitor_options.detector.approx.incremental_tolerance =
-      incremental_tolerance;
-  monitor_options.detector.analysis_threads = static_cast<size_t>(threads);
-  monitor_options.detector.approx.cg.num_threads = static_cast<size_t>(threads);
-  if (engine == "exact") {
-    monitor_options.detector.engine = CommuteEngine::kExact;
-  } else if (engine == "approx") {
-    monitor_options.detector.engine = CommuteEngine::kApprox;
-  } else if (engine != "auto") {
-    std::cerr << "unknown --engine '" << engine << "'\n";
-    return 2;
-  }
-
+  const EventErrorPolicy policy = session_options.error_policy;
   Result<StreamSession> created =
       StreamSession::Create(std::move(session_options));
   if (!created.ok()) {
@@ -279,25 +149,14 @@ int Run(int argc, char** argv) {
   StreamSession& session = *created;
   const OnlineCadMonitor& monitor = session.monitor();
 
-  // Heartbeat sink + reporter must outlive the monitor loop. Constructed
-  // before any window is observed, so the first record's deltas cover the
-  // stream from its very first event.
-  std::ofstream stats_file;
-  std::unique_ptr<obs::StatsReporter> stats;
-  if (stats_every > 0) {
-    std::ostream* stats_out = &std::cout;
-    if (stats_json != "-") {
-      stats_file.open(stats_json);
-      if (!stats_file.is_open()) {
-        std::cerr << "cannot open --stats_json file " << stats_json << "\n";
-        return 1;
-      }
-      stats_out = &stats_file;
-    }
-    stats = std::make_unique<obs::StatsReporter>(
-        stats_out, static_cast<uint64_t>(stats_every));
-    session.mutable_monitor()->SetStatsReporter(stats.get());
+  // Constructed before any window is observed, so the first heartbeat's
+  // deltas cover the stream from its very first event.
+  const Result<obs::StatsReporter*> stats = observability.OpenStats();
+  if (!stats.ok()) {
+    std::cerr << stats.status().ToString() << "\n";
+    return 1;
   }
+  session.mutable_monitor()->SetStatsReporter(*stats);
 
   // A resumed run skips the events of windows the checkpoint holds, using
   // the same bucketing arithmetic, so resumption never re-feeds or splits a
@@ -348,8 +207,7 @@ int Run(int argc, char** argv) {
     return Status::OK();
   };
   const auto limit_reached = [&] {
-    return max_snapshots > 0 &&
-           monitor.num_snapshots() >= static_cast<size_t>(max_snapshots);
+    return max_snapshots > 0 && monitor.num_snapshots() >= max_snapshots;
   };
   // Observes the session's pending windows, writing report rows and
   // interval checkpoints. True when the run must stop before the next
@@ -430,31 +288,10 @@ int Run(int argc, char** argv) {
 
   if (!out->good()) return fail("output write failed", 0);
 
-  // Exit-time observability exports (mirrors cad_cli).
-  const auto write_export = [&](const std::string& target,
-                                auto writer) -> Status {
-    if (target == "-") return writer(&std::cout);
-    std::ofstream file(target);
-    if (!file.is_open()) return Status::IoError("cannot open " + target);
-    return writer(&file);
-  };
-  if (!metrics_csv.empty()) {
-    const Status written = write_export(metrics_csv, [](std::ostream* sink) {
-      return obs::WriteMetricsCsv(obs::SnapshotMetrics(), sink);
-    });
-    if (!written.ok()) {
-      std::cerr << written.ToString() << "\n";
-      return 1;
-    }
-  }
-  if (!trace_json.empty()) {
-    const Status written = write_export(trace_json, [](std::ostream* sink) {
-      return obs::WriteChromeTraceJson(sink);
-    });
-    if (!written.ok()) {
-      std::cerr << written.ToString() << "\n";
-      return 1;
-    }
+  const Status exported = observability.WriteExports(obs::SnapshotMetrics());
+  if (!exported.ok()) {
+    std::cerr << exported.ToString() << "\n";
+    return 1;
   }
   const StreamEventCounts& counts = session.counts();
   std::cerr << "processed " << monitor.num_snapshots() << " windows, "

@@ -16,6 +16,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "common/flags.h"
 #include "datagen/enron_sim.h"
@@ -85,23 +86,24 @@ Status WriteRmatEventFile(const RmatOptions& options, size_t samples,
 int Run(int argc, char** argv) {
   FlagParser flags;
   std::string output_dir = "data";
-  int64_t employees = 151;
-  int64_t months = 48;
-  int64_t seed = 7;
-  int64_t rmat_nodes = 200;
-  int64_t rmat_samples = 4000;
-  int64_t rmat_snapshots = 6;
+  size_t employees = 151;
+  size_t months = 48;
+  uint64_t seed = 7;
+  size_t rmat_nodes = 200;
+  size_t rmat_samples = 4000;
+  size_t rmat_snapshots = 6;
   flags.AddString("output_dir", &output_dir, "directory to write into");
-  flags.AddInt64("employees", &employees, "organization size for org.tel");
-  flags.AddInt64("months", &months, "months for org.tel");
-  flags.AddInt64("seed", &seed, "simulator seed");
-  flags.AddInt64("rmat_nodes", &rmat_nodes, "node count for rmat_events.txt");
-  flags.AddInt64("rmat_samples", &rmat_samples,
+  flags.AddCount("employees", &employees, "organization size for org.tel");
+  flags.AddCount("months", &months, "months for org.tel");
+  flags.AddCount("seed", &seed, "simulator seed");
+  flags.AddCount("rmat_nodes", &rmat_nodes, "node count for rmat_events.txt");
+  flags.AddCount("rmat_samples", &rmat_samples,
                  "raw R-MAT draws in rmat_events.txt (duplicates kept)");
-  flags.AddInt64("rmat_snapshots", &rmat_snapshots,
-                 "windows the R-MAT draws are spread over");
-  CAD_CHECK_OK(flags.Parse(argc, argv));
-  if (flags.help_requested()) return 0;
+  flags.AddCount("rmat_snapshots", &rmat_snapshots,
+                 "windows the R-MAT draws are spread over", 1);
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
+  }
 
   const ToyExample toy = MakeToyExample();
   CAD_CHECK_OK(
@@ -110,9 +112,9 @@ int Run(int argc, char** argv) {
   std::cout << "wrote " << output_dir << "/toy.tel (17 nodes, 2 snapshots)\n";
 
   EnronSimOptions sim;
-  sim.num_employees = static_cast<size_t>(employees);
-  sim.num_months = static_cast<size_t>(months);
-  sim.seed = static_cast<uint64_t>(seed);
+  sim.num_employees = employees;
+  sim.num_months = months;
+  sim.seed = seed;
   const EnronSimData org = MakeEnronStyleData(sim);
   CAD_CHECK_OK(
       WriteTemporalEdgeListFile(org.sequence, output_dir + "/org.tel"));
@@ -130,11 +132,10 @@ int Run(int argc, char** argv) {
   }
 
   RmatOptions rmat;
-  rmat.num_nodes = static_cast<size_t>(rmat_nodes);
-  rmat.num_edges = static_cast<size_t>(rmat_samples);  // validation bound only
-  rmat.seed = static_cast<uint64_t>(seed);
-  CAD_CHECK_OK(WriteRmatEventFile(rmat, static_cast<size_t>(rmat_samples),
-                                  static_cast<size_t>(rmat_snapshots),
+  rmat.num_nodes = rmat_nodes;
+  rmat.num_edges = rmat_samples;  // validation bound only
+  rmat.seed = seed;
+  CAD_CHECK_OK(WriteRmatEventFile(rmat, rmat_samples, rmat_snapshots,
                                   output_dir + "/rmat_events.txt"));
   std::cout << "wrote " << output_dir << "/rmat_events.txt (" << rmat_nodes
             << " nodes, " << rmat_samples << " draws, " << rmat_snapshots
