@@ -17,14 +17,15 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "linalg/dense_matrix.h"
 #include "commute/approx_commute.h"
 #include "commute/exact_commute.h"
 #include "core/edge_scores.h"
 #include "datagen/random_graphs.h"
 #include "datagen/rmat.h"
 #include "graph/centrality.h"
+#include "graph/snapshot.h"
 #include "linalg/conjugate_gradient.h"
+#include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/lanczos.h"
 #include "linalg/power_iteration.h"
@@ -42,7 +43,7 @@ WeightedGraph BenchGraph(size_t n, double degree = 8.0) {
 
 void BM_CsrMatvec(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
-  const CsrMatrix a = BenchGraph(n).ToAdjacencyCsr();
+  const CsrMatrix a = ToAdjacencyCsr(BenchGraph(n));
   std::vector<double> x(n, 1.0);
   std::vector<double> y(n);
   for (auto _ : state) {
@@ -71,7 +72,7 @@ void BM_CsrSpMVxK(benchmark::State& state) {
   // sweeping the matrix k times.
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
-  const CsrMatrix a = BenchGraph(n).ToAdjacencyCsr();
+  const CsrMatrix a = ToAdjacencyCsr(BenchGraph(n));
   const DenseMatrix x = BenchBlock(n, k);
   std::vector<double> x_col(n);
   std::vector<double> y(n);
@@ -97,7 +98,7 @@ void BM_CsrSpMMBlock(benchmark::State& state) {
   // matrix (indices + values) is read once instead of k times.
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
-  const CsrMatrix a = BenchGraph(n).ToAdjacencyCsr();
+  const CsrMatrix a = ToAdjacencyCsr(BenchGraph(n));
   const DenseMatrix x = BenchBlock(n, k);
   DenseMatrix y;
   for (auto _ : state) {
@@ -131,7 +132,7 @@ void BM_LaplacianSpMM(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
   const WeightedGraph g = BenchRmatGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
   const DenseMatrix x = BenchBlock(n, k);
   DenseMatrix y(n, k);
   for (auto _ : state) {
@@ -151,7 +152,7 @@ void BM_IcApplyxK(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
   const WeightedGraph g = BenchGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
   auto ic = IncompleteCholesky::Factor(l);
   CAD_CHECK(ic.ok());
   const DenseMatrix b = BenchBlock(n, k);
@@ -172,7 +173,7 @@ void BM_IcApplyBlock(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
   const WeightedGraph g = BenchGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
   auto ic = IncompleteCholesky::Factor(l);
   CAD_CHECK(ic.ok());
   const DenseMatrix b = BenchBlock(n, k);
@@ -187,7 +188,7 @@ BENCHMARK(BM_IcApplyBlock)->Args({10000, 8})->Args({10000, 32});
 void BM_LaplacianPcgSolve(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const WeightedGraph g = BenchGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-8 * Snapshot(g).volume());
   std::vector<double> b(n, 0.0);
   b[0] = 1.0;
   b[n - 1] = -1.0;
@@ -222,7 +223,7 @@ void BM_PcgSolveBlock(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
   const WeightedGraph g = BenchGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-8 * Snapshot(g).volume());
   const DenseMatrix rhs = BenchRhs(n, k);
   const ConjugateGradientSolver solver;
   DenseMatrix x;
@@ -286,7 +287,7 @@ BENCHMARK(BM_TransitionScoring)->Arg(1000)->Arg(10000);
 
 void BM_PowerIteration(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
-  const CsrMatrix a = BenchGraph(n).ToAdjacencyCsr();
+  const CsrMatrix a = ToAdjacencyCsr(BenchGraph(n));
   for (auto _ : state) {
     auto result = PrincipalEigenvector(a);
     CAD_CHECK(result.ok());
@@ -297,7 +298,7 @@ BENCHMARK(BM_PowerIteration)->Arg(1000)->Arg(10000);
 
 void BM_LanczosFiedler(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
-  const CsrMatrix l = BenchGraph(n).ToLaplacianCsr();
+  const CsrMatrix l = ToLaplacianCsr(BenchGraph(n));
   LanczosOptions options;
   options.num_eigenpairs = 3;
   for (auto _ : state) {
@@ -311,7 +312,7 @@ BENCHMARK(BM_LanczosFiedler)->Arg(1000)->Arg(10000);
 void BM_IncompleteCholeskyFactor(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const WeightedGraph g = BenchGraph(n);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
   for (auto _ : state) {
     auto ic = IncompleteCholesky::Factor(l);
     CAD_CHECK(ic.ok());
@@ -351,7 +352,7 @@ size_t RunSpmmCheck() {
     for (const size_t k : {size_t{1}, size_t{5}, size_t{16}, size_t{17},
                            size_t{33}, size_t{50}}) {
       const WeightedGraph g = BenchGraph(n);
-      const CsrMatrix a = g.ToAdjacencyCsr();
+      const CsrMatrix a = ToAdjacencyCsr(g);
       const DenseMatrix x = BenchBlock(n, k);
       DenseMatrix y;
       a.MultiplyBlock(x, &y);
@@ -364,7 +365,7 @@ size_t RunSpmmCheck() {
         }
       }
 
-      const CsrMatrix l = g.ToLaplacianCsr(1e-6 * g.Volume());
+      const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
       auto ic = IncompleteCholesky::Factor(l);
       CAD_CHECK(ic.ok());
       DenseMatrix z;

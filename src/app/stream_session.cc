@@ -98,8 +98,11 @@ Result<bool> StreamSession::Offer(const TimestampedEvent& event) {
 
 Result<StreamSession::Window> StreamSession::ObserveNext() {
   CAD_CHECK(pending_windows() > 0);
-  Result<std::optional<AnomalyReport>> report =
-      monitor_.Observe(std::move(pending_[next_pending_++]));
+  // The window's hash map is released once its snapshot is built, so it is
+  // not held through the solve.
+  const Snapshot snapshot(pending_[next_pending_]);
+  pending_[next_pending_++] = WeightedGraph();
+  Result<std::optional<AnomalyReport>> report = monitor_.Observe(snapshot);
   if (!report.ok()) return report.status();
   Window window;
   if (report->has_value()) {

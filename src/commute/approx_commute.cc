@@ -27,31 +27,11 @@ uint64_t EdgeJlSeed(uint64_t seed, NodeId u, NodeId v) {
 }  // namespace
 
 Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
-    const WeightedGraph& graph, const ApproxCommuteOptions& options) {
-  return Build(graph, options, nullptr);
-}
-
-Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
-    const WeightedGraph& graph, const ApproxCommuteOptions& options,
+    const Snapshot& snapshot, const ApproxCommuteOptions& options,
     CommuteSolverCache* cache) {
   CAD_TRACE_SPAN("approx_commute_build");
-  std::vector<Edge> edges = graph.Edges();
-  return BuildFromEdges(graph, edges, &edges, options, cache);
-}
-
-Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
-    const WeightedGraph& graph, const std::vector<Edge>& edges,
-    const ApproxCommuteOptions& options, CommuteSolverCache* cache) {
-  CAD_TRACE_SPAN("approx_commute_build");
-  return BuildFromEdges(graph, edges, nullptr, options, cache);
-}
-
-Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildFromEdges(
-    const WeightedGraph& graph, const std::vector<Edge>& edges,
-    std::vector<Edge>* owned, const ApproxCommuteOptions& options,
-    CommuteSolverCache* cache) {
   CAD_METRIC_INC("commute.approx_builds");
-  const size_t n = graph.num_nodes();
+  const size_t n = snapshot.num_nodes();
   const size_t k = options.embedding_dim;
   if (k == 0) {
     return Status::InvalidArgument("embedding_dim must be positive");
@@ -62,10 +42,11 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildFromEdges(
         "edge-keyed JL draws are what make the cached right-hand sides "
         "updatable under churn)");
   }
-  const double volume = graph.Volume();
+  const double volume = snapshot.volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
   // The sorted edge list feeds both the right-hand sides and the
   // Laplacian; the components come from that Laplacian.
+  const std::vector<Edge>& edges = snapshot.edges();
 
   // Step 1: Y = Q W^{1/2} B, built by streaming edges. For edge e = (u, v,
   // w), row e of W^{1/2} B is sqrt(w) (e_u - e_v)^T, so node u's row of the
@@ -111,8 +92,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildFromEdges(
   // blowup (see commute_time.h).
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(edges, epsilon);
-  if (owned != nullptr) std::vector<Edge>().swap(*owned);  // `edges` too
+  const CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);
   ComponentLabeling components = ConnectedComponents(laplacian);
   const ConjugateGradientSolver solver(options.cg);
 
@@ -171,17 +151,10 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildFromEdges(
 }
 
 Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
-    const WeightedGraph& graph, const EdgeDelta& delta,
+    const Snapshot& snapshot, const EdgeDelta& delta,
     const ApproxCommuteOptions& options, CommuteSolverCache* cache) {
-  return BuildIncremental(graph, graph.Edges(), delta, options, cache);
-}
-
-Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
-    const WeightedGraph& graph, const std::vector<Edge>& edges,
-    const EdgeDelta& delta, const ApproxCommuteOptions& options,
-    CommuteSolverCache* cache) {
   CAD_TRACE_SPAN("approx_commute_build_incremental");
-  const size_t n = graph.num_nodes();
+  const size_t n = snapshot.num_nodes();
   const size_t k = options.embedding_dim;
   if (k == 0) {
     return Status::InvalidArgument("embedding_dim must be positive");
@@ -232,11 +205,11 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     }
   }
 
-  const double volume = graph.Volume();
+  const double volume = snapshot.volume();
   const double sentinel = CrossComponentSentinel(volume, n, options.commute);
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(edges, epsilon);
+  const CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);
   ComponentLabeling components = ConnectedComponents(laplacian);
 
   // Step 2: residual gate. One SpMM against the cached embedding gives

@@ -8,6 +8,7 @@
 #include "commute/commute_time.h"
 #include "graph/components.h"
 #include "graph/edge_delta.h"
+#include "graph/snapshot.h"
 #include "linalg/conjugate_gradient.h"
 #include "linalg/dense_matrix.h"
 
@@ -92,24 +93,16 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   /// Builds the embedding for one snapshot. Returns InvalidArgument for a
   /// zero embedding dimension and NumericalError if CG fails while
   /// `require_convergence` is set.
+  ///
+  /// `cache` carries cross-snapshot warm-start state: under
+  /// options.warm_start it supplies the previous embedding as CG initial
+  /// guesses and a staleness-gated IC(0) factorization, and receives this
+  /// snapshot's embedding for the next call. A nullptr cache (or
+  /// warm_start == false) gives the stateless build.
   [[nodiscard]] static Result<ApproxCommuteEmbedding> Build(
-      const WeightedGraph& graph,
-      const ApproxCommuteOptions& options = ApproxCommuteOptions());
-
-  /// Build with cross-snapshot warm-start state. Under options.warm_start
-  /// the cache supplies the previous embedding as CG initial guesses and a
-  /// staleness-gated IC(0) factorization, and receives this snapshot's
-  /// embedding for the next call. A nullptr cache (or warm_start == false)
-  /// degrades to the stateless build.
-  [[nodiscard]] static Result<ApproxCommuteEmbedding> Build(
-      const WeightedGraph& graph, const ApproxCommuteOptions& options,
-      CommuteSolverCache* cache);
-
-  /// Build for a caller that already holds `graph.Edges()`, which `edges`
-  /// must be; saves re-deriving the sorted edge list.
-  [[nodiscard]] static Result<ApproxCommuteEmbedding> Build(
-      const WeightedGraph& graph, const std::vector<Edge>& edges,
-      const ApproxCommuteOptions& options, CommuteSolverCache* cache);
+      const Snapshot& snapshot,
+      const ApproxCommuteOptions& options = ApproxCommuteOptions(),
+      CommuteSolverCache* cache = nullptr);
 
   /// Incremental build from the cache's previous-snapshot state (embedding
   /// + JL right-hand-side block) and the edge delta to this snapshot:
@@ -121,15 +114,8 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   /// when the state is missing or mismatched (caller falls back to the full
   /// Build, which re-seeds the state).
   [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildIncremental(
-      const WeightedGraph& graph, const EdgeDelta& delta,
+      const Snapshot& snapshot, const EdgeDelta& delta,
       const ApproxCommuteOptions& options, CommuteSolverCache* cache);
-
-  /// BuildIncremental for a caller that already holds `graph.Edges()`,
-  /// which `edges` must be.
-  [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildIncremental(
-      const WeightedGraph& graph, const std::vector<Edge>& edges,
-      const EdgeDelta& delta, const ApproxCommuteOptions& options,
-      CommuteSolverCache* cache);
 
   /// Reassembles an oracle from previously exported internals (see the
   /// accessors below); used by checkpoint restore, which must reproduce a
@@ -168,14 +154,6 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   const CgBatchStats& cg_stats() const { return cg_stats_; }
 
  private:
-  /// Build's body. `owned`, when non-null, is `edges` itself, handed over
-  /// by a caller that has no further use for it, and is released once the
-  /// Laplacian is assembled so it does not add to the solve's footprint.
-  [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildFromEdges(
-      const WeightedGraph& graph, const std::vector<Edge>& edges,
-      std::vector<Edge>* owned, const ApproxCommuteOptions& options,
-      CommuteSolverCache* cache);
-
   ApproxCommuteEmbedding(DenseMatrix embedding, ComponentLabeling components,
                          double volume, double sentinel, bool use_sentinel,
                          CgBatchStats cg_stats)

@@ -9,25 +9,32 @@
 namespace cad {
 
 Result<ExactCommuteTime> ExactCommuteTime::Build(
-    const WeightedGraph& graph, const CommuteTimeOptions& options) {
+    const Snapshot& snapshot, const CommuteTimeOptions& options) {
   CAD_TRACE_SPAN("exact_commute_build");
   CAD_METRIC_INC("commute.exact_builds");
-  const size_t n = graph.num_nodes();
-  const double volume = graph.Volume();
+  const size_t n = snapshot.num_nodes();
+  const double volume = snapshot.volume();
   const double sentinel = CrossComponentSentinel(volume, n, options);
-  ComponentLabeling components = ConnectedComponents(graph);
+  // The adjacency CSR gives both the components and, row by row, each
+  // component's edges.
+  const CsrMatrix adjacency = ToAdjacencyCsr(snapshot);
+  ComponentLabeling components = ConnectedComponents(adjacency);
 
-  // Group node ids by component.
+  // Group node ids by component; local[i] is node i's index in its group.
   std::vector<std::vector<NodeId>> members(components.num_components);
   for (size_t c = 0; c < components.num_components; ++c) {
     members[c].reserve(components.sizes[c]);
   }
+  std::vector<size_t> local(n);
   for (size_t i = 0; i < n; ++i) {
-    members[components.component[i]].push_back(static_cast<NodeId>(i));
+    std::vector<NodeId>& group = members[components.component[i]];
+    local[i] = group.size();
+    group.push_back(static_cast<NodeId>(i));
   }
 
   DenseMatrix lplus(n, n);
-  const std::vector<double> degrees = graph.WeightedDegrees();
+  const std::vector<double>& degrees = snapshot.weighted_degrees();
+  const std::vector<size_t>& offsets = adjacency.row_offsets();
 
   for (const std::vector<NodeId>& nodes : members) {
     const size_t s = nodes.size();
@@ -40,14 +47,8 @@ Result<ExactCommuteTime> ExactCommuteTime::Build(
     for (size_t a = 0; a < s; ++a) {
       for (size_t b = 0; b < s; ++b) shifted(a, b) = shift;
       shifted(a, a) += degrees[nodes[a]];
-    }
-    for (size_t a = 0; a < s; ++a) {
-      for (size_t b = a + 1; b < s; ++b) {
-        const double w = graph.EdgeWeight(nodes[a], nodes[b]);
-        if (w != 0.0) {
-          shifted(a, b) -= w;
-          shifted(b, a) -= w;
-        }
+      for (size_t p = offsets[nodes[a]]; p < offsets[nodes[a] + 1]; ++p) {
+        shifted(a, local[adjacency.col_indices()[p]]) -= adjacency.values()[p];
       }
     }
 
@@ -74,10 +75,10 @@ Result<ExactCommuteTime> ExactCommuteTime::Build(
 }
 
 Result<ExactCommuteTime> ExactCommuteTime::BuildIncremental(
-    const WeightedGraph& graph, const ExactCommuteTime& previous,
+    const Snapshot& snapshot, const ExactCommuteTime& previous,
     const EdgeDelta& delta, const CommuteTimeOptions& options) {
   CAD_TRACE_SPAN("exact_commute_build_incremental");
-  const size_t n = graph.num_nodes();
+  const size_t n = snapshot.num_nodes();
   if (n != previous.num_nodes()) {
     return Status::FailedPrecondition(
         "ExactCommuteTime::BuildIncremental: node count changed (" +
@@ -88,7 +89,7 @@ Result<ExactCommuteTime> ExactCommuteTime::BuildIncremental(
   // within the existing component structure: equality of the (canonical)
   // component labelings guarantees every changed edge is range-compatible
   // with the cached L+ in both update passes.
-  ComponentLabeling components = ConnectedComponents(graph);
+  ComponentLabeling components = ConnectedComponents(snapshot);
   if (components.num_components != previous.components().num_components ||
       components.component != previous.components().component) {
     return Status::FailedPrecondition(
@@ -106,7 +107,7 @@ Result<ExactCommuteTime> ExactCommuteTime::BuildIncremental(
   CAD_RETURN_NOT_OK(ApplyWoodburyUpdate(updates, &lplus));
   CAD_METRIC_INC("commute.exact_incremental_builds");
 
-  const double volume = graph.Volume();
+  const double volume = snapshot.volume();
   const double sentinel = CrossComponentSentinel(volume, n, options);
   return ExactCommuteTime(std::move(lplus), std::move(components), volume,
                           sentinel, options.use_cross_component_sentinel);

@@ -8,6 +8,7 @@
 #include "commute/commute_time.h"
 #include "graph/components.h"
 #include "graph/edge_delta.h"
+#include "graph/snapshot.h"
 #include "linalg/dense_matrix.h"
 
 namespace cad {
@@ -33,10 +34,10 @@ class ExactCommuteTime : public CommuteTimeOracle {
   /// Builds the oracle for one snapshot. Fails only on numerical breakdown
   /// (which would indicate a malformed Laplacian).
   [[nodiscard]] static Result<ExactCommuteTime> Build(
-      const WeightedGraph& graph,
+      const Snapshot& snapshot,
       const CommuteTimeOptions& options = CommuteTimeOptions());
 
-  /// Builds the oracle for `graph` from the previous snapshot's oracle and
+  /// Builds the oracle for `snapshot` from the previous snapshot's oracle and
   /// the edge delta between them, via a rank-k Sherman–Morrison–Woodbury
   /// update of the cached pseudoinverse — O(n^2 k) against Build's O(n^3)
   /// (DESIGN.md §12).
@@ -49,7 +50,7 @@ class ExactCommuteTime : public CommuteTimeOracle {
   /// matches Build to floating-point accumulation error (the tolerance
   /// contract in DESIGN.md §12, asserted by tests at 1e-8 relative).
   [[nodiscard]] static Result<ExactCommuteTime> BuildIncremental(
-      const WeightedGraph& graph, const ExactCommuteTime& previous,
+      const Snapshot& snapshot, const ExactCommuteTime& previous,
       const EdgeDelta& delta,
       const CommuteTimeOptions& options = CommuteTimeOptions());
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "graph/snapshot.h"
 #include "linalg/jacobi_eigen.h"
 #include "linalg/vector_ops.h"
 
@@ -14,7 +15,7 @@ Result<std::vector<std::vector<double>>> ActDetector::ActivityVectors(
   for (size_t t = 0; t < sequence.num_snapshots(); ++t) {
     PowerIterationResult eig;
     CAD_ASSIGN_OR_RETURN(
-        eig, PrincipalEigenvector(sequence.Snapshot(t).ToAdjacencyCsr(),
+        eig, PrincipalEigenvector(ToAdjacencyCsr(sequence.Snapshot(t)),
                                   options_.power));
     // Perron-Frobenius: the dominant eigenvector of a non-negative matrix
     // can be chosen non-negative; absolute values fix the arbitrary sign.

@@ -5,11 +5,6 @@
 
 namespace cad {
 
-Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
-    const WeightedGraph& graph) const {
-  return BuildOracle(graph, nullptr);
-}
-
 namespace {
 
 Result<std::unique_ptr<CommuteTimeOracle>> Boxed(
@@ -39,71 +34,49 @@ Result<std::vector<TransitionScores>> ScoreTimeline(
   // the approximate engine is selected).
   CommuteSolverCache cache(options.approx.refactor_threshold);
   CommuteSolverCache* cache_ptr = options.approx.warm_start ? &cache : nullptr;
-  // Each snapshot's sorted edge list and oracle are derived once and shared
-  // by its build and its two adjacent transitions, so at most two of each
-  // are live. Threads work inside each step: the build's column groups
+  // Each snapshot and its oracle are derived once and shared by its build
+  // and its two adjacent transitions, so at most two of each are live.
+  // Threads work inside each step: the build's column groups
   // (approx.cg.num_threads) and the transition's commute lookups
   // (analysis_threads).
-  std::vector<Edge> previous_edges = snapshots[0]->Edges();
+  Snapshot previous_snapshot(*snapshots[0]);
   std::unique_ptr<CommuteTimeOracle> previous;
-  CAD_ASSIGN_OR_RETURN(
-      previous, detector.BuildOracle(*snapshots[0], previous_edges, cache_ptr));
+  CAD_ASSIGN_OR_RETURN(previous,
+                       detector.BuildOracle(previous_snapshot, cache_ptr));
   for (size_t t = 1; t < snapshots.size(); ++t) {
-    std::vector<Edge> current_edges = snapshots[t]->Edges();
+    Snapshot snapshot(*snapshots[t]);
     std::unique_ptr<CommuteTimeOracle> current;
-    CAD_ASSIGN_OR_RETURN(
-        current, detector.BuildOracle(*snapshots[t], current_edges, cache_ptr));
+    CAD_ASSIGN_OR_RETURN(current, detector.BuildOracle(snapshot, cache_ptr));
     all_scores.push_back(ComputeTransitionScores(
-        snapshots[t - 1]->num_nodes(), previous_edges, current_edges,
-        *previous, *current, options.score_kind, options.analysis_threads));
+        previous_snapshot, snapshot, *previous, *current, options.score_kind,
+        options.analysis_threads));
     previous = std::move(current);
-    previous_edges = std::move(current_edges);
+    previous_snapshot = std::move(snapshot);
   }
   return all_scores;
 }
 
 }  // namespace
 
-bool CadDetector::UsesExactEngine(const WeightedGraph& graph) const {
+bool CadDetector::UsesExactEngine(size_t num_nodes) const {
   return options_.engine == CommuteEngine::kExact ||
          (options_.engine == CommuteEngine::kAuto &&
-          graph.num_nodes() <= options_.exact_node_limit);
+          num_nodes <= options_.exact_node_limit);
 }
 
 Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
-    const WeightedGraph& graph, CommuteSolverCache* cache) const {
-  if (UsesExactEngine(graph)) {
-    return Boxed(ExactCommuteTime::Build(graph, options_.exact));
+    const Snapshot& snapshot, CommuteSolverCache* cache) const {
+  if (UsesExactEngine(snapshot.num_nodes())) {
+    return Boxed(ExactCommuteTime::Build(snapshot, options_.exact));
   }
-  return Boxed(ApproxCommuteEmbedding::Build(graph, options_.approx, cache));
-}
-
-Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(
-    const WeightedGraph& graph, const std::vector<Edge>& edges,
-    CommuteSolverCache* cache) const {
-  if (UsesExactEngine(graph)) {
-    return Boxed(ExactCommuteTime::Build(graph, options_.exact));
-  }
-  return Boxed(
-      ApproxCommuteEmbedding::Build(graph, edges, options_.approx, cache));
+  return Boxed(ApproxCommuteEmbedding::Build(snapshot, options_.approx, cache));
 }
 
 Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
-    const WeightedGraph& graph, const WeightedGraph& previous_graph,
+    const Snapshot& snapshot, const Snapshot& previous_snapshot,
     const CommuteTimeOracle* previous_oracle,
     CommuteSolverCache* cache) const {
-  return BuildOracleIncremental(graph, graph.Edges(), previous_graph,
-                                previous_graph.Edges(), previous_oracle,
-                                cache);
-}
-
-Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
-    const WeightedGraph& graph, const std::vector<Edge>& edges,
-    const WeightedGraph& previous_graph,
-    const std::vector<Edge>& previous_edges,
-    const CommuteTimeOracle* previous_oracle,
-    CommuteSolverCache* cache) const {
-  const bool use_exact = UsesExactEngine(graph);
+  const bool use_exact = UsesExactEngine(snapshot.num_nodes());
   // The approximate paths (incremental and its full-rebuild fallbacks) run
   // with incremental mode forced on, so every full build re-seeds the
   // cache's RHS block and the next window can try the update again.
@@ -112,16 +85,16 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
   approx.warm_start = true;
   const auto full_build =
       [&]() -> Result<std::unique_ptr<CommuteTimeOracle>> {
-    if (use_exact) return BuildOracle(graph, edges, cache);
-    return Boxed(ApproxCommuteEmbedding::Build(graph, edges, approx, cache));
+    if (use_exact) return BuildOracle(snapshot, cache);
+    return Boxed(ApproxCommuteEmbedding::Build(snapshot, approx, cache));
   };
   if (previous_oracle == nullptr ||
-      graph.num_nodes() != previous_graph.num_nodes()) {
+      snapshot.num_nodes() != previous_snapshot.num_nodes()) {
     // First window of a stream, or node-set growth: nothing valid to update.
     CAD_METRIC_INC("commute.incremental_rebuild_structure");
     return full_build();
   }
-  const EdgeDelta delta = DiffSnapshots(previous_edges, edges);
+  const EdgeDelta delta = DiffSnapshots(previous_snapshot, snapshot);
   const bool admitted =
       cache != nullptr
           ? cache->AdmitChurn(delta.ChurnRatio(), options_.churn_threshold)
@@ -140,12 +113,12 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     }
     // The Woodbury update also has to beat the O(n^3) rebuild on cost: its
     // O(n^2 k) only wins while k is a fraction of n.
-    if (4 * delta.rank() > graph.num_nodes()) {
+    if (4 * delta.rank() > snapshot.num_nodes()) {
       CAD_METRIC_INC("commute.incremental_rebuild_churn");
       return full_build();
     }
     Result<ExactCommuteTime> oracle = ExactCommuteTime::BuildIncremental(
-        graph, *previous, delta, options_.exact);
+        snapshot, *previous, delta, options_.exact);
     if (!oracle.ok()) {
       if (oracle.status().code() == StatusCode::kNumericalError) {
         CAD_METRIC_INC("commute.incremental_rebuild_breakdown");
@@ -160,8 +133,7 @@ Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracleIncremental(
     return Boxed(std::move(oracle));
   }
   Result<ApproxCommuteEmbedding> oracle =
-      ApproxCommuteEmbedding::BuildIncremental(graph, edges, delta, approx,
-                                               cache);
+      ApproxCommuteEmbedding::BuildIncremental(snapshot, delta, approx, cache);
   if (!oracle.ok()) {
     if (oracle.status().code() == StatusCode::kInvalidArgument) {
       // A genuinely unusable configuration (k == 0), not a missing cache:

@@ -85,55 +85,34 @@ class CadDetector : public NodeScorer {
   /// Builds the configured commute-time oracle for one snapshot. Exposed so
   /// that streaming callers (OnlineCadMonitor) can reuse each snapshot's
   /// oracle across its two adjacent transitions.
+  ///
+  /// `cache` carries temporal warm-start state: when the approximate engine
+  /// is selected and approx.warm_start is set, it brings the previous
+  /// snapshot's embedding and IC(0) factorization into this build (see
+  /// CommuteSolverCache). Ignored by the exact engine; a nullptr cache
+  /// gives the stateless build.
   [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>> BuildOracle(
-      const WeightedGraph& graph) const;
-
-  /// BuildOracle with temporal warm-start state: when the approximate
-  /// engine is selected and approx.warm_start is set, the cache carries the
-  /// previous snapshot's embedding and IC(0) factorization into this build
-  /// (see CommuteSolverCache). Ignored by the exact engine; a nullptr cache
-  /// degrades to the stateless build.
-  [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>> BuildOracle(
-      const WeightedGraph& graph, CommuteSolverCache* cache) const;
-
-  /// BuildOracle for a caller that already holds `graph.Edges()`, which
-  /// `edges` must be; saves re-deriving the sorted edge list.
-  [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>> BuildOracle(
-      const WeightedGraph& graph, const std::vector<Edge>& edges,
-      CommuteSolverCache* cache) const;
+      const Snapshot& snapshot, CommuteSolverCache* cache = nullptr) const;
 
   /// BuildOracle via the incremental maintenance paths (DESIGN.md §12):
-  /// diffs `previous_graph` -> `graph`, and when the churn ratio stays
-  /// within churn_threshold updates the previous state instead of
-  /// rebuilding — a Woodbury update of `previous_oracle`'s pseudoinverse
-  /// for the exact engine, churn-scoped re-solves of the cache's embedding
-  /// for the approximate one. Any inapplicability (first window, node
-  /// growth, component change, engine switch, excessive churn, numerical
-  /// breakdown) falls back to the full BuildOracle, so the result is always
-  /// a valid oracle for `graph`; fallbacks are counted under
+  /// diffs `previous` -> `snapshot`, and when the churn ratio stays within
+  /// churn_threshold updates the previous state instead of rebuilding — a
+  /// Woodbury update of `previous_oracle`'s pseudoinverse for the exact
+  /// engine, churn-scoped re-solves of the cache's embedding for the
+  /// approximate one. Any inapplicability (first window, node growth,
+  /// component change, engine switch, excessive churn, numerical breakdown)
+  /// falls back to the full BuildOracle, so the result is always a valid
+  /// oracle for `snapshot`; fallbacks are counted under
   /// commute.incremental_rebuild_*.
   [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>>
-  BuildOracleIncremental(const WeightedGraph& graph,
-                         const WeightedGraph& previous_graph,
-                         const CommuteTimeOracle* previous_oracle,
-                         CommuteSolverCache* cache) const;
-
-  /// BuildOracleIncremental for a caller that already holds both
-  /// snapshots' Edges() lists (`edges` of `graph`, `previous_edges` of
-  /// `previous_graph`): the diff, the Laplacian and any full rebuild read
-  /// them instead of re-deriving them.
-  [[nodiscard]] Result<std::unique_ptr<CommuteTimeOracle>>
-  BuildOracleIncremental(const WeightedGraph& graph,
-                         const std::vector<Edge>& edges,
-                         const WeightedGraph& previous_graph,
-                         const std::vector<Edge>& previous_edges,
+  BuildOracleIncremental(const Snapshot& snapshot, const Snapshot& previous,
                          const CommuteTimeOracle* previous_oracle,
                          CommuteSolverCache* cache) const;
 
  private:
-  /// True when `graph` is built with the exact engine (kExact, or kAuto at
-  /// or below exact_node_limit).
-  bool UsesExactEngine(const WeightedGraph& graph) const;
+  /// True when a snapshot on `num_nodes` nodes is built with the exact
+  /// engine (kExact, or kAuto at or below exact_node_limit).
+  bool UsesExactEngine(size_t num_nodes) const;
 
   CadOptions options_;
 };

@@ -275,37 +275,47 @@ Status CheckpointReader::ExpectHeader() {
   return Status::OK();
 }
 
-void WriteWeightedGraph(CheckpointWriter* writer, const WeightedGraph& graph) {
-  WriteWeightedGraph(writer, graph.num_nodes(), graph.Edges());
-}
-
-void WriteWeightedGraph(CheckpointWriter* writer, size_t num_nodes,
-                        const std::vector<Edge>& edges) {
-  writer->WriteU64(num_nodes);
-  writer->WriteU64(edges.size());
-  for (const Edge& edge : edges) {
+void WriteWeightedGraph(CheckpointWriter* writer, const Snapshot& snapshot) {
+  writer->WriteU64(snapshot.num_nodes());
+  writer->WriteU64(snapshot.num_edges());
+  for (const Edge& edge : snapshot.edges()) {
     writer->WriteU32(edge.u);
     writer->WriteU32(edge.v);
     writer->WriteDouble(edge.weight);
   }
 }
 
-Result<WeightedGraph> ReadWeightedGraph(CheckpointReader* reader) {
+namespace {
+
+/// A graph section as stored: its declared node count and its edges.
+struct GraphSection {
   uint64_t num_nodes = 0;
-  CAD_ASSIGN_OR_RETURN(num_nodes, reader->ReadU64());
+  std::vector<Edge> edges;
+};
+
+Result<GraphSection> ReadGraphSection(CheckpointReader* reader) {
+  GraphSection section;
+  CAD_ASSIGN_OR_RETURN(section.num_nodes, reader->ReadU64());
   uint64_t num_edges = 0;
   CAD_ASSIGN_OR_RETURN(num_edges, reader->ReadU64());
-  WeightedGraph graph(static_cast<size_t>(num_nodes));
+  section.edges.reserve(static_cast<size_t>(std::min(num_edges, kReserveCap)));
   for (uint64_t i = 0; i < num_edges; ++i) {
-    uint32_t u = 0;
-    uint32_t v = 0;
-    double weight = 0.0;
-    CAD_ASSIGN_OR_RETURN(u, reader->ReadU32());
-    CAD_ASSIGN_OR_RETURN(v, reader->ReadU32());
-    CAD_ASSIGN_OR_RETURN(weight, reader->ReadDouble());
-    CAD_RETURN_NOT_OK(graph.SetEdge(u, v, weight));
+    Edge edge{};
+    CAD_ASSIGN_OR_RETURN(edge.u, reader->ReadU32());
+    CAD_ASSIGN_OR_RETURN(edge.v, reader->ReadU32());
+    CAD_ASSIGN_OR_RETURN(edge.weight, reader->ReadDouble());
+    section.edges.push_back(edge);
   }
-  return graph;
+  return section;
+}
+
+}  // namespace
+
+Result<Snapshot> ReadWeightedGraph(CheckpointReader* reader) {
+  GraphSection section;
+  CAD_ASSIGN_OR_RETURN(section, ReadGraphSection(reader));
+  return Snapshot::FromSortedEdges(static_cast<size_t>(section.num_nodes),
+                                   std::move(section.edges));
 }
 
 void WriteDenseMatrix(CheckpointWriter* writer, const DenseMatrix& matrix) {
@@ -519,8 +529,7 @@ Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
       previous_snapshot_.has_value() && previous_oracle_ != nullptr;
   writer.WriteU8(has_previous ? 1 : 0);
   if (has_previous) {
-    WriteWeightedGraph(&writer, previous_snapshot_->num_nodes(),
-                       previous_edges_);
+    WriteWeightedGraph(&writer, *previous_snapshot_);
     // The oracle is serialized directly rather than rebuilt on restore:
     // under warm_start a rebuild would consume post-build solver-cache
     // state and diverge from the original CG iterates.
@@ -635,11 +644,12 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
         "checkpoint: previous-snapshot presence inconsistent with " +
         std::to_string(num_snapshots) + " snapshots");
   }
-  std::optional<WeightedGraph> previous_snapshot;
+  std::optional<Snapshot> previous_snapshot;
   std::unique_ptr<CommuteTimeOracle> previous_oracle;
   if (has_previous != 0) {
-    WeightedGraph snapshot(0);
-    CAD_ASSIGN_OR_RETURN(snapshot, ReadWeightedGraph(&reader));
+    GraphSection section;
+    CAD_ASSIGN_OR_RETURN(section, ReadGraphSection(&reader));
+    size_t labeled_nodes = 0;
     uint8_t oracle_tag = 0;
     CAD_ASSIGN_OR_RETURN(oracle_tag, reader.ReadU8());
     if (oracle_tag == kOracleExact &&
@@ -659,6 +669,7 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
       CAD_ASSIGN_OR_RETURN(lplus, ReadDenseMatrix(&reader));
       ComponentLabeling components;
       CAD_ASSIGN_OR_RETURN(components, ReadComponents(&reader));
+      labeled_nodes = components.component.size();
       double volume = 0.0;
       double sentinel = 0.0;
       uint8_t use_sentinel = 0;
@@ -673,6 +684,7 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
       CAD_ASSIGN_OR_RETURN(embedding, ReadDenseMatrix(&reader));
       ComponentLabeling components;
       CAD_ASSIGN_OR_RETURN(components, ReadComponents(&reader));
+      labeled_nodes = components.component.size();
       double volume = 0.0;
       double sentinel = 0.0;
       uint8_t use_sentinel = 0;
@@ -689,10 +701,19 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
       return Status::InvalidArgument("checkpoint: unknown oracle tag " +
                                      std::to_string(oracle_tag));
     }
-    if (previous_oracle->num_nodes() != snapshot.num_nodes()) {
+    // The component labeling holds one entry per node and was read from the
+    // stream, so it bounds the node count for real; the snapshot's degree
+    // vector is sized only once the section's declared count matches it.
+    if (previous_oracle->num_nodes() != section.num_nodes ||
+        labeled_nodes != section.num_nodes) {
       return Status::InvalidArgument(
           "checkpoint: oracle/snapshot node count mismatch");
     }
+    Snapshot snapshot;
+    CAD_ASSIGN_OR_RETURN(snapshot,
+                         Snapshot::FromSortedEdges(
+                             static_cast<size_t>(section.num_nodes),
+                             std::move(section.edges)));
     // The vocabulary may run ahead of the last closed window (names interned
     // from events still in the open window), but never behind it.
     if (vocabulary.has_value() && vocabulary->size() < snapshot.num_nodes()) {
@@ -766,8 +787,6 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
   num_snapshots_ = static_cast<size_t>(num_snapshots);
   num_transitions_total_ = static_cast<size_t>(num_transitions_total);
   delta_ = delta;
-  previous_edges_ = previous_snapshot.has_value() ? previous_snapshot->Edges()
-                                                 : std::vector<Edge>();
   previous_snapshot_ = std::move(previous_snapshot);
   previous_oracle_ = std::move(previous_oracle);
   history_ = std::move(history);

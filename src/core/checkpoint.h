@@ -10,8 +10,8 @@
 
 #include "common/result.h"
 #include "core/edge_scores.h"
-#include "graph/graph.h"
 #include "graph/node_vocabulary.h"
+#include "graph/snapshot.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
 
@@ -120,11 +120,15 @@ class CheckpointReader {
 
 // Composite serializers used by the monitor checkpoint (exposed for tests;
 // each Read* is the exact inverse of its Write*).
-void WriteWeightedGraph(CheckpointWriter* writer, const WeightedGraph& graph);
-/// WriteWeightedGraph for a caller that already holds the graph's Edges().
-void WriteWeightedGraph(CheckpointWriter* writer, size_t num_nodes,
-                        const std::vector<Edge>& edges);
-[[nodiscard]] Result<WeightedGraph> ReadWeightedGraph(CheckpointReader* reader);
+void WriteWeightedGraph(CheckpointWriter* writer, const Snapshot& snapshot);
+/// Reads the section into a Snapshot without re-sorting it. Returns
+/// InvalidArgument for a section that WriteWeightedGraph cannot have
+/// written: pairs out of strictly ascending order, u >= v, an endpoint
+/// beyond the node count, or a weight that is not finite and positive.
+/// The declared node count sizes the snapshot's degree vector, so
+/// LoadCheckpoint reads the section's fields first and builds the snapshot
+/// only after that count matches the oracle stored behind it.
+[[nodiscard]] Result<Snapshot> ReadWeightedGraph(CheckpointReader* reader);
 
 void WriteDenseMatrix(CheckpointWriter* writer, const DenseMatrix& matrix);
 [[nodiscard]] Result<DenseMatrix> ReadDenseMatrix(CheckpointReader* reader);

@@ -31,27 +31,18 @@ const char* EdgeScoreKindToString(EdgeScoreKind kind) {
   return "Unknown";
 }
 
-TransitionScores ComputeTransitionScores(const WeightedGraph& before,
-                                         const WeightedGraph& after,
+TransitionScores ComputeTransitionScores(const Snapshot& before,
+                                         const Snapshot& after,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
                                          EdgeScoreKind kind,
                                          size_t num_threads) {
-  CAD_CHECK_EQ(before.num_nodes(), after.num_nodes());
-  return ComputeTransitionScores(before.num_nodes(), before.Edges(),
-                                 after.Edges(), oracle_before, oracle_after,
-                                 kind, num_threads);
-}
-
-TransitionScores ComputeTransitionScores(size_t n,
-                                         const std::vector<Edge>& before_edges,
-                                         const std::vector<Edge>& after_edges,
-                                         const CommuteTimeOracle& oracle_before,
-                                         const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind,
-                                         size_t num_threads) {
+  const size_t n = before.num_nodes();
+  CAD_CHECK_EQ(after.num_nodes(), n);
   CAD_CHECK_EQ(oracle_before.num_nodes(), n);
   CAD_CHECK_EQ(oracle_after.num_nodes(), n);
+  const std::vector<Edge>& before_edges = before.edges();
+  const std::vector<Edge>& after_edges = after.edges();
 
   // The union of the two edge supports, as one merge of the two sorted
   // edge lists. Its size is counted first so the reservation is exact: each

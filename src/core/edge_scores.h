@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "commute/commute_time.h"
-#include "graph/graph.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 
@@ -98,19 +98,8 @@ size_t CountSelectedEdges(const TransitionScores& scores, double delta);
 /// `num_threads` workers run the per-pair commute-time lookups in fixed
 /// blocks of 4096 pairs; the merge and every sum, maximum and sort stay
 /// serial, so the result is bit-identical at any thread count.
-TransitionScores ComputeTransitionScores(const WeightedGraph& before,
-                                         const WeightedGraph& after,
-                                         const CommuteTimeOracle& oracle_before,
-                                         const CommuteTimeOracle& oracle_after,
-                                         EdgeScoreKind kind,
-                                         size_t num_threads = 1);
-
-/// ComputeTransitionScores for a caller that already holds both snapshots'
-/// Edges() lists (`num_nodes` is their shared node count); saves
-/// re-deriving them.
-TransitionScores ComputeTransitionScores(size_t num_nodes,
-                                         const std::vector<Edge>& before_edges,
-                                         const std::vector<Edge>& after_edges,
+TransitionScores ComputeTransitionScores(const Snapshot& before,
+                                         const Snapshot& after,
                                          const CommuteTimeOracle& oracle_before,
                                          const CommuteTimeOracle& oracle_after,
                                          EdgeScoreKind kind,

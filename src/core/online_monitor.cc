@@ -99,18 +99,12 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
 }
 
 Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
-    const WeightedGraph& snapshot) {
-  return Observe(WeightedGraph(snapshot));
-}
-
-Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
-    WeightedGraph&& snapshot) {
+    const Snapshot& snapshot) {
   CAD_CHECK(!observing_) << "OnlineCadMonitor::Observe is not re-entrant; "
                             "serialize calls per monitor";
   observing_ = true;
   const uint64_t start_ns = Timer::NowNanos();
-  Result<std::optional<AnomalyReport>> result =
-      ObserveImpl(std::move(snapshot));
+  Result<std::optional<AnomalyReport>> result = ObserveImpl(snapshot);
   // Wall time is volatile, so it goes into a timer histogram (exported under
   // kind "timer", outside the deterministic-row contract) where mid-run
   // quantiles stay computable.
@@ -148,7 +142,7 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
 }
 
 Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
-    WeightedGraph&& snapshot) {
+    const Snapshot& snapshot) {
   if (previous_snapshot_.has_value() &&
       snapshot.num_nodes() != previous_snapshot_->num_nodes()) {
     if (snapshot.num_nodes() < previous_snapshot_->num_nodes()) {
@@ -163,10 +157,6 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
     CAD_RETURN_NOT_OK(GrowPreviousTo(snapshot.num_nodes()));
   }
 
-  // The window's one sorted edge list: the diff, the Laplacian, the
-  // scoring merge and the checkpoint all read it, and it is kept beside the
-  // snapshot for the next window.
-  std::vector<Edge> edges = snapshot.Edges();
   std::unique_ptr<CommuteTimeOracle> oracle;
   CommuteSolverCache* cache =
       options_.detector.approx.warm_start || options_.incremental
@@ -178,12 +168,11 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
     // windows then typically fall back inside BuildOracleIncremental when
     // the new nodes change the component structure or invalidate the
     // cached embedding shape.)
-    CAD_ASSIGN_OR_RETURN(
-        oracle, detector_.BuildOracleIncremental(
-                    snapshot, edges, *previous_snapshot_, previous_edges_,
-                    previous_oracle_.get(), cache));
+    CAD_ASSIGN_OR_RETURN(oracle, detector_.BuildOracleIncremental(
+                                     snapshot, *previous_snapshot_,
+                                     previous_oracle_.get(), cache));
   } else {
-    CAD_ASSIGN_OR_RETURN(oracle, detector_.BuildOracle(snapshot, edges, cache));
+    CAD_ASSIGN_OR_RETURN(oracle, detector_.BuildOracle(snapshot, cache));
   }
   ++num_snapshots_;
 
@@ -191,14 +180,12 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
   if (!first) {
     // Score the transition that just completed.
     history_.push_back(ComputeTransitionScores(
-        snapshot.num_nodes(), previous_edges_, edges, *previous_oracle_,
-        *oracle, options_.detector.score_kind,
-        options_.detector.analysis_threads));
+        *previous_snapshot_, snapshot, *previous_oracle_, *oracle,
+        options_.detector.score_kind, options_.detector.analysis_threads));
     ++num_transitions_total_;
     CAD_METRIC_INC("monitor.transitions");
   }
-  previous_snapshot_ = std::move(snapshot);
-  previous_edges_ = std::move(edges);
+  previous_snapshot_ = snapshot;
   previous_oracle_ = std::move(oracle);
   if (first) return std::optional<AnomalyReport>();
 

@@ -87,12 +87,7 @@ class OnlineCadMonitor {
   /// `monitor.history_depth`, and `monitor.cache_staleness` gauges, and — if
   /// a StatsReporter is attached — ticks it once per successful call.
   [[nodiscard]] Result<std::optional<AnomalyReport>> Observe(
-      const WeightedGraph& snapshot);
-
-  /// Observe for a caller done with the snapshot: it is moved into the
-  /// monitor as the next window's previous snapshot instead of copied.
-  [[nodiscard]] Result<std::optional<AnomalyReport>> Observe(
-      WeightedGraph&& snapshot);
+      const Snapshot& snapshot);
 
   /// The currently calibrated threshold (0 until the first transition).
   double current_delta() const { return delta_; }
@@ -186,7 +181,7 @@ class OnlineCadMonitor {
   /// The actual Observe body; the public wrapper adds the window-latency
   /// timing, metric updates, flight-recorder notes, and heartbeat tick.
   [[nodiscard]] Result<std::optional<AnomalyReport>> ObserveImpl(
-      WeightedGraph&& snapshot);
+      const Snapshot& snapshot);
 
   OnlineMonitorOptions options_;
   CadDetector detector_;
@@ -194,11 +189,9 @@ class OnlineCadMonitor {
   // cache carries each snapshot's embedding and IC(0) factor into the next
   // Observe call (active only under detector.approx.warm_start).
   CommuteSolverCache solver_cache_{options_.detector.approx.refactor_threshold};
-  std::optional<WeightedGraph> previous_snapshot_;
-  // previous_snapshot_->Edges(), derived once when the snapshot was
-  // observed (or restored). Growing the snapshot adds only isolated nodes,
-  // so GrowPreviousTo leaves it as it is.
-  std::vector<Edge> previous_edges_;
+  // The previous window: the diff, the scoring merge and the checkpoint
+  // read it.
+  std::optional<Snapshot> previous_snapshot_;
   std::unique_ptr<CommuteTimeOracle> previous_oracle_;
   std::optional<NodeVocabulary> vocabulary_;
   std::vector<TransitionScores> history_;

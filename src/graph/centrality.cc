@@ -1,10 +1,6 @@
 #include "graph/centrality.h"
 
-#include <cmath>
-#include <queue>
-#include <utility>
-
-#include "common/check.h"
+#include <algorithm>
 
 namespace cad {
 
@@ -73,59 +69,6 @@ std::vector<double> SampledCloseness(const WeightedGraph& graph,
   return centrality;
 }
 
-/// One Brandes accumulation pass from `source`: Dijkstra with shortest-path
-/// counts, then dependency back-propagation in order of decreasing distance.
-void BrandesAccumulate(
-    const std::vector<std::vector<WeightedGraph::Neighbor>>& adjacency,
-    NodeId source, EdgeLengthMode mode, std::vector<double>* centrality) {
-  const size_t n = adjacency.size();
-  std::vector<double> dist(n, kInfiniteDistance);
-  std::vector<double> sigma(n, 0.0);       // shortest-path counts
-  std::vector<double> dependency(n, 0.0);  // accumulated dependencies
-  std::vector<std::vector<NodeId>> predecessors(n);
-
-  dist[source] = 0.0;
-  sigma[source] = 1.0;
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  heap.emplace(0.0, source);
-  std::vector<NodeId> settled_order;
-  std::vector<bool> settled(n, false);
-
-  while (!heap.empty()) {
-    const auto [d, node] = heap.top();
-    heap.pop();
-    if (settled[node]) continue;
-    settled[node] = true;
-    settled_order.push_back(node);
-    for (const auto& neighbor : adjacency[node]) {
-      const double length =
-          mode == EdgeLengthMode::kUnit ? 1.0 : 1.0 / neighbor.weight;
-      const double candidate = d + length;
-      if (candidate < dist[neighbor.node] - 1e-15) {
-        dist[neighbor.node] = candidate;
-        sigma[neighbor.node] = sigma[node];
-        predecessors[neighbor.node].assign(1, node);
-        heap.emplace(candidate, neighbor.node);
-      } else if (std::fabs(candidate - dist[neighbor.node]) <= 1e-15 &&
-                 !settled[neighbor.node]) {
-        sigma[neighbor.node] += sigma[node];
-        predecessors[neighbor.node].push_back(node);
-      }
-    }
-  }
-
-  // Back-propagate dependencies in reverse settle order.
-  for (auto it = settled_order.rbegin(); it != settled_order.rend(); ++it) {
-    const NodeId w = *it;
-    for (NodeId pred : predecessors[w]) {
-      dependency[pred] +=
-          sigma[pred] / sigma[w] * (1.0 + dependency[w]);
-    }
-    if (w != source) (*centrality)[w] += dependency[w];
-  }
-}
-
 }  // namespace
 
 std::vector<double> ClosenessCentrality(const WeightedGraph& graph,
@@ -134,37 +77,6 @@ std::vector<double> ClosenessCentrality(const WeightedGraph& graph,
     return ExactCloseness(graph, options.length_mode);
   }
   return SampledCloseness(graph, options);
-}
-
-std::vector<double> BetweennessCentrality(const WeightedGraph& graph,
-                                          const BetweennessOptions& options) {
-  const size_t n = graph.num_nodes();
-  std::vector<double> centrality(n, 0.0);
-  if (n < 3) return centrality;
-  const auto adjacency = graph.AdjacencyLists();
-
-  std::vector<size_t> sources;
-  if (options.num_samples == 0 || options.num_samples >= n) {
-    sources.resize(n);
-    for (size_t i = 0; i < n; ++i) sources[i] = i;
-  } else {
-    Rng rng(options.seed);
-    sources = rng.SampleWithoutReplacement(n, options.num_samples);
-  }
-  for (size_t source : sources) {
-    BrandesAccumulate(adjacency, static_cast<NodeId>(source),
-                      options.length_mode, &centrality);
-  }
-
-  // Undirected graphs double-count each pair; Brandes-Pich extrapolation
-  // rescales sampled runs to estimate the full sum.
-  double scale = 0.5 * static_cast<double>(n) /
-                 static_cast<double>(sources.size());
-  if (options.normalized) {
-    scale *= 2.0 / (static_cast<double>(n - 1) * static_cast<double>(n - 2));
-  }
-  for (double& value : centrality) value *= scale;
-  return centrality;
 }
 
 }  // namespace cad

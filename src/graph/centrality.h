@@ -36,29 +36,6 @@ struct ClosenessOptions {
 std::vector<double> ClosenessCentrality(
     const WeightedGraph& graph, const ClosenessOptions& options = {});
 
-/// \brief Options for betweenness centrality.
-struct BetweennessOptions {
-  EdgeLengthMode length_mode = EdgeLengthMode::kInverseWeight;
-  /// Number of source pivots for the Brandes-Pich approximation; 0 means
-  /// exact (one accumulation pass per node).
-  size_t num_samples = 0;
-  /// Seed for pivot selection.
-  uint64_t seed = 42;
-  /// Scale scores by 2 / ((n-1)(n-2)) so they are comparable across sizes.
-  bool normalized = true;
-};
-
-/// \brief (Approximate) shortest-path betweenness centrality via Brandes'
-/// dependency-accumulation algorithm on weighted graphs.
-///
-/// Exact cost is O(n (m + n) log n); with `num_samples` pivots the cost
-/// drops proportionally and scores are rescaled to estimate the exact
-/// values (Brandes & Pich). Complements closeness as a "commonplace node
-/// centrality measure" (paper §4) for downstream analyses; CAD itself does
-/// not use it.
-std::vector<double> BetweennessCentrality(
-    const WeightedGraph& graph, const BetweennessOptions& options = {});
-
 }  // namespace cad
 
 #endif  // CAD_GRAPH_CENTRALITY_H_

@@ -38,13 +38,13 @@ ComponentLabeling ConnectedComponents(const CsrMatrix& pattern) {
   return labeling;
 }
 
-ComponentLabeling ConnectedComponents(const WeightedGraph& graph) {
-  return ConnectedComponents(graph.ToAdjacencyCsr());
+ComponentLabeling ConnectedComponents(const Snapshot& snapshot) {
+  return ConnectedComponents(ToAdjacencyCsr(snapshot));
 }
 
-bool IsConnected(const WeightedGraph& graph) {
-  if (graph.num_nodes() == 0) return true;
-  return ConnectedComponents(graph).num_components == 1;
+bool IsConnected(const Snapshot& snapshot) {
+  if (snapshot.num_nodes() == 0) return true;
+  return ConnectedComponents(snapshot).num_components == 1;
 }
 
 }  // namespace cad

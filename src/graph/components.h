@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 
@@ -34,11 +34,11 @@ struct ComponentLabeling {
 /// snapshot's structure is walked once per build.
 ComponentLabeling ConnectedComponents(const CsrMatrix& pattern);
 
-/// ConnectedComponents over the graph's adjacency CSR.
-ComponentLabeling ConnectedComponents(const WeightedGraph& graph);
+/// ConnectedComponents over the snapshot's adjacency CSR.
+ComponentLabeling ConnectedComponents(const Snapshot& snapshot);
 
-/// True if the graph has a single connected component (or no nodes).
-bool IsConnected(const WeightedGraph& graph);
+/// True if the snapshot has a single connected component (or no nodes).
+bool IsConnected(const Snapshot& snapshot);
 
 }  // namespace cad
 

@@ -10,20 +10,14 @@ double EdgeDelta::ChurnRatio() const {
   return static_cast<double>(changes.size()) / static_cast<double>(denom);
 }
 
-EdgeDelta DiffSnapshots(const WeightedGraph& before,
-                        const WeightedGraph& after) {
-  return DiffSnapshots(before.Edges(), after.Edges());
-}
-
-EdgeDelta DiffSnapshots(const std::vector<Edge>& old_edges,
-                        const std::vector<Edge>& new_edges) {
+EdgeDelta DiffSnapshots(const Snapshot& before, const Snapshot& after) {
   EdgeDelta delta;
-  delta.edges_before = old_edges.size();
-  delta.edges_after = new_edges.size();
+  delta.edges_before = before.num_edges();
+  delta.edges_after = after.num_edges();
 
   // Every insertion and deletion has a nonzero weight on exactly one side,
   // so one comparison finds insertions, deletions and weight changes alike.
-  MergeEdgeLists(old_edges, new_edges,
+  MergeEdgeLists(before.edges(), after.edges(),
                  [&](NodeId u, NodeId v, double weight_before,
                      double weight_after) {
                    if (weight_before != weight_after) {

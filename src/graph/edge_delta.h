@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 
@@ -34,8 +34,8 @@ struct ChangedEdge {
 /// is the input to the incremental maintenance paths (exact Woodbury update
 /// and churn-scoped approximate re-solves; DESIGN.md §12).
 struct EdgeDelta {
-  /// Changed edges in canonical (u, v) order — the same order Edges()
-  /// streams them, which keeps downstream updates deterministic.
+  /// Changed edges in canonical (u, v) order — the order of
+  /// Snapshot::edges(), which keeps downstream updates deterministic.
   std::vector<ChangedEdge> changes;
   /// Edge counts of the two snapshots, for churn accounting.
   size_t edges_before = 0;
@@ -50,7 +50,7 @@ struct EdgeDelta {
   double ChurnRatio() const;
 };
 
-/// \brief Walks the union of two Edges()-sorted lists once, in canonical
+/// \brief Walks the union of two sorted edge lists once, in canonical
 /// (u, v) order, calling visit(u, v, weight_before, weight_after) for every
 /// pair present on either side; the weight is 0 on a side the pair is
 /// absent from. The merge behind both DiffSnapshots and transition scoring.
@@ -78,19 +78,12 @@ void MergeEdgeLists(const std::vector<Edge>& before,
 /// \brief Diffs two snapshots into the rank-k Laplacian update that maps
 /// `before` to `after`.
 ///
-/// Runs one merge pass (MergeEdgeLists) over the two canonical edge lists;
-/// the cost is the two Edges() calls, which the edge-list overload below
-/// saves a caller that already holds them. The snapshots may have different
-/// node counts (edges incident to nodes beyond the smaller snapshot simply
-/// appear as insertions/deletions); callers that need matching dimensions —
-/// the Woodbury path does — must check num_nodes themselves.
-EdgeDelta DiffSnapshots(const WeightedGraph& before,
-                        const WeightedGraph& after);
-
-/// DiffSnapshots for a caller that already holds both snapshots' Edges()
-/// lists; saves re-deriving them.
-EdgeDelta DiffSnapshots(const std::vector<Edge>& before,
-                        const std::vector<Edge>& after);
+/// Runs one merge pass (MergeEdgeLists) over the two sorted edge lists. The
+/// snapshots may have different node counts (edges incident to nodes
+/// beyond the smaller snapshot simply appear as insertions/deletions);
+/// callers that need matching dimensions — the Woodbury path does — must
+/// check num_nodes themselves.
+EdgeDelta DiffSnapshots(const Snapshot& before, const Snapshot& after);
 
 }  // namespace cad
 

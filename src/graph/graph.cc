@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "common/check.h"
+#include <string>
 
 namespace cad {
 
@@ -26,53 +24,6 @@ Status ValidateEndpoints(NodeId u, NodeId v, size_t num_nodes) {
 Status InvalidWeight(double weight) {
   return Status::InvalidArgument("edge weight must be finite and >= 0, got " +
                                  std::to_string(weight));
-}
-
-/// Lays out a symmetric CSR straight from an Edges()-sorted list: row i
-/// holds its lower neighbours (j < i), then the diagonal when `diagonal` is
-/// given, then its upper neighbours (j > i), each ascending — the column
-/// order a per-row sort would give, without the sort. The walk visits rows
-/// in order; by the time it reaches row i, every edge (u, i) with u < i has
-/// already filled row i's lower part in ascending u, so the diagonal and
-/// then the edges (i, v), ascending in v, append behind it. Off-diagonal
-/// values are the edge weights, negated for a Laplacian.
-CsrMatrix AssembleSymmetricCsr(size_t num_nodes, const std::vector<Edge>& edges,
-                               bool negate,
-                               const std::vector<double>* diagonal) {
-  std::vector<size_t> row_offsets(num_nodes + 1, 0);
-  for (const Edge& edge : edges) {
-    ++row_offsets[edge.u + 1];
-    ++row_offsets[edge.v + 1];
-  }
-  if (diagonal != nullptr) {
-    for (size_t i = 0; i < num_nodes; ++i) ++row_offsets[i + 1];
-  }
-  for (size_t i = 0; i < num_nodes; ++i) row_offsets[i + 1] += row_offsets[i];
-
-  const size_t nnz = row_offsets[num_nodes];
-  std::vector<uint32_t> cols(nnz);
-  std::vector<double> vals(nnz);
-  std::vector<size_t> cursor(row_offsets.begin(), row_offsets.end() - 1);
-  size_t next = 0;
-  for (size_t i = 0; i < num_nodes; ++i) {
-    if (diagonal != nullptr) {
-      const size_t pos = cursor[i]++;
-      cols[pos] = static_cast<uint32_t>(i);
-      vals[pos] = (*diagonal)[i];
-    }
-    for (; next < edges.size() && edges[next].u == i; ++next) {
-      const Edge& edge = edges[next];
-      const double value = negate ? -edge.weight : edge.weight;
-      const size_t upper = cursor[i]++;
-      cols[upper] = edge.v;
-      vals[upper] = value;
-      const size_t lower = cursor[edge.v]++;
-      cols[lower] = edge.u;
-      vals[lower] = value;
-    }
-  }
-  return CsrMatrix(num_nodes, num_nodes, std::move(row_offsets),
-                   std::move(cols), std::move(vals));
 }
 
 }  // namespace
@@ -114,9 +65,8 @@ Status WeightedGraph::AddEdgeWeight(NodeId u, NodeId v, double delta) {
     return Status::OK();
   }
   // Zero, negative and non-finite deltas: a key is inserted only when its
-  // resulting weight is nonzero and erased when it reaches zero, the same
-  // inserts and erases SetEdge(EdgeWeight + delta) makes, so the map's
-  // bucket history — and with it Volume()'s summation order — is unchanged.
+  // resulting weight is nonzero and erased when it reaches zero, exactly as
+  // SetEdge(EdgeWeight + delta) would.
   const auto it = weights_.find(key);
   const double next = (it == weights_.end() ? 0.0 : it->second) + delta;
   if (next < 0.0) {
@@ -167,15 +117,6 @@ std::vector<Edge> WeightedGraph::Edges() const {
   return edges;
 }
 
-std::vector<double> WeightedGraph::WeightedDegrees() const {
-  std::vector<double> degrees(num_nodes_, 0.0);
-  for (const auto& [key, weight] : weights_) {
-    degrees[key >> 32] += weight;
-    degrees[key & 0xffffffffULL] += weight;
-  }
-  return degrees;
-}
-
 std::vector<size_t> WeightedGraph::Degrees() const {
   std::vector<size_t> degrees(num_nodes_, 0);
   for (const auto& [key, weight] : weights_) {
@@ -184,59 +125,6 @@ std::vector<size_t> WeightedGraph::Degrees() const {
     ++degrees[key & 0xffffffffULL];
   }
   return degrees;
-}
-
-double WeightedGraph::Volume() const {
-  double total = 0.0;
-  for (const auto& [key, weight] : weights_) {
-    (void)key;
-    total += weight;
-  }
-  return 2.0 * total;
-}
-
-CsrMatrix WeightedGraph::ToAdjacencyCsr() const {
-  return AssembleSymmetricCsr(num_nodes_, Edges(), /*negate=*/false, nullptr);
-}
-
-CsrMatrix WeightedGraph::ToLaplacianCsr(double regularization) const {
-  return ToLaplacianCsr(Edges(), regularization);
-}
-
-CsrMatrix WeightedGraph::ToLaplacianCsr(const std::vector<Edge>& edges,
-                                        double regularization) const {
-  CAD_DCHECK(edges.size() == weights_.size());
-  // The diagonal keeps WeightedDegrees()' summation order: summing the
-  // sorted edges instead would round fractional weights differently.
-  std::vector<double> diagonal = WeightedDegrees();
-  for (double& d : diagonal) d += regularization;
-  return AssembleSymmetricCsr(num_nodes_, edges, /*negate=*/true, &diagonal);
-}
-
-DenseMatrix WeightedGraph::ToAdjacencyDense() const {
-  DenseMatrix a(num_nodes_, num_nodes_);
-  for (const auto& [key, weight] : weights_) {
-    const size_t u = key >> 32;
-    const size_t v = key & 0xffffffffULL;
-    a(u, v) = weight;
-    a(v, u) = weight;
-  }
-  return a;
-}
-
-DenseMatrix WeightedGraph::ToLaplacianDense(double regularization) const {
-  DenseMatrix l(num_nodes_, num_nodes_);
-  const std::vector<double> degrees = WeightedDegrees();
-  for (const auto& [key, weight] : weights_) {
-    const size_t u = key >> 32;
-    const size_t v = key & 0xffffffffULL;
-    l(u, v) = -weight;
-    l(v, u) = -weight;
-  }
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    l(i, i) = degrees[i] + regularization;
-  }
-  return l;
 }
 
 std::vector<std::vector<WeightedGraph::Neighbor>>
@@ -258,10 +146,8 @@ WeightedGraph::AdjacencyLists() const {
 }
 
 std::string WeightedGraph::ToString() const {
-  std::ostringstream os;
-  os << "WeightedGraph(n=" << num_nodes_ << ", m=" << num_edges()
-     << ", volume=" << Volume() << ")";
-  return os.str();
+  return "WeightedGraph(n=" + std::to_string(num_nodes_) +
+         ", m=" + std::to_string(num_edges()) + ")";
 }
 
 bool WeightedGraph::operator==(const WeightedGraph& other) const {

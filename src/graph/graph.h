@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "linalg/sparse_matrix.h"
 
 namespace cad {
 
@@ -44,12 +43,14 @@ struct NodePair {
   bool operator<(const NodePair& other) const { return Key() < other.Key(); }
 };
 
-/// \brief Undirected weighted graph on a fixed node set.
+/// \brief Undirected weighted graph on a fixed node set: the mutable
+/// builder that window aggregation and the loaders fill.
 ///
 /// Matches the paper's framework (§2): the vertex set is fixed, edge weights
 /// are non-negative, and "no edge" is represented by weight zero. Self-loops
-/// are disallowed. The graph is mutable during construction; adjacency views
-/// (CSR) are built on demand.
+/// are disallowed. Consumers read a finished graph as a Snapshot
+/// (graph/snapshot.h), which sorts the edges once and sums degrees and
+/// volume in that order; nothing here sums over the hash map.
 class WeightedGraph {
  public:
   /// Creates an edgeless graph on `num_nodes` nodes.
@@ -58,8 +59,7 @@ class WeightedGraph {
   size_t num_nodes() const { return num_nodes_; }
 
   /// Grows the node set to `num_nodes`; new nodes are isolated. Shrinking is
-  /// rejected (edges could dangle). Growing never touches existing edges, so
-  /// volume and degrees of existing nodes are unchanged.
+  /// rejected (edges could dangle). Growing never touches existing edges.
   [[nodiscard]] Status GrowTo(size_t num_nodes);
 
   /// Number of edges with nonzero weight.
@@ -81,34 +81,8 @@ class WeightedGraph {
   /// All edges in canonical orientation, sorted by (u, v).
   std::vector<Edge> Edges() const;
 
-  /// Weighted degree (sum of incident edge weights) of every node.
-  std::vector<double> WeightedDegrees() const;
-
   /// Unweighted degree (neighbor count) of every node.
   std::vector<size_t> Degrees() const;
-
-  /// Graph volume V_G = sum of weighted degrees = 2 * total edge weight.
-  double Volume() const;
-
-  /// Symmetric adjacency matrix in CSR form.
-  CsrMatrix ToAdjacencyCsr() const;
-
-  /// Combinatorial Laplacian L = D - A in CSR form, with `regularization`
-  /// added to every diagonal entry. A small positive regularization makes L
-  /// strictly positive definite, which the commute-time engines use to handle
-  /// disconnected snapshots (see DESIGN.md).
-  CsrMatrix ToLaplacianCsr(double regularization = 0.0) const;
-
-  /// ToLaplacianCsr for a caller that already holds this graph's Edges(),
-  /// which `edges` must be; saves re-deriving the sorted edge list.
-  CsrMatrix ToLaplacianCsr(const std::vector<Edge>& edges,
-                           double regularization) const;
-
-  /// Dense adjacency matrix; small graphs only.
-  DenseMatrix ToAdjacencyDense() const;
-
-  /// Dense Laplacian; small graphs only.
-  DenseMatrix ToLaplacianDense(double regularization = 0.0) const;
 
   /// Sorted neighbor lists (adjacency view shared by BFS/Dijkstra).
   struct Neighbor {
@@ -117,7 +91,7 @@ class WeightedGraph {
   };
   std::vector<std::vector<Neighbor>> AdjacencyLists() const;
 
-  /// Summary string: "WeightedGraph(n=…, m=…, volume=…)".
+  /// Summary string: "WeightedGraph(n=…, m=…)".
   std::string ToString() const;
 
   bool operator==(const WeightedGraph& other) const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "graph/snapshot.h"
 #include "linalg/jacobi_eigen.h"
 #include "linalg/lanczos.h"
 
@@ -42,7 +43,7 @@ Result<SpectralEmbedding> ComputeSpectralEmbedding(
   if (n <= options.dense_limit) {
     EigenDecomposition eig;
     CAD_ASSIGN_OR_RETURN(eig,
-                         JacobiEigenDecomposition(graph.ToLaplacianDense()));
+                         JacobiEigenDecomposition(ToLaplacianDense(graph)));
     for (size_t d = 0; d < options.dimension; ++d) {
       embedding.eigenvalues[d] = eig.eigenvalues[d + 1];
       for (size_t i = 0; i < n; ++i) {
@@ -58,7 +59,7 @@ Result<SpectralEmbedding> ComputeSpectralEmbedding(
   lanczos.seed = options.seed;
   LanczosResult result;
   CAD_ASSIGN_OR_RETURN(result,
-                       SmallestEigenpairs(graph.ToLaplacianCsr(), lanczos));
+                       SmallestEigenpairs(ToLaplacianCsr(graph), lanczos));
   for (size_t d = 0; d < options.dimension; ++d) {
     embedding.eigenvalues[d] = result.eigenvalues[d + 1];
     for (size_t i = 0; i < n; ++i) {

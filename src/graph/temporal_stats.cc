@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "graph/components.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 
@@ -13,15 +14,15 @@ TemporalProfile ProfileSequence(const TemporalGraphSequence& sequence) {
   TemporalProfile profile;
   profile.snapshots.reserve(sequence.num_snapshots());
   for (size_t t = 0; t < sequence.num_snapshots(); ++t) {
-    const WeightedGraph& g = sequence.Snapshot(t);
+    const Snapshot snapshot(sequence.Snapshot(t));
     SnapshotStats stats;
-    stats.num_edges = g.num_edges();
-    stats.volume = g.Volume();
+    stats.num_edges = snapshot.num_edges();
+    stats.volume = snapshot.volume();
     stats.mean_weight =
         stats.num_edges > 0
             ? stats.volume / (2.0 * static_cast<double>(stats.num_edges))
             : 0.0;
-    const ComponentLabeling labeling = ConnectedComponents(g);
+    const ComponentLabeling labeling = ConnectedComponents(snapshot);
     stats.num_components = labeling.num_components;
     for (size_t size : labeling.sizes) {
       stats.largest_component = std::max(stats.largest_component, size);

@@ -6,13 +6,13 @@
 // The textbook constructions the library replaced with direct assembly from
 // the sorted edge list: CSR by COO triplets and CooMatrix::ToCsr's per-row
 // sort, and connected components by BFS over AdjacencyLists(). Neither goes
-// through Edges(), so a mistake there cannot hide in both sides of a
-// comparison. WeightedGraph::ToAdjacencyCsr/ToLaplacianCsr and
-// ConnectedComponents must reproduce these bit for bit.
+// through Edges() or Snapshot, so a mistake there cannot hide in both sides
+// of a comparison. ToAdjacencyCsr/ToLaplacianCsr and ConnectedComponents
+// must reproduce these bit for bit.
 //
 // AddEdgeWeight is the find-then-SetEdge aggregation step that
 // WeightedGraph::AddEdgeWeight's single-probe version must match: same
-// statuses, same inserts and erases, hence the same hash-order sums.
+// statuses, same resulting edges.
 
 #include <cstdint>
 #include <queue>
@@ -56,17 +56,20 @@ inline CsrMatrix AdjacencyCsr(const WeightedGraph& graph) {
   return coo.ToCsr();
 }
 
-/// Laplacian D - A + regularization * I via COO triplets; the diagonal is
-/// WeightedDegrees()[i] + regularization, present for every node.
+/// Laplacian D - A + regularization * I via COO triplets; the diagonal,
+/// present for every node, is the weighted degree + regularization, with
+/// each degree summed over the edges in ascending (u, v) order.
 inline CsrMatrix LaplacianCsr(const WeightedGraph& graph,
                               double regularization) {
   const size_t n = graph.num_nodes();
-  const std::vector<double> degrees = graph.WeightedDegrees();
+  std::vector<double> degrees(n, 0.0);
   CooMatrix coo(n, n);
   const auto lists = graph.AdjacencyLists();
   for (size_t u = 0; u < n; ++u) {
     for (const WeightedGraph::Neighbor& neighbor : lists[u]) {
       if (neighbor.node > u) {
+        degrees[u] += neighbor.weight;
+        degrees[neighbor.node] += neighbor.weight;
         coo.AddSymmetric(static_cast<uint32_t>(u), neighbor.node,
                          -neighbor.weight);
       }

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "datagen/random_graphs.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "linalg/conjugate_gradient.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/incomplete_cholesky.h"
@@ -30,7 +31,8 @@ CsrMatrix LaplacianFixture(size_t n, uint64_t seed) {
   opts.average_degree = 6.0;
   opts.seed = seed;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  return g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
+  const Snapshot snapshot(g);
+  return ToLaplacianCsr(snapshot, 1e-6 * std::max(snapshot.volume(), 1.0));
 }
 
 /// k mean-centered right-hand sides as an n x k block.

@@ -18,6 +18,7 @@
 #include "core/cad_detector.h"
 #include "datagen/random_graphs.h"
 #include "graph/edge_delta.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 namespace {
@@ -181,7 +182,7 @@ TEST_P(CadPropertySweep, DisjointStaticCopyOnlyRescalesVolume) {
   const double transfer = edges[0].weight / 2.0;
   CAD_CHECK_OK(after.AddEdgeWeight(edges[0].u, edges[0].v, -transfer));
   CAD_CHECK_OK(after.AddEdgeWeight(edges[1].u, edges[1].v, transfer));
-  ASSERT_NEAR(before.Volume(), after.Volume(), 1e-9);
+  ASSERT_NEAR(Snapshot(before).volume(), Snapshot(after).volume(), 1e-9);
 
   TemporalGraphSequence seq(before.num_nodes());
   CAD_CHECK_OK(seq.Append(before));
@@ -221,8 +222,8 @@ TEST_P(CadPropertySweep, DisjointStaticCopyOnlyRescalesVolume) {
     }
   }
   // Original pairs' scores scale by the combined/original volume ratio.
-  const double ratio =
-      combined.Snapshot(0).Volume() / seq.Snapshot(0).Volume();
+  const double ratio = Snapshot(combined.Snapshot(0)).volume() /
+                       Snapshot(seq.Snapshot(0)).volume();
   const auto original_map = ScoreMap((*original)[0]);
   const auto combined_map = ScoreMap((*with_copy)[0]);
   for (const auto& [key, score] : original_map) {
@@ -393,8 +394,8 @@ TEST_P(IncrementalSweep, ApproxIncrementalHonorsResidualContract) {
   // Residual contract, column by column, against the new regularized
   // Laplacian (the same epsilon formula the build uses).
   const double epsilon = options.commute.regularization_scale *
-                         std::max(after.Volume(), 1.0);
-  const CsrMatrix laplacian = after.ToLaplacianCsr(epsilon);
+                         std::max(Snapshot(after).volume(), 1.0);
+  const CsrMatrix laplacian = ToLaplacianCsr(after, epsilon);
   const DenseMatrix& z = incremental->embedding();  // k x n
   DenseMatrix x0(n, k);
   for (size_t i = 0; i < n; ++i) {

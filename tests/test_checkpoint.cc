@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -771,6 +773,126 @@ TEST(MonitorCheckpointTest, InconsistentPresenceByteRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(loader.num_snapshots(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Graph section validation: a section WriteWeightedGraph cannot have written
+// loads as a Status, never as a silently different graph or a crash.
+
+struct RawEdge {
+  uint32_t u;
+  uint32_t v;
+  double weight;
+};
+
+Result<Snapshot> ReadCraftedSection(uint64_t num_nodes, uint64_t num_edges,
+                                    const std::vector<RawEdge>& edges) {
+  std::stringstream buffer;
+  CheckpointWriter writer(&buffer);
+  writer.WriteU64(num_nodes);
+  writer.WriteU64(num_edges);
+  for (const RawEdge& edge : edges) {
+    writer.WriteU32(edge.u);
+    writer.WriteU32(edge.v);
+    writer.WriteDouble(edge.weight);
+  }
+  CAD_CHECK_OK(writer.Finish());
+  CheckpointReader reader(&buffer);
+  return ReadWeightedGraph(&reader);
+}
+
+void ExpectInvalidSection(uint64_t num_nodes,
+                          const std::vector<RawEdge>& edges) {
+  const Result<Snapshot> read =
+      ReadCraftedSection(num_nodes, edges.size(), edges);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument)
+      << read.status().ToString();
+}
+
+TEST(CheckpointGraphSectionTest, ValidSectionLoadsWithSortedOrderSums) {
+  const Result<Snapshot> read =
+      ReadCraftedSection(5, 3, {{0, 3, 0.1}, {1, 3, 0.2}, {3, 4, 0.3}});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->num_nodes(), 5u);
+  ASSERT_EQ(read->num_edges(), 3u);
+  EXPECT_EQ(read->weighted_degrees()[3], (0.1 + 0.2) + 0.3);
+  EXPECT_EQ(read->volume(), 2.0 * ((0.1 + 0.2) + 0.3));
+}
+
+TEST(CheckpointGraphSectionTest, DuplicatedPairRejected) {
+  ExpectInvalidSection(4, {{0, 1, 1.0}, {0, 1, 2.0}});
+}
+
+TEST(CheckpointGraphSectionTest, DescendingPairsRejected) {
+  ExpectInvalidSection(4, {{1, 2, 1.0}, {0, 3, 1.0}});
+  ExpectInvalidSection(4, {{0, 3, 1.0}, {0, 2, 1.0}});
+}
+
+TEST(CheckpointGraphSectionTest, NonCanonicalPairsRejected) {
+  ExpectInvalidSection(4, {{2, 1, 1.0}});
+  ExpectInvalidSection(4, {{2, 2, 1.0}});
+}
+
+TEST(CheckpointGraphSectionTest, EndpointBeyondNodeCountRejected) {
+  ExpectInvalidSection(4, {{0, 4, 1.0}});
+  ExpectInvalidSection(0, {{0, 1, 1.0}});
+}
+
+TEST(CheckpointGraphSectionTest, NonPositiveOrNonFiniteWeightRejected) {
+  for (const double weight :
+       {0.0, -0.0, -1.5, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    ExpectInvalidSection(4, {{0, 1, 1.0}, {1, 2, weight}});
+  }
+}
+
+TEST(CheckpointGraphSectionTest, FewerEdgesThanDeclaredIsTruncation) {
+  const Result<Snapshot> read = ReadCraftedSection(4, 3, {{0, 1, 1.0}});
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+}
+
+// A monitor checkpoint whose graph section has been edited is rejected and
+// leaves the loading monitor untouched. v1 layout: the section starts at
+// offset 33 with num_nodes (u64), then num_edges (u64), then 16-byte edges
+// (u32 u, u32 v, f64 weight) from offset 49.
+void ExpectCorruptedSectionRejected(
+    const std::function<void(std::string*)>& corrupt) {
+  OnlineMonitorOptions options;
+  options.detector.engine = CommuteEngine::kExact;
+  OnlineCadMonitor saver(options);
+  ASSERT_TRUE(saver.Observe(TwoTeams(0.0)).ok());
+  ASSERT_TRUE(saver.Observe(TwoTeams(2.0)).ok());
+  std::stringstream checkpoint;
+  ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint).ok());
+  std::string bytes = checkpoint.str();
+  ASSERT_EQ(static_cast<uint8_t>(bytes[7]), kCheckpointVersionIntegerIds);
+  corrupt(&bytes);
+  std::stringstream corrupted(bytes);
+  OnlineCadMonitor loader(options);
+  const Status status = loader.LoadCheckpoint(&corrupted);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(loader.num_snapshots(), 0u);
+}
+
+TEST(CheckpointGraphSectionTest, MonitorRejectsZeroedWeight) {
+  ExpectCorruptedSectionRejected([](std::string* bytes) {
+    for (size_t i = 49 + 8; i < 49 + 16; ++i) (*bytes)[i] = 0;
+  });
+}
+
+TEST(CheckpointGraphSectionTest, MonitorRejectsDuplicatedPair) {
+  ExpectCorruptedSectionRejected([](std::string* bytes) {
+    for (size_t i = 0; i < 8; ++i) (*bytes)[49 + 16 + i] = (*bytes)[49 + i];
+  });
+}
+
+TEST(CheckpointGraphSectionTest, MonitorRejectsHugeNodeCountBeforeSizing) {
+  ExpectCorruptedSectionRejected([](std::string* bytes) {
+    (*bytes)[33 + 5] = 1;  // num_nodes += 2^40
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/random_graphs.h"
+#include "graph/snapshot.h"
 #include "linalg/jacobi_eigen.h"
 
 namespace cad {
@@ -75,9 +76,9 @@ TEST(ExactCommuteTest, MatchesEigendecompositionPseudoinverse) {
 
   auto oracle = ExactCommuteTime::Build(g);
   ASSERT_TRUE(oracle.ok());
-  auto lplus = SymmetricPseudoInverse(g.ToLaplacianDense());
+  auto lplus = SymmetricPseudoInverse(ToLaplacianDense(g));
   ASSERT_TRUE(lplus.ok());
-  const double volume = g.Volume();
+  const double volume = Snapshot(g).volume();
   for (NodeId i = 0; i < 6; ++i) {
     for (NodeId j = 0; j < 6; ++j) {
       const double expected =
@@ -112,7 +113,7 @@ TEST(ExactCommuteTest, CrossComponentStrictModeUsesSentinel) {
   options.use_cross_component_sentinel = true;
   auto oracle = ExactCommuteTime::Build(g, options);
   ASSERT_TRUE(oracle.ok());
-  const double sentinel = g.Volume() * 4.0;  // default scale 1.0
+  const double sentinel = Snapshot(g).volume() * 4.0;  // default scale 1.0
   EXPECT_DOUBLE_EQ(oracle->CommuteTime(0, 2), sentinel);
   EXPECT_DOUBLE_EQ(oracle->CommuteTime(1, 3), sentinel);
   // The sentinel dominates every within-component distance.

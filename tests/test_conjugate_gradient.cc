@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "datagen/random_graphs.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "linalg/incomplete_cholesky.h"
 #include "linalg/vector_ops.h"
 #include "reference_cg.h"
@@ -108,7 +109,7 @@ TEST(CgTest, LaplacianSystemWithBalancedRhs) {
   ASSERT_TRUE(g.SetEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.SetEdge(1, 2, 2.0).ok());
   ASSERT_TRUE(g.SetEdge(2, 3, 1.0).ok());
-  const CsrMatrix l = g.ToLaplacianCsr(1e-10);
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-10);
   const std::vector<double> b = {1.0, -1.0, 1.0, -1.0};  // sums to zero
   std::vector<double> x;
   auto summary = ConjugateGradientSolver().Solve(l, b, &x);
@@ -168,8 +169,8 @@ TEST_P(CgLaplacianSweep, ConvergesOnGraphLaplacians) {
   opts.average_degree = 6.0;
   opts.seed = 900 + GetParam();
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const double eps = 1e-8 * std::max(g.Volume(), 1.0);
-  const CsrMatrix l = g.ToLaplacianCsr(eps);
+  const double eps = 1e-8 * std::max(Snapshot(g).volume(), 1.0);
+  const CsrMatrix l = ToLaplacianCsr(g, eps);
 
   // Balanced rhs: difference of two indicator vectors.
   std::vector<double> b(opts.num_nodes, 0.0);
@@ -276,7 +277,9 @@ TEST(CgWarmStartTest, SolveMatchesReferencePcgBitwise) {
   opts.average_degree = 5.0;
   opts.seed = 99;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
+  const Snapshot snapshot(g);
+  const CsrMatrix l =
+      ToLaplacianCsr(snapshot, 1e-6 * std::max(snapshot.volume(), 1.0));
   Rng rng(15);
   std::vector<double> b(60);
   for (double& v : b) v = rng.Normal();
@@ -363,7 +366,9 @@ TEST(SummarizeCgBatchTest, SolveBlockBatchesAreRunToRunDeterministic) {
   opts.average_degree = 6.0;
   opts.seed = 4242;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
+  const Snapshot snapshot(g);
+  const CsrMatrix l =
+      ToLaplacianCsr(snapshot, 1e-6 * std::max(snapshot.volume(), 1.0));
   DenseMatrix rhs(opts.num_nodes, 4);
   for (size_t j = 0; j < rhs.cols(); ++j) {
     rhs(j, j) = 1.0;

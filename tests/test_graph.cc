@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/snapshot.h"
+
 namespace cad {
 namespace {
 
@@ -24,7 +26,7 @@ TEST(WeightedGraphTest, EmptyGraph) {
   WeightedGraph g(5);
   EXPECT_EQ(g.num_nodes(), 5u);
   EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_EQ(g.Volume(), 0.0);
+  EXPECT_EQ(Snapshot(g).volume(), 0.0);
   EXPECT_TRUE(g.Edges().empty());
 }
 
@@ -88,16 +90,17 @@ TEST(WeightedGraphTest, DegreesAndVolume) {
   WeightedGraph g(3);
   ASSERT_TRUE(g.SetEdge(0, 1, 2.0).ok());
   ASSERT_TRUE(g.SetEdge(1, 2, 3.0).ok());
-  EXPECT_EQ(g.WeightedDegrees(), (std::vector<double>{2, 5, 3}));
+  const Snapshot snapshot(g);
+  EXPECT_EQ(snapshot.weighted_degrees(), (std::vector<double>{2, 5, 3}));
   EXPECT_EQ(g.Degrees(), (std::vector<size_t>{1, 2, 1}));
-  EXPECT_EQ(g.Volume(), 10.0);
+  EXPECT_EQ(snapshot.volume(), 10.0);
 }
 
 TEST(WeightedGraphTest, AdjacencyCsrIsSymmetric) {
   WeightedGraph g(3);
   ASSERT_TRUE(g.SetEdge(0, 1, 2.0).ok());
   ASSERT_TRUE(g.SetEdge(1, 2, 3.0).ok());
-  const CsrMatrix a = g.ToAdjacencyCsr();
+  const CsrMatrix a = ToAdjacencyCsr(g);
   EXPECT_TRUE(a.IsSymmetric());
   EXPECT_EQ(a.At(0, 1), 2.0);
   EXPECT_EQ(a.At(2, 1), 3.0);
@@ -109,7 +112,7 @@ TEST(WeightedGraphTest, LaplacianRowSumsAreZero) {
   ASSERT_TRUE(g.SetEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.SetEdge(1, 2, 2.0).ok());
   ASSERT_TRUE(g.SetEdge(2, 3, 0.5).ok());
-  const CsrMatrix l = g.ToLaplacianCsr();
+  const CsrMatrix l = ToLaplacianCsr(g);
   for (double row_sum : l.RowSums()) EXPECT_NEAR(row_sum, 0.0, 1e-12);
   EXPECT_EQ(l.At(1, 1), 3.0);
   EXPECT_EQ(l.At(1, 2), -2.0);
@@ -118,7 +121,7 @@ TEST(WeightedGraphTest, LaplacianRowSumsAreZero) {
 TEST(WeightedGraphTest, LaplacianRegularizationOnDiagonal) {
   WeightedGraph g(2);
   ASSERT_TRUE(g.SetEdge(0, 1, 1.0).ok());
-  const CsrMatrix l = g.ToLaplacianCsr(0.25);
+  const CsrMatrix l = ToLaplacianCsr(g, 0.25);
   EXPECT_DOUBLE_EQ(l.At(0, 0), 1.25);
   EXPECT_DOUBLE_EQ(l.At(1, 1), 1.25);
 }
@@ -127,12 +130,9 @@ TEST(WeightedGraphTest, DenseMatchesSparse) {
   WeightedGraph g(4);
   ASSERT_TRUE(g.SetEdge(0, 1, 1.5).ok());
   ASSERT_TRUE(g.SetEdge(2, 3, 2.5).ok());
-  EXPECT_EQ(
-      g.ToAdjacencyDense().MaxAbsDifference(g.ToAdjacencyCsr().ToDense()),
-      0.0);
-  EXPECT_EQ(
-      g.ToLaplacianDense(0.1).MaxAbsDifference(g.ToLaplacianCsr(0.1).ToDense()),
-      0.0);
+  EXPECT_EQ(ToLaplacianDense(g, 0.1).MaxAbsDifference(
+                ToLaplacianCsr(g, 0.1).ToDense()),
+            0.0);
 }
 
 TEST(WeightedGraphTest, AdjacencyListsSortedAndSymmetric) {

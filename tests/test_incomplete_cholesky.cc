@@ -6,6 +6,7 @@
 
 #include "datagen/random_graphs.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "linalg/cholesky.h"
 #include "linalg/conjugate_gradient.h"
 #include "linalg/vector_ops.h"
@@ -49,7 +50,7 @@ TEST(IncompleteCholeskyTest, ApplyIsSpdOperator) {
   opts.num_nodes = 50;
   opts.average_degree = 6.0;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr(0.01 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 0.01 * Snapshot(g).volume());
   auto ic = IncompleteCholesky::Factor(l);
   ASSERT_TRUE(ic.ok());
   // M^{-1} must be symmetric: x^T M^{-1} y == y^T M^{-1} x.
@@ -80,7 +81,7 @@ TEST(IncompleteCholeskyTest, CgWithIcConvergesFasterThanJacobi) {
   opts.average_degree = 4.0;
   opts.seed = 17;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-8 * Snapshot(g).volume());
   std::vector<double> b(2000, 0.0);
   b[0] = 1.0;
   b[1999] = -1.0;

@@ -6,6 +6,7 @@
 
 #include "datagen/random_graphs.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "linalg/vector_ops.h"
 
 namespace cad {
@@ -47,7 +48,7 @@ TEST(LanczosTest, EigenvectorsSatisfyDefinition) {
   opts.average_degree = 6.0;
   opts.seed = 4;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr();
+  const CsrMatrix l = ToLaplacianCsr(g);
   LanczosOptions options;
   options.num_eigenpairs = 4;
   auto result = SmallestEigenpairs(l, options);
@@ -67,7 +68,7 @@ TEST(LanczosTest, LaplacianSmallestIsZeroWithConstantVector) {
   WeightedGraph g(12);
   for (NodeId i = 0; i + 1 < 12; ++i) CAD_CHECK_OK(g.SetEdge(i, i + 1, 1.0));
   CAD_CHECK_OK(g.SetEdge(0, 11, 1.0));  // ring
-  auto result = SmallestEigenpairs(g.ToLaplacianCsr());
+  auto result = SmallestEigenpairs(ToLaplacianCsr(g));
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->eigenvalues[0], 0.0, 1e-8);
   // The corresponding eigenvector is constant.
@@ -84,7 +85,7 @@ TEST(LanczosTest, EigenvaluesAscending) {
   RandomGraphOptions opts;
   opts.num_nodes = 60;
   opts.average_degree = 5.0;
-  const CsrMatrix l = MakeRandomSparseGraph(opts).ToLaplacianCsr();
+  const CsrMatrix l = ToLaplacianCsr(MakeRandomSparseGraph(opts));
   LanczosOptions options;
   options.num_eigenpairs = 5;
   auto small = SmallestEigenpairs(l, options);

@@ -17,6 +17,7 @@
 #include "core/cad_detector.h"
 #include "datagen/random_graphs.h"
 #include "datagen/rmat.h"
+#include "graph/snapshot.h"
 #include "linalg/conjugate_gradient.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -84,7 +85,7 @@ TEST(ParallelSolveTest, ParallelSolveBlockMatchesSerial) {
   opts.average_degree = 6.0;
   opts.seed = 8;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
-  const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
+  const CsrMatrix l = ToLaplacianCsr(g, 1e-8 * Snapshot(g).volume());
 
   DenseMatrix rhs(300, 8);
   for (size_t c = 0; c < rhs.cols(); ++c) {

@@ -14,6 +14,7 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "linalg/conjugate_gradient.h"
 #include "linalg/sparse_matrix.h"
 #include "obs/obs.h"
@@ -106,7 +107,7 @@ TEST_P(SolveBlockThreadStressTest, BitIdenticalAcrossThreadCounts) {
   constexpr size_t kNodes = 120;
   constexpr size_t kSystems = 12;
   const WeightedGraph graph = MakeStressGraph(kNodes);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 1e-3);
   const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
 
   CgOptions options;
@@ -151,7 +152,7 @@ TEST_P(SolveBlockThreadStressTest, BitIdenticalWithObservabilityOn) {
   constexpr size_t kNodes = 96;
   constexpr size_t kSystems = 10;
   const WeightedGraph graph = MakeStressGraph(kNodes);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 1e-3);
   const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
 
   CgOptions options;
@@ -200,7 +201,7 @@ TEST_P(SolveBlockThreadStressTest, WarmGuessMatchesReferenceAcrossThreadCounts) 
   constexpr size_t kNodes = 120;
   constexpr size_t kSystems = 12;
   const WeightedGraph graph = MakeStressGraph(kNodes);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 1e-3);
   const DenseMatrix rhs = MakeRightHandSides(kNodes, kSystems);
   DenseMatrix guess = rhs;
   for (double& v : guess.mutable_data()) v *= 0.01;
@@ -241,7 +242,7 @@ TEST(SolveBlockThreadStressTest, RepeatedContendedSolves) {
   // pool lifetimes against the shared read-only preconditioner.
   constexpr size_t kNodes = 48;
   const WeightedGraph graph = MakeStressGraph(kNodes);
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(1e-3);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 1e-3);
   const DenseMatrix rhs = MakeRightHandSides(kNodes, 8);
 
   CgOptions options;

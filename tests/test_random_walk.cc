@@ -1,12 +1,14 @@
-#include "commute/random_walk.h"
-
 #include <gtest/gtest.h>
 
 #include "commute/exact_commute.h"
 #include "datagen/random_graphs.h"
+#include "reference_random_walk.h"
 
 namespace cad {
 namespace {
+
+using testing_reference::EstimateCommuteTimeByWalking;
+using testing_reference::RandomWalkOptions;
 
 TEST(RandomWalkTest, TwoNodeGraphCommutesInTwoSteps) {
   WeightedGraph g(2);

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "datagen/random_graphs.h"
+#include "graph/snapshot.h"
 #include "io/temporal_io.h"
 #include "linalg/vector_ops.h"
 
@@ -57,7 +58,7 @@ TEST_P(RoundTripSweep, LaplacianQuadraticFormNonNegative) {
   options.average_degree = 5.0;
   options.seed = GetParam() + 500;
   const WeightedGraph g = MakeRandomSparseGraph(options);
-  const CsrMatrix l = g.ToLaplacianCsr();
+  const CsrMatrix l = ToLaplacianCsr(g);
   Rng rng(GetParam());
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> x(30);

@@ -1,9 +1,8 @@
-// Direct CSR assembly from the sorted edge list and the CSR BFS behind
-// ConnectedComponents, checked bit for bit against the COO / adjacency-list
-// constructions in reference_graph.h.
+// Direct CSR assembly from a Snapshot's sorted edge list and the CSR BFS
+// behind ConnectedComponents, checked bit for bit against the COO /
+// adjacency-list constructions in reference_graph.h.
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -15,6 +14,7 @@
 #include "common/rng.h"
 #include "graph/components.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 #include "reference_graph.h"
 
 namespace cad {
@@ -43,21 +43,20 @@ void ExpectSameCsr(const CsrMatrix& actual, const CsrMatrix& expected,
 }
 
 void ExpectSameStructure(const WeightedGraph& graph, const std::string& what) {
-  ExpectSameCsr(graph.ToAdjacencyCsr(),
+  const Snapshot snapshot(graph);
+  ExpectSameCsr(ToAdjacencyCsr(snapshot),
                 testing_reference::AdjacencyCsr(graph), what + " adjacency");
-  const double volume = graph.Volume();
-  for (const double reg : {0.0, 1e-6 * std::max(volume, 1.0), 0.37}) {
+  for (const double reg :
+       {0.0, 1e-6 * std::max(snapshot.volume(), 1.0), 0.37}) {
     const std::string tag = what + " laplacian reg=" + std::to_string(reg);
-    const CsrMatrix laplacian = graph.ToLaplacianCsr(reg);
-    ExpectSameCsr(laplacian, testing_reference::LaplacianCsr(graph, reg), tag);
-    ExpectSameCsr(graph.ToLaplacianCsr(graph.Edges(), reg), laplacian,
-                  tag + " (edges overload)");
+    ExpectSameCsr(ToLaplacianCsr(snapshot, reg),
+                  testing_reference::LaplacianCsr(graph, reg), tag);
   }
 
   const ComponentLabeling expected = testing_reference::Components(graph);
-  const ComponentLabeling from_graph = ConnectedComponents(graph);
+  const ComponentLabeling from_graph = ConnectedComponents(snapshot);
   const ComponentLabeling from_laplacian =
-      ConnectedComponents(graph.ToLaplacianCsr(0.5));
+      ConnectedComponents(ToLaplacianCsr(snapshot, 0.5));
   for (const ComponentLabeling* labeling : {&from_graph, &from_laplacian}) {
     EXPECT_EQ(labeling->num_components, expected.num_components) << what;
     EXPECT_EQ(labeling->component, expected.component) << what;
@@ -84,17 +83,17 @@ WeightedGraph RandomGraph(size_t num_nodes, size_t num_edges, uint64_t seed) {
 TEST(SnapshotStructureTest, EmptyAndSingleNodeGraphs) {
   ExpectSameStructure(WeightedGraph(0), "n=0");
   ExpectSameStructure(WeightedGraph(1), "n=1");
-  const CsrMatrix laplacian = WeightedGraph(1).ToLaplacianCsr(0.25);
+  const CsrMatrix laplacian = ToLaplacianCsr(WeightedGraph(1), 0.25);
   ASSERT_EQ(laplacian.nnz(), 1u);
   EXPECT_EQ(laplacian.values()[0], 0.25);
-  EXPECT_EQ(WeightedGraph(0).ToLaplacianCsr(1.0).nnz(), 0u);
+  EXPECT_EQ(ToLaplacianCsr(WeightedGraph(0), 1.0).nnz(), 0u);
 }
 
 TEST(SnapshotStructureTest, SingleEdge) {
   WeightedGraph graph(2);
   ASSERT_TRUE(graph.SetEdge(1, 0, 0.7).ok());
   ExpectSameStructure(graph, "single edge");
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(0.0);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 0.0);
   EXPECT_EQ(laplacian.col_indices(), (std::vector<uint32_t>{0, 1, 0, 1}));
   EXPECT_EQ(laplacian.values(), (std::vector<double>{0.7, -0.7, -0.7, 0.7}));
 }
@@ -103,7 +102,7 @@ TEST(SnapshotStructureTest, IsolatedNodesKeepTheirDiagonal) {
   WeightedGraph graph(6);
   ASSERT_TRUE(graph.SetEdge(1, 4, 2.5).ok());
   ExpectSameStructure(graph, "isolated nodes");
-  const CsrMatrix laplacian = graph.ToLaplacianCsr(0.1);
+  const CsrMatrix laplacian = ToLaplacianCsr(graph, 0.1);
   // Every node has a diagonal entry; only nodes 1 and 4 have neighbours.
   EXPECT_EQ(laplacian.nnz(), 6u + 2u);
   const ComponentLabeling labeling = ConnectedComponents(laplacian);
@@ -156,6 +155,21 @@ TEST(SnapshotStructureTest, EdgesAreSortedByPair) {
   }
 }
 
+TEST(SnapshotTest, GrowToPadsDegreesAndKeepsVolume) {
+  WeightedGraph graph(3);
+  ASSERT_TRUE(graph.SetEdge(0, 2, 1.5).ok());
+  Snapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.GrowTo(5).ok());
+  EXPECT_EQ(snapshot.num_nodes(), 5u);
+  EXPECT_EQ(snapshot.weighted_degrees(),
+            (std::vector<double>{1.5, 0.0, 1.5, 0.0, 0.0}));
+  EXPECT_EQ(snapshot.volume(), 3.0);
+  EXPECT_EQ(snapshot.edges(), graph.Edges());
+  EXPECT_FALSE(snapshot.GrowTo(4).ok());
+  ASSERT_TRUE(graph.GrowTo(5).ok());
+  EXPECT_TRUE(snapshot == Snapshot(graph));
+}
+
 // A long AddEdgeWeight sequence over a few slots, so keys are inserted,
 // grown, deleted and re-inserted through several rehashes, with the delta
 // kinds the single-probe path must route correctly.
@@ -203,39 +217,7 @@ TEST(AddEdgeWeightTest, MatchesFindThenSetEdgeReference) {
       ASSERT_EQ(got.message(), want.message()) << "step " << step;
     }
     EXPECT_EQ(graph.Edges(), reference.Edges());
-    EXPECT_EQ(std::bit_cast<uint64_t>(graph.Volume()),
-              std::bit_cast<uint64_t>(reference.Volume()));
-    const std::vector<double> degrees = graph.WeightedDegrees();
-    const std::vector<double> reference_degrees = reference.WeightedDegrees();
-    ASSERT_EQ(degrees.size(), reference_degrees.size());
-    EXPECT_EQ(std::memcmp(degrees.data(), reference_degrees.data(),
-                          degrees.size() * sizeof(double)),
-              0);
   }
-}
-
-TEST(AddEdgeWeightTest, AggregatedSnapshotsSumInTheReferenceOrder) {
-  // Event-style aggregation (positive fractional weights, many repeats) on
-  // a graph large enough for many rehashes: hash-order sums must agree bit
-  // for bit, since the Laplacian diagonal is built from them.
-  Rng rng(99);
-  WeightedGraph graph(3000);
-  WeightedGraph reference(3000);
-  for (int event = 0; event < 60000; ++event) {
-    const auto u = static_cast<NodeId>(rng.UniformInt(3000));
-    const auto v = static_cast<NodeId>(rng.UniformInt(3000));
-    const double weight = rng.Uniform(0.0, 3.0);
-    ASSERT_EQ(graph.AddEdgeWeight(u, v, weight).code(),
-              testing_reference::AddEdgeWeight(&reference, u, v, weight).code());
-  }
-  EXPECT_EQ(graph.Edges(), reference.Edges());
-  EXPECT_EQ(std::bit_cast<uint64_t>(graph.Volume()),
-            std::bit_cast<uint64_t>(reference.Volume()));
-  const std::vector<double> degrees = graph.WeightedDegrees();
-  const std::vector<double> reference_degrees = reference.WeightedDegrees();
-  EXPECT_EQ(std::memcmp(degrees.data(), reference_degrees.data(),
-                        degrees.size() * sizeof(double)),
-            0);
 }
 
 }  // namespace

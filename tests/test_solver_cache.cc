@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "graph/graph.h"
+#include "graph/snapshot.h"
 
 namespace cad {
 namespace {
@@ -19,7 +20,7 @@ CsrMatrix ScaledLaplacian(double weight_scale, size_t n = 12) {
     CAD_CHECK_OK(g.SetEdge(u, u + 1, weight_scale));
   }
   CAD_CHECK_OK(g.SetEdge(0, n - 1, 2.0 * weight_scale));
-  return g.ToLaplacianCsr(1e-6);
+  return ToLaplacianCsr(g, 1e-6);
 }
 
 TEST(SolverCacheTest, FirstCallFactorizes) {
