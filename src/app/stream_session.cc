@@ -9,28 +9,43 @@
 
 namespace cad {
 
-StreamSession::StreamSession(StreamSessionOptions options)
-    : options_(std::move(options)), monitor_(options_.monitor) {}
-
-Result<StreamSession> StreamSession::Create(StreamSessionOptions options) {
-  CAD_RETURN_NOT_OK(
-      ValidateNodesPerTransition(options.monitor.nodes_per_transition));
-  StreamSession session(std::move(options));
-  CAD_RETURN_NOT_OK(session.OpenWindows());
-  return session;
+StreamEventCounts& StreamEventCounts::operator+=(
+    const StreamEventCounts& other) {
+  fed += other.fed;
+  skipped_resume += other.skipped_resume;
+  before_start += other.before_start;
+  rejected_parse += other.rejected_parse;
+  rejected_range += other.rejected_range;
+  rejected_other += other.rejected_other;
+  return *this;
 }
 
-Status StreamSession::OpenWindows() {
+StreamEventCounts StreamEventCounts::Since(
+    const StreamEventCounts& earlier) const {
+  StreamEventCounts delta;
+  delta.fed = fed - earlier.fed;
+  delta.skipped_resume = skipped_resume - earlier.skipped_resume;
+  delta.before_start = before_start - earlier.before_start;
+  delta.rejected_parse = rejected_parse - earlier.rejected_parse;
+  delta.rejected_range = rejected_range - earlier.rejected_range;
+  delta.rejected_other = rejected_other - earlier.rejected_other;
+  return delta;
+}
+
+// --- Intake ------------------------------------------------------------------
+
+StreamIntake::StreamIntake(const StreamSessionOptions& options)
+    : window_length_(options.window_length),
+      start_time_(options.start_time),
+      fixed_num_nodes_(options.num_nodes),
+      error_policy_(options.error_policy) {}
+
+Status StreamIntake::OpenWindows(size_t num_nodes) {
   EventWindowOptions window;
-  window.window_length = options_.window_length;
-  window.start_time = options_.start_time;
-  window.grow_nodes = options_.num_nodes == 0;
-  // Events from windows the checkpoint holds are skipped, so they can no
-  // longer grow the node set: a resumed grow-mode stream starts at the
-  // checkpoint's high-water mark and keeps growing from there.
-  window.num_nodes = window.grow_nodes
-                         ? std::max(vocab_.size(), monitor_.num_nodes())
-                         : options_.num_nodes;
+  window.window_length = window_length_;
+  window.start_time = start_time_;
+  window.grow_nodes = fixed_num_nodes_ == 0;
+  window.num_nodes = window.grow_nodes ? num_nodes : fixed_num_nodes_;
   window.first_window = first_window_;
   Result<EventWindowAggregator> aggregator =
       EventWindowAggregator::Create(window);
@@ -39,39 +54,26 @@ Status StreamSession::OpenWindows() {
   return Status::OK();
 }
 
-Status StreamSession::Resume(std::istream* in) {
-  CAD_CHECK(!max_window_seen_.has_value()) << "Resume after the first event";
-  CAD_RETURN_NOT_OK(monitor_.LoadCheckpoint(in));
-  // Replaying the stream prefix re-interns every name to the same id; an
-  // integer-keyed stream has no vocabulary and nothing changes.
-  if (monitor_.vocabulary() != nullptr) vocab_ = *monitor_.vocabulary();
-  resumed_ = true;
-  first_window_ = monitor_.num_snapshots();
-  return OpenWindows();
-}
-
-Status StreamSession::Reject(const Status& error) {
-  if (options_.error_policy == EventErrorPolicy::kStrict) return error;
+Status StreamIntake::Reject(const Status& error) {
+  if (error_policy_ == EventErrorPolicy::kStrict) return error;
   // Endpoints past a fixed node set are data loss of a different kind than
   // malformed events; count them apart so a too-small node set is
   // diagnosable (grow mode never rejects them).
   if (error.code() == StatusCode::kOutOfRange) {
     ++counts_.rejected_range;
-    CAD_METRIC_INC("io.events_rejected_range");
   } else {
     ++counts_.rejected_other;
   }
-  CAD_METRIC_INC("io.events_rejected");
   return Status::OK();
 }
 
-Result<bool> StreamSession::Offer(const TimestampedEvent& event) {
-  CAD_DCHECK(pending_windows() == 0);
+Result<bool> StreamIntake::Offer(const TimestampedEvent& event) {
+  CAD_DCHECK(closed_windows() == 0);
   Result<size_t> window = aggregator_->WindowIndex(event.timestamp);
   if (!window.ok()) {
     // Timestamps before start_time are dropped, matching the batch
     // aggregator; anything else (absurdly far out) follows the policy.
-    if (event.timestamp < options_.start_time) {
+    if (event.timestamp < start_time_) {
       ++counts_.before_start;
       return false;
     }
@@ -85,47 +87,41 @@ Result<bool> StreamSession::Offer(const TimestampedEvent& event) {
     ++counts_.skipped_resume;  // consumed by the run that checkpointed
     return false;
   }
-  pending_.clear();
-  next_pending_ = 0;
-  const Status added = aggregator_->Add(event, *window, &pending_);
+  closed_.clear();
+  next_closed_ = 0;
+  const Status added = aggregator_->Add(event, *window, &closed_);
   if (!added.ok()) {
     CAD_RETURN_NOT_OK(Reject(added));
     return false;
   }
   ++counts_.fed;
+  // The backlog this event left: windows it closed and nobody took yet.
+  queue_depth_ = closed_windows();
   return true;
 }
 
-Result<StreamSession::Window> StreamSession::ObserveNext() {
-  CAD_CHECK(pending_windows() > 0);
-  // The window's hash map is released once its snapshot is built, so it is
-  // not held through the solve.
-  const Snapshot snapshot(pending_[next_pending_]);
-  pending_[next_pending_++] = WeightedGraph();
-  Result<std::optional<AnomalyReport>> report = monitor_.Observe(snapshot);
-  if (!report.ok()) return report.status();
-  Window window;
-  if (report->has_value()) {
-    const NodeVocabulary* vocabulary = vocab_.empty() ? nullptr : &vocab_;
-    window.report_rows.reserve((*report)->edges.size());
-    const std::string transition = std::to_string((*report)->transition);
-    for (const ScoredEdge& edge : (*report)->edges) {
-      window.report_rows.push_back(
-          transition + "," + NodeLabel(vocabulary, edge.pair.u) + "," +
-          NodeLabel(vocabulary, edge.pair.v) + "," +
-          FormatDouble(edge.score, 9) + "," +
-          FormatDouble(edge.weight_delta, 9) + "," +
-          FormatDouble(edge.commute_delta, 9));
-    }
-  }
-  window.checkpoint_due =
-      options_.checkpoint_every > 0 &&
-      monitor_.num_snapshots() % options_.checkpoint_every == 0;
+IntakeTally StreamIntake::TakeTally() {
+  IntakeTally tally;
+  const std::vector<std::string>& names = vocab_.names();
+  tally.new_names.assign(names.begin() + static_cast<std::ptrdiff_t>(
+                                             handed_names_),
+                         names.end());
+  handed_names_ = names.size();
+  tally.counts = counts_.Since(handed_counts_);
+  handed_counts_ = counts_;
+  tally.queue_depth = std::exchange(queue_depth_, std::nullopt);
+  return tally;
+}
+
+ClosedWindow StreamIntake::TakeClosedWindow() {
+  CAD_CHECK(closed_windows() > 0);
+  ClosedWindow window{Snapshot(closed_[next_closed_]), TakeTally()};
+  closed_[next_closed_++] = WeightedGraph();
   return window;
 }
 
-Status StreamSession::Finish() {
-  CAD_DCHECK(pending_windows() == 0);
+Status StreamIntake::Finish() {
+  CAD_DCHECK(closed_windows() == 0);
   // Silently accepting a checkpoint past the stream's end would re-feed the
   // trailing windows into monitor state that already contains them,
   // double-counting them in the calibration history.
@@ -144,20 +140,104 @@ Status StreamSession::Finish() {
     }
   }
   if (!resumed_ || counts_.fed > 0) {
-    pending_.clear();
-    next_pending_ = 0;
-    pending_.push_back(aggregator_->Flush());
+    closed_.clear();
+    next_closed_ = 0;
+    closed_.push_back(aggregator_->Flush());
   }
   return Status::OK();
 }
 
-Status StreamSession::SaveCheckpoint(std::ostream* out) {
+// --- Observe -----------------------------------------------------------------
+
+StreamObserver::StreamObserver(const StreamSessionOptions& options)
+    : monitor_(options.monitor), checkpoint_every_(options.checkpoint_every) {}
+
+void StreamObserver::Absorb(IntakeTally tally) {
+  for (std::string& name : tally.new_names) {
+    const size_t expected = vocab_.size();
+    const Result<NodeId> id = vocab_.Intern(name);
+    CAD_CHECK(id.ok() && *id == expected) << "vocabulary hand-off out of step";
+  }
+  const StreamEventCounts& counts = tally.counts;
+  counts_ += counts;
+  // Recorded per window rather than per event, so a reader running ahead of
+  // the monitor never shows in metrics or heartbeats early.
+  const uint64_t rejected =
+      counts.rejected_parse + counts.rejected_range + counts.rejected_other;
+  if (counts.rejected_parse > 0) {
+    CAD_METRIC_ADD("io.events_rejected_parse", counts.rejected_parse);
+  }
+  if (counts.rejected_range > 0) {
+    CAD_METRIC_ADD("io.events_rejected_range", counts.rejected_range);
+  }
+  if (rejected > 0) CAD_METRIC_ADD("io.events_rejected", rejected);
+}
+
+Result<StreamObserver::Window> StreamObserver::Observe(ClosedWindow closed) {
+  Absorb(std::move(closed.tally));
+  Result<std::optional<AnomalyReport>> report =
+      monitor_.Observe(closed.snapshot);
+  if (!report.ok()) return report.status();
+  Window window;
+  if (report->has_value()) {
+    const NodeVocabulary* vocabulary = vocab_.empty() ? nullptr : &vocab_;
+    window.report_rows.reserve((*report)->edges.size());
+    const std::string transition = std::to_string((*report)->transition);
+    for (const ScoredEdge& edge : (*report)->edges) {
+      window.report_rows.push_back(
+          transition + "," + NodeLabel(vocabulary, edge.pair.u) + "," +
+          NodeLabel(vocabulary, edge.pair.v) + "," +
+          FormatDouble(edge.score, 9) + "," +
+          FormatDouble(edge.weight_delta, 9) + "," +
+          FormatDouble(edge.commute_delta, 9));
+    }
+  }
+  window.checkpoint_due = checkpoint_every_ > 0 &&
+                          monitor_.num_snapshots() % checkpoint_every_ == 0;
+  return window;
+}
+
+Status StreamObserver::SaveCheckpoint(std::ostream* out) {
   if (!vocab_.empty()) monitor_.SetVocabulary(vocab_);
   return monitor_.SaveCheckpoint(out);
 }
 
+// --- Session -----------------------------------------------------------------
+
+StreamSession::StreamSession(StreamSessionOptions options)
+    : options_(std::move(options)), intake_(options_), observer_(options_) {}
+
+Result<StreamSession> StreamSession::Create(StreamSessionOptions options) {
+  CAD_RETURN_NOT_OK(
+      ValidateNodesPerTransition(options.monitor.nodes_per_transition));
+  StreamSession session(std::move(options));
+  CAD_RETURN_NOT_OK(session.intake_.OpenWindows(0));
+  return session;
+}
+
+Status StreamSession::Resume(std::istream* in) {
+  CAD_CHECK(!intake_.max_window_seen_.has_value())
+      << "Resume after the first event";
+  OnlineCadMonitor& monitor = observer_.monitor_;
+  CAD_RETURN_NOT_OK(monitor.LoadCheckpoint(in));
+  // Replaying the stream prefix re-interns every name to the same id; an
+  // integer-keyed stream has no vocabulary and nothing changes.
+  if (monitor.vocabulary() != nullptr) {
+    intake_.vocab_ = *monitor.vocabulary();
+    observer_.vocab_ = *monitor.vocabulary();
+  }
+  intake_.handed_names_ = intake_.vocab_.size();
+  intake_.resumed_ = true;
+  intake_.first_window_ = monitor.num_snapshots();
+  // Events from windows the checkpoint holds are skipped, so they can no
+  // longer grow the node set: a resumed grow-mode stream starts at the
+  // checkpoint's high-water mark and keeps growing from there.
+  return intake_.OpenWindows(
+      std::max(intake_.vocab_.size(), monitor.num_nodes()));
+}
+
 size_t StreamSession::num_nodes() const {
-  return std::max(aggregator_->num_nodes(), monitor_.num_nodes());
+  return std::max(intake_.num_nodes(), observer_.monitor().num_nodes());
 }
 
 }  // namespace cad

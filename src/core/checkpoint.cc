@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -48,9 +49,22 @@ Result<ComponentLabeling> ReadComponents(CheckpointReader* reader) {
   CAD_ASSIGN_OR_RETURN(num_components, reader->ReadU64());
   components.num_components = static_cast<size_t>(num_components);
   CAD_ASSIGN_OR_RETURN(components.sizes, reader->ReadSizeVec());
-  if (components.sizes.size() != components.num_components) {
+  if (components.sizes.size() != num_components) {
     return Status::InvalidArgument(
         "checkpoint: component labeling sizes mismatch");
+  }
+  // Labels index the size table; each size must count its labels.
+  std::vector<size_t> counted(components.sizes.size(), 0);
+  for (uint32_t label : components.component) {
+    if (label >= counted.size()) {
+      return Status::InvalidArgument(
+          "checkpoint: component label out of range");
+    }
+    ++counted[label];
+  }
+  if (counted != components.sizes) {
+    return Status::InvalidArgument(
+        "checkpoint: component sizes do not match the labels");
   }
   return components;
 }
@@ -105,6 +119,23 @@ void CheckpointWriter::WriteBytes(const char* data, size_t size) {
   buffer_.append(data, size);
 }
 
+template <typename Wire, typename T>
+bool CheckpointWriter::WriteAsBlock(const std::vector<T>& values) {
+  // Each element is encoded little-endian at the width of `Wire`; on a
+  // little-endian host whose element has that width, that is the vector's
+  // memory as it stands.
+  constexpr bool kMemoryIsEncoding =
+      std::endian::native == std::endian::little &&
+      sizeof(T) == sizeof(Wire);
+  if constexpr (!kMemoryIsEncoding) {
+    return false;
+  } else {
+    WriteBytes(reinterpret_cast<const char*>(values.data()),
+               values.size() * sizeof(T));
+    return true;
+  }
+}
+
 void CheckpointWriter::WriteU8(uint8_t value) {
   const char byte = static_cast<char>(value);
   WriteBytes(&byte, 1);
@@ -132,17 +163,23 @@ void CheckpointWriter::WriteDouble(double value) {
 
 void CheckpointWriter::WriteU32Vec(const std::vector<uint32_t>& values) {
   WriteU64(values.size());
-  for (uint32_t value : values) WriteU32(value);
+  if (!WriteAsBlock<uint32_t>(values)) {
+    for (uint32_t value : values) WriteU32(value);
+  }
 }
 
 void CheckpointWriter::WriteU64Vec(const std::vector<uint64_t>& values) {
   WriteU64(values.size());
-  for (uint64_t value : values) WriteU64(value);
+  if (!WriteAsBlock<uint64_t>(values)) {
+    for (uint64_t value : values) WriteU64(value);
+  }
 }
 
 void CheckpointWriter::WriteSizeVec(const std::vector<size_t>& values) {
   WriteU64(values.size());
-  for (size_t value : values) WriteU64(value);
+  if (!WriteAsBlock<uint64_t>(values)) {
+    for (size_t value : values) WriteU64(value);
+  }
 }
 
 void CheckpointWriter::WriteString(std::string_view value) {
@@ -152,7 +189,9 @@ void CheckpointWriter::WriteString(std::string_view value) {
 
 void CheckpointWriter::WriteDoubleVec(const std::vector<double>& values) {
   WriteU64(values.size());
-  for (double value : values) WriteDouble(value);
+  if (!WriteAsBlock<uint64_t>(values)) {
+    for (double value : values) WriteDouble(value);
+  }
 }
 
 Status CheckpointWriter::Finish() {
@@ -331,7 +370,11 @@ Result<DenseMatrix> ReadDenseMatrix(CheckpointReader* reader) {
   CAD_ASSIGN_OR_RETURN(cols, reader->ReadU64());
   std::vector<double> data;
   CAD_ASSIGN_OR_RETURN(data, reader->ReadDoubleVec());
-  if (data.size() != rows * cols) {
+  // The element count is compared in full: a wrapping rows * cols would let
+  // a 2^32 x 2^32 header pass with no data at all.
+  const bool product_overflows =
+      cols != 0 && rows > std::numeric_limits<uint64_t>::max() / cols;
+  if (product_overflows || data.size() != rows * cols) {
     return Status::InvalidArgument("checkpoint: dense matrix shape mismatch");
   }
   return DenseMatrix(static_cast<size_t>(rows), static_cast<size_t>(cols),
@@ -359,8 +402,9 @@ Result<CsrMatrix> ReadCsrMatrix(CheckpointReader* reader) {
   CAD_ASSIGN_OR_RETURN(values, reader->ReadDoubleVec());
   // Validate here so corrupt input surfaces as a Status instead of tripping
   // the CsrMatrix constructor's invariant checks.
-  if (row_offsets.size() != rows + 1 ||
-      row_offsets.back() != col_indices.size() ||
+  // rows + 1 would wrap for rows = 2^64 - 1, so compare against size - 1.
+  if (row_offsets.empty() || row_offsets.size() - 1 != rows ||
+      row_offsets.front() != 0 || row_offsets.back() != col_indices.size() ||
       col_indices.size() != values.size()) {
     return Status::InvalidArgument("checkpoint: CSR structure mismatch");
   }
@@ -667,6 +711,10 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
     if (oracle_tag == kOracleExact) {
       DenseMatrix lplus;
       CAD_ASSIGN_OR_RETURN(lplus, ReadDenseMatrix(&reader));
+      if (lplus.rows() != lplus.cols()) {
+        return Status::InvalidArgument(
+            "checkpoint: exact oracle pseudoinverse is not square");
+      }
       ComponentLabeling components;
       CAD_ASSIGN_OR_RETURN(components, ReadComponents(&reader));
       labeled_nodes = components.component.size();

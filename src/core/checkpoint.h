@@ -84,6 +84,11 @@ class CheckpointWriter {
  private:
   /// Hands the buffered bytes to the stream and empties the buffer.
   void Flush();
+  /// Writes the elements of `values` in one block when the host's memory
+  /// already is their little-endian `Wire`-width encoding; false (nothing
+  /// written) when it is not, and the caller encodes element by element.
+  template <typename Wire, typename T>
+  bool WriteAsBlock(const std::vector<T>& values);
 
   std::ostream* out_;
   std::string buffer_;

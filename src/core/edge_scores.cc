@@ -128,7 +128,13 @@ TransitionScores ComputeTransitionScores(const Snapshot& before,
     result.node_scores[scored.pair.v] += scored.score;
   }
 
-  std::sort(result.edges.begin(), result.edges.end(),
+  // Descending score, ties by pair. Zero-score pairs, usually nearly all of
+  // the support, are already in pair order from the merge, which is where
+  // that order puts them; only the positive scores need the sort.
+  const auto positive_end =
+      std::stable_partition(result.edges.begin(), result.edges.end(),
+                            [](const ScoredEdge& e) { return e.score > 0.0; });
+  std::sort(result.edges.begin(), positive_end,
             [](const ScoredEdge& a, const ScoredEdge& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.pair < b.pair;

@@ -294,8 +294,6 @@ Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
       return event.status();
     }
     ++events_rejected_parse_;
-    CAD_METRIC_INC("io.events_rejected_parse");
-    CAD_METRIC_INC("io.events_rejected");
   }
   // getline stopped: distinguish clean EOF from a mid-file read failure,
   // which would otherwise silently truncate the stream.
@@ -317,7 +315,12 @@ Result<std::vector<TimestampedEvent>> ReadEventStream(
     if (!event.has_value()) break;
     events.push_back(*event);
   }
-  if (events_rejected != nullptr) *events_rejected = reader.events_rejected_parse();
+  const size_t rejected = reader.events_rejected_parse();
+  if (rejected > 0) {
+    CAD_METRIC_ADD("io.events_rejected_parse", rejected);
+    CAD_METRIC_ADD("io.events_rejected", rejected);
+  }
+  if (events_rejected != nullptr) *events_rejected = rejected;
   return events;
 }
 

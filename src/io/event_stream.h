@@ -54,9 +54,9 @@ enum class EventErrorPolicy {
   /// Fail fast: the first malformed record aborts the read with a
   /// line-numbered error (the historical behavior).
   kStrict,
-  /// Drop-and-count: malformed records are skipped; the reader tracks the
-  /// count (and bumps the `io.events_rejected` metric) so operators can
-  /// alert on rejection rates instead of losing the whole stream.
+  /// Drop-and-count: malformed records are skipped and counted so operators
+  /// can alert on rejection rates (the `io.events_rejected*` metrics)
+  /// instead of losing the whole stream.
   kSkip,
 };
 
@@ -136,7 +136,9 @@ class EventStreamReader {
   size_t line_number() const { return line_number_; }
 
   /// Records dropped so far under EventErrorPolicy::kSkip because they
-  /// failed to parse (the `io.events_rejected_parse` metric). Range
+  /// failed to parse. The reader records no metric itself: its caller
+  /// reports the count as `io.events_rejected_parse` (ReadEventStream at the
+  /// end, a stream session with the window the records fell in). Range
   /// rejections happen downstream, at the window aggregator.
   size_t events_rejected_parse() const { return events_rejected_parse_; }
 

@@ -25,7 +25,7 @@ Tenant::Tenant(std::string name, TenantOptions options,
     : name_(std::move(name)),
       options_(std::move(options)),
       session_(std::move(session)),
-      decoder_(session_.vocabulary()),
+      decoder_(session_.intake()->vocabulary()),
       metrics_("tenant." + name_),
       queue_(options_.queue_capacity_events) {
   // Handles resolved once per tenant (registry lock per resolution); the
@@ -75,7 +75,7 @@ Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
     tenant->stats_ = std::make_unique<obs::StatsReporter>(
         &tenant->heartbeat_buffer_,
         static_cast<uint64_t>(tenant->options_.stats_every));
-    tenant->session_.mutable_monitor()->SetStatsReporter(
+    tenant->session_.observer()->mutable_monitor()->SetStatsReporter(
         tenant->stats_.get());
   }
   tenant->PublishQueryState();
@@ -119,7 +119,8 @@ Status Tenant::LoadFromCheckpoint() {
   }
   CAD_RETURN_NOT_OK(session_.Resume(&in));
   decoder_ =
-      EventDecoder(session_.vocabulary(), static_cast<EventIdMode>(mode));
+      EventDecoder(session_.intake()->vocabulary(),
+                   static_cast<EventIdMode>(mode));
   return Status::OK();
 }
 
@@ -179,7 +180,7 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
       decoder_.Decode(event.u, event.v, event.timestamp, event.weight);
   Status offered = Status::OK();
   if (decoded.ok()) {
-    offered = session_.Offer(*decoded).status();
+    offered = session_.intake()->Offer(*decoded).status();
   } else if (options_.session.error_policy == EventErrorPolicy::kSkip) {
     ++events_rejected_decode_;
   } else {
@@ -194,7 +195,7 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
 }
 
 Status Tenant::ObservePendingWindows() {
-  while (session_.pending_windows() > 0) {
+  while (session_.intake()->closed_windows() > 0) {
     const uint64_t start_ns = Timer::NowNanos();
     Result<StreamSession::Window> window = session_.ObserveNext();
     if (!window.ok()) return window.status();
@@ -252,7 +253,7 @@ Status Tenant::Checkpoint() {
         // The envelope stores EventIdMode's value: 0 auto, 1 integer, 2 named.
         writer.WriteU8(static_cast<uint8_t>(decoder_.id_mode()));
         CAD_RETURN_NOT_OK(writer.Finish());
-        return session_.SaveCheckpoint(out);
+        return session_.observer()->SaveCheckpoint(out);
       });
 }
 
@@ -263,6 +264,10 @@ Status Tenant::CheckpointForDrain() {
   if (options_.checkpoint_path.empty() || !failed_.ok() || finished_) {
     return Status::OK();
   }
+  // A drain can fall mid-window: hand the observe half what the open window
+  // has interned and counted so far, so the checkpoint's vocabulary runs
+  // ahead of the last closed window as the stream did.
+  session_.observer()->Absorb(session_.intake()->TakeTally());
   return Checkpoint();
 }
 
@@ -272,7 +277,7 @@ Status Tenant::Finish() {
     return Status::FailedPrecondition("tenant '" + name_ +
                                       "' is already finished");
   }
-  const Status ended = session_.Finish();
+  const Status ended = session_.intake()->Finish();
   if (!ended.ok()) {
     return Fail(Status(ended.code(), "tenant '" + name_ + "' (" +
                                          std::to_string(events_received_) +
@@ -281,6 +286,7 @@ Status Tenant::Finish() {
   }
   const Status observed = ObservePendingWindows();
   if (!observed.ok()) return Fail(observed);
+  session_.observer()->Absorb(session_.intake()->TakeTally());
   const Status checkpointed = Checkpoint();
   if (!checkpointed.ok()) return Fail(checkpointed);
   finished_ = true;
@@ -296,8 +302,8 @@ Status Tenant::Fail(const Status& status) {
 }
 
 void Tenant::PublishQueryState() {
-  const OnlineCadMonitor& monitor = session_.monitor();
-  const StreamEventCounts& counts = session_.counts();
+  const OnlineCadMonitor& monitor = session_.observer()->monitor();
+  const StreamEventCounts& counts = session_.intake()->counts();
   const std::lock_guard<std::mutex> guard(query_mutex_);
   query_.windows = monitor.num_snapshots();
   query_.transitions = monitor.num_transitions();
@@ -347,7 +353,7 @@ size_t Tenant::CacheBytes() const {
 }
 
 void Tenant::EvictSolverCache() {
-  session_.mutable_monitor()->EvictSolverCache();
+  session_.observer()->mutable_monitor()->EvictSolverCache();
   const std::lock_guard<std::mutex> guard(query_mutex_);
   query_.cache_bytes = 0;
 }

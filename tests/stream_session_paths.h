@@ -1,30 +1,39 @@
 #ifndef CAD_TESTS_STREAM_SESSION_PATHS_H_
 #define CAD_TESTS_STREAM_SESSION_PATHS_H_
 
-// cad_stream's ingestion path, in process: event text through an
-// EventStreamReader into a StreamSession, every pending window observed,
-// then Finish and the final window. The tests that check the server's
+// cad_stream's ingestion path, in process: event text through
+// RunStreamPipeline (the reader thread, the hand-off and the observe loop
+// cad_stream runs) into a StreamSession. The tests that check the server's
 // tenants against it (test_stream_session.cc, test_server_fleet.cc) run the
-// same events through Tenant wire events.
+// same events through Tenant wire events; test_stream_pipeline.cc checks it
+// against a serial loop.
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <sstream>
 #include <string>
 
+#include "app/stream_pipeline.h"
 #include "app/stream_session.h"
 #include "common/result.h"
-#include "io/event_stream.h"
 
 namespace cad::testing_paths {
 
 struct ReaderPathResult {
   /// The first error (parse, windowing, Observe or Finish), else OK.
   Status status;
+  /// How the run ended (kFailed when status is not OK).
+  StreamPipelineResult::End end = StreamPipelineResult::End::kEndOfStream;
+  /// The error as cad_stream prints it, and its input line.
+  std::string message;
+  size_t line = 0;
   /// Report CSV: the header on a fresh run, then one line per row.
   std::string csv;
   /// The monitor checkpoint after the last window (empty on failure).
   std::string checkpoint;
+  /// Event counts as of the last observed window (cad_stream's `processed`
+  /// line).
+  StreamEventCounts counts;
   uint64_t fed = 0;
   /// Parse rejections plus the session's range and other rejections.
   uint64_t rejected = 0;
@@ -34,57 +43,58 @@ struct ReaderPathResult {
 
 /// Runs `text` through cad_stream's path. `resume_checkpoint` (monitor
 /// checkpoint bytes) resumes the session first; empty starts fresh.
-inline ReaderPathResult RunReaderPath(StreamSessionOptions options,
-                                      const std::string& text,
-                                      const std::string& resume_checkpoint) {
+/// `max_snapshots` stops as cad_stream's flag does. `prepare` (optional)
+/// sees the session before the first event, e.g. to attach a stats
+/// reporter; `on_window` (optional) runs after each window's rows are kept.
+inline ReaderPathResult RunReaderPath(
+    StreamSessionOptions options, const std::string& text,
+    const std::string& resume_checkpoint, size_t max_snapshots = 0,
+    const std::function<void(StreamSession*)>& prepare = nullptr,
+    const std::function<void()>& on_window = nullptr) {
   ReaderPathResult result;
-  const EventErrorPolicy policy = options.error_policy;
   Result<StreamSession> created = StreamSession::Create(std::move(options));
   if (!created.ok()) {
     result.status = created.status();
+    result.end = StreamPipelineResult::End::kFailed;
     return result;
   }
   StreamSession& session = *created;
   if (!resume_checkpoint.empty()) {
     std::istringstream in(resume_checkpoint);
     result.status = session.Resume(&in);
-    if (!result.status.ok()) return result;
+    if (!result.status.ok()) {
+      result.end = StreamPipelineResult::End::kFailed;
+      return result;
+    }
   } else {
     result.csv = kReportCsvHeader;
   }
+  if (prepare) prepare(&session);
   std::istringstream events(text);
-  EventStreamReader reader(&events, policy, session.vocabulary());
-  const auto observe_pending = [&]() -> Status {
-    while (session.pending_windows() > 0) {
-      Result<StreamSession::Window> window = session.ObserveNext();
-      if (!window.ok()) return window.status();
-      for (const std::string& row : window->report_rows) {
-        result.csv += row + "\n";
-      }
+  StreamPipelineHooks hooks;
+  hooks.max_snapshots = max_snapshots;
+  hooks.on_window = [&](const StreamSession::Window& window) {
+    for (const std::string& row : window.report_rows) {
+      result.csv += row + "\n";
     }
+    if (on_window) on_window();
     return Status::OK();
   };
-  const auto run = [&]() -> Status {
-    while (true) {
-      std::optional<TimestampedEvent> event;
-      CAD_ASSIGN_OR_RETURN(event, reader.Next());
-      if (!event.has_value()) break;
-      CAD_RETURN_NOT_OK(session.Offer(*event).status());
-      CAD_RETURN_NOT_OK(observe_pending());
-    }
-    CAD_RETURN_NOT_OK(session.Finish());
-    return observe_pending();
-  };
-  result.status = run();
-  const StreamEventCounts& counts = session.counts();
-  result.fed = counts.fed;
-  result.rejected = reader.events_rejected_parse() + counts.rejected_range +
-                    counts.rejected_other;
+  const StreamPipelineResult run = RunStreamPipeline(&session, &events, hooks);
+  result.end = run.end;
+  result.status = run.status;
+  result.message = run.message;
+  result.line = run.line;
+  result.counts = session.observer()->counts();
+  result.fed = result.counts.fed;
+  result.rejected = result.counts.rejected_parse +
+                    result.counts.rejected_range +
+                    result.counts.rejected_other;
   result.num_nodes = session.num_nodes();
-  result.windows = session.monitor().num_snapshots();
+  result.windows = session.observer()->monitor().num_snapshots();
   if (result.status.ok()) {
     std::ostringstream checkpoint;
-    result.status = session.SaveCheckpoint(&checkpoint);
+    result.status = session.observer()->SaveCheckpoint(&checkpoint);
     result.checkpoint = checkpoint.str();
   }
   return result;

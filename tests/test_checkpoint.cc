@@ -1044,5 +1044,221 @@ TEST(CheckpointWriterTest, MonitorCheckpointIntoRejectingStreamIsIoError) {
   EXPECT_EQ(saved.code(), StatusCode::kIoError);
 }
 
+TEST(CheckpointWriterTest, VectorsEqualPerFieldEncoding) {
+  // Vectors may be written as one block where the host's memory already is
+  // their encoding; the bytes must be the per-element ones either way, for
+  // vectors below and above the buffer size.
+  for (size_t count : {size_t{0}, size_t{3}, kBuffer / 8 + 5, kBuffer + 1}) {
+    SCOPED_TRACE(std::to_string(count) + " elements");
+    std::vector<uint32_t> u32s(count);
+    std::vector<uint64_t> u64s(count);
+    std::vector<size_t> sizes(count);
+    std::vector<double> doubles(count);
+    PerFieldEncoding expected;
+    const auto counted = [&](size_t n) { expected.U64(n); };
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t value = (i + 1) * 0x9E3779B97F4A7C15ULL;
+      u32s[i] = static_cast<uint32_t>(value >> 7);
+      u64s[i] = value;
+      sizes[i] = static_cast<size_t>(value >> 3);
+      doubles[i] = std::bit_cast<double>(value ^ 0x5555);
+    }
+    std::ostringstream out;
+    CheckpointWriter writer(&out);
+    writer.WriteU8(9);  // misaligns the vectors within the buffer
+    expected.U8(9);
+    writer.WriteU32Vec(u32s);
+    counted(count);
+    for (uint32_t value : u32s) expected.U32(value);
+    writer.WriteU64Vec(u64s);
+    counted(count);
+    for (uint64_t value : u64s) expected.U64(value);
+    writer.WriteSizeVec(sizes);
+    counted(count);
+    for (size_t value : sizes) expected.U64(value);
+    writer.WriteDoubleVec(doubles);
+    counted(count);
+    for (double value : doubles) expected.U64(std::bit_cast<uint64_t>(value));
+    ASSERT_TRUE(writer.Finish().ok());
+    EXPECT_TRUE(out.str() == expected.bytes());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Crafted section headers: shapes that do not match their data, element
+// counts that wrap in 64 bits, and labels out of range must load as a
+// Status through LoadCheckpoint, never as a matrix without data or a crash.
+
+constexpr uint64_t k2To32 = uint64_t{1} << 32;
+// The format's oracle tags.
+constexpr uint8_t kExactTag = 1;
+constexpr uint8_t kApproxTag = 2;
+
+/// A v3 checkpoint prefix up to the previous-snapshot presence byte.
+void WriteCraftedPrefix(CheckpointWriter* writer, bool has_previous) {
+  writer->WriteBytes(kCheckpointMagic, kCheckpointMagicSize);
+  writer->WriteU8(kCheckpointVersionIncremental);
+  writer->WriteU8(0);  // no vocabulary
+  writer->WriteU64(has_previous ? 1 : 0);  // snapshots
+  writer->WriteU64(0);                     // transitions
+  writer->WriteDouble(0.0);                // delta
+  writer->WriteU8(has_previous ? 1 : 0);
+}
+
+/// A two-node, one-edge previous snapshot followed by an oracle tag.
+void WriteCraftedPrevious(CheckpointWriter* writer, uint8_t oracle_tag) {
+  writer->WriteU64(2);
+  writer->WriteU64(1);
+  writer->WriteU32(0);
+  writer->WriteU32(1);
+  writer->WriteDouble(1.0);
+  writer->WriteU8(oracle_tag);
+}
+
+void WriteDenseHeader(CheckpointWriter* writer, uint64_t rows, uint64_t cols,
+                      const std::vector<double>& data) {
+  writer->WriteU64(rows);
+  writer->WriteU64(cols);
+  writer->WriteDoubleVec(data);
+}
+
+/// The rest of a v3 checkpoint with no previous snapshot: an empty history
+/// and the solver-cache sections, each crafted by its hook (or absent).
+void WriteCraftedCache(
+    CheckpointWriter* writer,
+    const std::function<void(CheckpointWriter*)>& embedding,
+    const std::function<void(CheckpointWriter*)>& factor,
+    const std::function<void(CheckpointWriter*)>& rhs) {
+  writer->WriteU64(0);  // history
+  writer->WriteU8(embedding ? 1 : 0);
+  if (embedding) embedding(writer);
+  writer->WriteU8(factor ? 1 : 0);
+  if (factor) {
+    factor(writer);
+    writer->WriteDouble(0.0);  // shift
+  }
+  writer->WriteDoubleVec({});  // factor diagonal
+  writer->WriteU64(0);
+  writer->WriteU64(0);
+  writer->WriteDouble(0.0);
+  writer->WriteU8(rhs ? 1 : 0);
+  if (rhs) rhs(writer);
+  for (int i = 0; i < 3; ++i) writer->WriteU64(0);
+  writer->WriteDouble(0.0);
+  writer->WriteDouble(0.0);
+  writer->WriteU64(0);
+  writer->WriteU64(0);
+}
+
+Status LoadCrafted(CommuteEngine engine,
+                   const std::function<void(CheckpointWriter*)>& write) {
+  std::stringstream buffer;
+  CheckpointWriter writer(&buffer);
+  write(&writer);
+  CAD_CHECK_OK(writer.Finish());
+  OnlineMonitorOptions options;
+  options.detector.engine = engine;
+  OnlineCadMonitor monitor(options);
+  return monitor.LoadCheckpoint(&buffer);
+}
+
+void ExpectRejected(const Status& loaded) {
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << loaded.ToString();
+}
+
+TEST(CheckpointCraftedHeaderTest, WrappingExactOracleShapeRejected) {
+  ExpectRejected(LoadCrafted(CommuteEngine::kExact, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, true);
+    WriteCraftedPrevious(w, kExactTag);
+    WriteDenseHeader(w, k2To32, k2To32, {});
+  }));
+}
+
+TEST(CheckpointCraftedHeaderTest, NonSquareExactOracleRejected) {
+  ExpectRejected(LoadCrafted(CommuteEngine::kExact, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, true);
+    WriteCraftedPrevious(w, kExactTag);
+    WriteDenseHeader(w, 2, 1, {0.5, -0.5});
+  }));
+}
+
+TEST(CheckpointCraftedHeaderTest, WrappingApproxOracleShapeRejected) {
+  ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, true);
+    WriteCraftedPrevious(w, kApproxTag);
+    WriteDenseHeader(w, k2To32, k2To32, {});
+  }));
+}
+
+TEST(CheckpointCraftedHeaderTest, ComponentLabelOutOfRangeRejected) {
+  for (const std::vector<size_t>& sizes :
+       {std::vector<size_t>{2}, std::vector<size_t>{1, 2}}) {
+    ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [&](CheckpointWriter* w) {
+      WriteCraftedPrefix(w, true);
+      WriteCraftedPrevious(w, kApproxTag);
+      WriteDenseHeader(w, 1, 2, {0.5, -0.5});
+      w->WriteU32Vec({0, 7});  // labels: 7 has no size entry
+      w->WriteU64(sizes.size());
+      w->WriteSizeVec(sizes);
+    }));
+  }
+}
+
+TEST(CheckpointCraftedHeaderTest, WrappingCacheEmbeddingShapeRejected) {
+  ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, false);
+    WriteCraftedCache(
+        w, [](CheckpointWriter* c) { WriteDenseHeader(c, k2To32, k2To32, {}); },
+        nullptr, nullptr);
+  }));
+}
+
+TEST(CheckpointCraftedHeaderTest, WrappingIcFactorShapeRejected) {
+  // rows + 1 wraps to 0 for rows = 2^64 - 1, matching an empty offsets
+  // vector; a factor whose offsets do not start at 0 is rejected too.
+  for (const std::vector<size_t>& offsets :
+       {std::vector<size_t>{}, std::vector<size_t>{1, 1}}) {
+    const uint64_t rows = offsets.empty()
+                              ? std::numeric_limits<uint64_t>::max()
+                              : offsets.size() - 1;
+    ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [&](CheckpointWriter* w) {
+      WriteCraftedPrefix(w, false);
+      WriteCraftedCache(
+          w, nullptr,
+          [&](CheckpointWriter* c) {
+            c->WriteU64(rows);
+            c->WriteU64(rows);
+            c->WriteSizeVec(offsets);
+            c->WriteU32Vec({});
+            c->WriteDoubleVec({});
+          },
+          nullptr);
+    }));
+  }
+}
+
+TEST(CheckpointCraftedHeaderTest, WrappingIncrementalRhsShapeRejected) {
+  ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, false);
+    WriteCraftedCache(w, nullptr, nullptr, [](CheckpointWriter* c) {
+      WriteDenseHeader(c, k2To32, k2To32, {});
+    });
+  }));
+}
+
+TEST(CheckpointCraftedHeaderTest, WellFormedCraftedCheckpointLoads) {
+  // The crafted layout itself is sound: with consistent shapes it loads.
+  const Status loaded =
+      LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
+        WriteCraftedPrefix(w, false);
+        WriteCraftedCache(
+            w, [](CheckpointWriter* c) { WriteDenseHeader(c, 1, 2, {1, 2}); },
+            nullptr,
+            [](CheckpointWriter* c) { WriteDenseHeader(c, 2, 1, {3, 4}); });
+      });
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+}
+
 }  // namespace
 }  // namespace cad

@@ -5,21 +5,33 @@
 // and named streams, strict and skip policies, fresh runs and runs resumed
 // from a mid-stream checkpoint — and a checkpoint ahead of the stream must
 // be an IoError on both.
+//
+// StreamPipelineTest checks cad_stream's overlapped loop
+// (RunStreamPipeline: a reader thread ahead of the observe thread) against
+// the serial loop it replaced: the same rows, checkpoints, counts, errors,
+// non-timer metrics and heartbeats, however far the reader runs ahead.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "app/stream_pipeline.h"
 #include "app/stream_session.h"
 #include "common/strings.h"
 #include "core/checkpoint.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/stats_reporter.h"
 #include "server/tenant.h"
 #include "stream_session_paths.h"
 
@@ -317,6 +329,332 @@ TEST(StreamSessionParityTest, CheckpointAheadOfStreamIsIoErrorOnBothPaths) {
               std::string::npos)
         << tenant.ToString();
   }
+}
+
+TEST(TenantStatsTest, EventCountsAreLiveMidWindow) {
+  // A tenant's kStats counts follow every event, even inside a window that
+  // is still open; only the io.events_rejected* metrics wait for the window
+  // to close, as they do in cad_stream.
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter* rejected_metric =
+      obs::GlobalMetrics().GetCounter("io.events_rejected");
+  const uint64_t rejected_before = rejected_metric->Value();
+  ScopedTempDir dir;
+  Result<std::unique_ptr<Tenant>> tenant = Tenant::Create(
+      "live", TenantOptionsIn(dir.path(), EventErrorPolicy::kSkip));
+  ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+
+  // Window 0: three fed events, a self-loop the windowing rejects and a
+  // name the decoder rejects.
+  ASSERT_TRUE((*tenant)
+                  ->ApplyBatch(AsWire({"a b 0.25", "b c 0.5 2", "c c 0.5",
+                                       "a #bad 0.5", "a d 0.75"}))
+                  .ok());
+  std::string stats = (*tenant)->StatsJson();
+  EXPECT_EQ(JsonInt(stats, "windows"), 0) << stats;
+  EXPECT_EQ(JsonInt(stats, "fed"), 3) << stats;
+  EXPECT_EQ(JsonInt(stats, "rejected_parse"), 2) << stats;
+  EXPECT_EQ(rejected_metric->Value(), rejected_before);
+
+  // The next window's first event closes window 0.
+  ASSERT_TRUE((*tenant)->ApplyBatch(AsWire({"a b 1.25"})).ok());
+  stats = (*tenant)->StatsJson();
+  EXPECT_EQ(JsonInt(stats, "windows"), 1) << stats;
+  EXPECT_EQ(JsonInt(stats, "fed"), 4) << stats;
+  EXPECT_EQ(JsonInt(stats, "rejected_parse"), 2) << stats;
+  // The self-loop; decoder rejections stay tenant-local.
+  EXPECT_EQ(rejected_metric->Value(), rejected_before + 1);
+  obs::SetMetricsEnabled(metrics_were_enabled);
+}
+
+// --- RunStreamPipeline against the serial loop ------------------------------
+
+using PipelineEnd = StreamPipelineResult::End;
+
+/// The loop RunStreamPipeline replaced, on one thread: read a line, offer
+/// it, observe every window it closed, stop at a window boundary once
+/// `max_snapshots` windows are observed. The queue-depth gauge is set per
+/// fed event and the counts are the session's live ones, as cad_stream did
+/// before intake moved to its own thread.
+ReaderPathResult RunSerialReference(
+    StreamSessionOptions options, const std::string& text,
+    const std::string& resume_checkpoint, size_t max_snapshots = 0,
+    const std::function<void(StreamSession*)>& prepare = nullptr) {
+  ReaderPathResult result;
+  const EventErrorPolicy policy = options.error_policy;
+  Result<StreamSession> created = StreamSession::Create(std::move(options));
+  CAD_CHECK(created.ok());
+  StreamSession& session = *created;
+  if (!resume_checkpoint.empty()) {
+    std::istringstream in(resume_checkpoint);
+    CAD_CHECK(session.Resume(&in).ok());
+  } else {
+    result.csv = kReportCsvHeader;
+  }
+  if (prepare) prepare(&session);
+  StreamIntake& intake = *session.intake();
+  std::istringstream events(text);
+  EventStreamReader reader(&events, policy, intake.vocabulary());
+  uint64_t parse_counted = 0;
+  // Observes the closed windows; true once the window limit is reached.
+  const auto observe_closed = [&]() -> Result<bool> {
+    intake.AddParseRejections(reader.events_rejected_parse() - parse_counted);
+    parse_counted = reader.events_rejected_parse();
+    while (intake.closed_windows() > 0) {
+      Result<StreamSession::Window> window = session.ObserveNext();
+      if (!window.ok()) return window.status();
+      for (const std::string& row : window->report_rows) {
+        result.csv += row + "\n";
+      }
+      if (max_snapshots > 0 &&
+          session.observer()->monitor().num_snapshots() >= max_snapshots) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto fail = [&](const Status& status, std::string message,
+                        size_t line) {
+    result.end = PipelineEnd::kFailed;
+    result.message = std::move(message);
+    result.line = line;
+    return status;
+  };
+  const auto run = [&]() -> Status {
+    while (true) {
+      Result<std::optional<TimestampedEvent>> next = reader.Next();
+      const size_t line = reader.line_number();
+      if (!next.ok()) {
+        return fail(next.status(), next.status().ToString(), line);
+      }
+      if (!next->has_value()) break;
+      const Result<bool> fed = intake.Offer(**next);
+      if (!fed.ok()) {
+        return fail(fed.status(),
+                    "event at line " + std::to_string(line) + ": " +
+                        fed.status().ToString(),
+                    line);
+      }
+      if (*fed) CAD_METRIC_SET("stream.queue_depth", intake.closed_windows());
+      const Result<bool> stop = observe_closed();
+      if (!stop.ok()) return fail(stop.status(), stop.status().ToString(), line);
+      if (*stop) {
+        result.end = PipelineEnd::kLimit;
+        return Status::OK();
+      }
+    }
+    const Status ended = intake.Finish();
+    if (!ended.ok()) {
+      return fail(ended,
+                  ended.ToString() + " (events file line " +
+                      std::to_string(reader.line_number()) + ")",
+                  reader.line_number());
+    }
+    const Status flushed = observe_closed().status();
+    if (!flushed.ok()) return fail(flushed, flushed.ToString(), 0);
+    session.observer()->Absorb(intake.TakeTally());
+    return Status::OK();
+  };
+  result.status = run();
+  result.counts = intake.counts();
+  result.fed = result.counts.fed;
+  result.rejected = result.counts.rejected_parse +
+                    result.counts.rejected_range +
+                    result.counts.rejected_other;
+  result.num_nodes = session.num_nodes();
+  result.windows = session.observer()->monitor().num_snapshots();
+  if (result.status.ok()) {
+    std::ostringstream checkpoint;
+    result.status = session.observer()->SaveCheckpoint(&checkpoint);
+    result.checkpoint = checkpoint.str();
+  }
+  return result;
+}
+
+void ExpectSameRun(const ReaderPathResult& serial,
+                   const ReaderPathResult& pipeline) {
+  EXPECT_EQ(pipeline.end, serial.end);
+  EXPECT_EQ(pipeline.status.ToString(), serial.status.ToString());
+  EXPECT_EQ(pipeline.message, serial.message);
+  EXPECT_EQ(pipeline.line, serial.line);
+  EXPECT_EQ(pipeline.csv, serial.csv);
+  EXPECT_EQ(pipeline.checkpoint, serial.checkpoint);
+  // A failed cad_stream run prints no `processed` line and exports no
+  // metrics, so its counts are not output; the serial loop's would include
+  // the events it read after the last window.
+  if (serial.end == PipelineEnd::kFailed) return;
+  EXPECT_TRUE(pipeline.counts == serial.counts)
+      << "fed " << pipeline.counts.fed << " vs " << serial.counts.fed
+      << ", parse " << pipeline.counts.rejected_parse << " vs "
+      << serial.counts.rejected_parse;
+  EXPECT_EQ(pipeline.windows, serial.windows);
+}
+
+/// A run's deterministic observability: the non-timer metric rows and the
+/// heartbeats (one per window) with their volatile timer object cut off.
+struct Observed {
+  ReaderPathResult run;
+  std::string metrics;
+  std::string heartbeats;
+};
+
+using PathRunner = std::function<ReaderPathResult(
+    const std::function<void(StreamSession*)>& prepare)>;
+
+Observed RunObserved(const PathRunner& runner) {
+  obs::ResetMetrics();
+  std::ostringstream heartbeat_out;
+  obs::StatsReporter reporter(&heartbeat_out, 1);
+  Observed observed;
+  observed.run = runner([&](StreamSession* session) {
+    session->observer()->mutable_monitor()->SetStatsReporter(&reporter);
+  });
+  std::ostringstream csv;
+  CAD_CHECK(obs::WriteMetricsCsv(obs::SnapshotMetrics(), &csv).ok());
+  std::istringstream rows(csv.str());
+  for (std::string row; std::getline(rows, row);) {
+    if (row.rfind("timer,", 0) != 0) observed.metrics += row + "\n";
+  }
+  std::istringstream beats(heartbeat_out.str());
+  for (std::string beat; std::getline(beats, beat);) {
+    observed.heartbeats += beat.substr(0, beat.find(",\"timer\":")) + "\n";
+  }
+  return observed;
+}
+
+/// Runs the serial loop, the pipeline, and the serial loop again, and
+/// compares the pipeline with the second serial run: by then every metric
+/// either path records is registered in both.
+void ExpectPipelineMatchesSerial(const PathRunner& serial,
+                                 const PathRunner& pipeline) {
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  RunObserved(serial);
+  const Observed piped = RunObserved(pipeline);
+  const Observed reference = RunObserved(serial);
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  ExpectSameRun(reference.run, piped.run);
+  EXPECT_EQ(piped.heartbeats, reference.heartbeats);
+  EXPECT_FALSE(piped.heartbeats.empty());
+  if (reference.run.end != PipelineEnd::kFailed) {
+    EXPECT_EQ(piped.metrics, reference.metrics);
+  }
+}
+
+TEST(StreamPipelineTest, MatchesSerialLoop) {
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.Name());
+    const std::string text =
+        AsText(MakeLines(c.named, c.policy == EventErrorPolicy::kSkip, 5));
+    ExpectPipelineMatchesSerial(
+        [&](const auto& prepare) {
+          return RunSerialReference(ReaderOptions(c.policy), text, "", 0,
+                                    prepare);
+        },
+        [&](const auto& prepare) {
+          return RunReaderPath(ReaderOptions(c.policy), text, "", 0, prepare);
+        });
+  }
+}
+
+TEST(StreamPipelineTest, WindowLimitAndResumeMatchSerialLoop) {
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.Name());
+    const std::string text =
+        AsText(MakeLines(c.named, c.policy == EventErrorPolicy::kSkip, 6));
+    const ReaderPathResult full =
+        RunReaderPath(ReaderOptions(c.policy), text, "");
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    // Stop after four windows (the reader is by then ahead), then resume
+    // from that state.
+    ReaderPathResult first;
+    ExpectPipelineMatchesSerial(
+        [&](const auto& prepare) {
+          return RunSerialReference(ReaderOptions(c.policy), text, "", 4,
+                                    prepare);
+        },
+        [&](const auto& prepare) {
+          first = RunReaderPath(ReaderOptions(c.policy), text, "", 4, prepare);
+          return first;
+        });
+    EXPECT_EQ(first.end, PipelineEnd::kLimit);
+    EXPECT_EQ(first.windows, 4u);
+    ASSERT_FALSE(first.checkpoint.empty());
+    ReaderPathResult rest;
+    ExpectPipelineMatchesSerial(
+        [&](const auto& prepare) {
+          return RunSerialReference(ReaderOptions(c.policy), text,
+                                    first.checkpoint, 0, prepare);
+        },
+        [&](const auto& prepare) {
+          rest = RunReaderPath(ReaderOptions(c.policy), text, first.checkpoint,
+                               0, prepare);
+          return rest;
+        });
+    EXPECT_GT(rest.counts.skipped_resume, 0u);
+    EXPECT_EQ(first.csv + rest.csv, full.csv);
+    EXPECT_EQ(rest.checkpoint, full.checkpoint);
+  }
+}
+
+TEST(StreamPipelineTest, StrictErrorsArriveAfterEveryEarlierWindow) {
+  // A malformed line (a parse error) and a self-loop (a windowing error),
+  // each on line 84 in window 5: windows 0-4 are observed first, and the
+  // error carries its line.
+  for (const std::string& bad : {std::string("3 x 5.5"),
+                                 std::string("3 3 5.5")}) {
+    SCOPED_TRACE(bad);
+    std::vector<std::string> lines = MakeLines(false, false, 7);
+    lines.insert(lines.begin() + 5 * kPerWindow + 3, bad);
+    const std::string text = AsText(lines);
+    ReaderPathResult piped;
+    ExpectPipelineMatchesSerial(
+        [&](const auto& prepare) {
+          return RunSerialReference(ReaderOptions(EventErrorPolicy::kStrict),
+                                    text, "", 0, prepare);
+        },
+        [&](const auto& prepare) {
+          piped = RunReaderPath(ReaderOptions(EventErrorPolicy::kStrict), text,
+                                "", 0, prepare);
+          return piped;
+        });
+    EXPECT_EQ(piped.end, PipelineEnd::kFailed);
+    EXPECT_EQ(piped.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(piped.line, 5 * kPerWindow + 4);
+    EXPECT_NE(piped.message.find("line 84"), std::string::npos)
+        << piped.message;
+    EXPECT_EQ(piped.windows, 5u);
+  }
+}
+
+TEST(StreamPipelineTest, SlowObserverMatchesSerialLoop) {
+  // Each window takes the observe thread 20 ms, so the reader fills the
+  // hand-off and waits on it; nothing it read ahead may show.
+  const std::string text = AsText(MakeLines(true, true, 8));
+  std::string timer_rows;
+  ExpectPipelineMatchesSerial(
+      [&](const auto& prepare) {
+        return RunSerialReference(ReaderOptions(EventErrorPolicy::kSkip), text,
+                                  "", 0, prepare);
+      },
+      [&](const auto& prepare) {
+        ReaderPathResult run =
+            RunReaderPath(ReaderOptions(EventErrorPolicy::kSkip), text, "", 0,
+                          prepare, [] {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(20));
+                          });
+        std::ostringstream csv;
+        CAD_CHECK(obs::WriteMetricsCsv(obs::SnapshotMetrics(), &csv).ok());
+        timer_rows = csv.str();
+        return run;
+      });
+  // The reader was blocked on a full hand-off for most of a window.
+  const std::string key = "timer,stream.handoff_wait,max_ms,";
+  const size_t at = timer_rows.find(key);
+  ASSERT_NE(at, std::string::npos) << timer_rows;
+  EXPECT_GT(std::atof(timer_rows.c_str() + at + key.size()), 1.0);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // StreamSession (src/app/stream_session.h) with them: events are aggregated
 // into fixed-length windows, each completed window is fed to an
 // OnlineCadMonitor, and one CSV row is printed per reported anomalous edge.
-// The server's tenants run the same session over wire events. Unlike
+// RunStreamPipeline (src/app/stream_pipeline.h) reads and windows the next
+// window's events on a reader thread while this one is observed; outputs
+// are those of a serial loop. The server's tenants run the same session
+// over wire events. Unlike
 // cad_cli --events, the file is never materialized as a whole sequence:
 // memory stays O(window + max_history).
 //
@@ -39,11 +42,11 @@
 #include <optional>
 #include <string>
 
+#include "app/stream_pipeline.h"
 #include "app/stream_session.h"
 #include "app/tool_flags.h"
 #include "common/strings.h"
 #include "core/checkpoint.h"
-#include "io/event_stream.h"
 #include "obs/obs.h"
 #include "server/signal_util.h"
 
@@ -147,7 +150,8 @@ int Run(int argc, char** argv) {
     return 1;
   }
   StreamSession& session = *created;
-  const OnlineCadMonitor& monitor = session.monitor();
+  StreamObserver& observer = *session.observer();
+  const OnlineCadMonitor& monitor = observer.monitor();
 
   // Constructed before any window is observed, so the first heartbeat's
   // deltas cover the stream from its very first event.
@@ -156,7 +160,7 @@ int Run(int argc, char** argv) {
     std::cerr << stats.status().ToString() << "\n";
     return 1;
   }
-  session.mutable_monitor()->SetStatsReporter(*stats);
+  observer.mutable_monitor()->SetStatsReporter(*stats);
 
   // A resumed run skips the events of windows the checkpoint holds, using
   // the same bucketing arithmetic, so resumption never re-feeds or splits a
@@ -193,11 +197,10 @@ int Run(int argc, char** argv) {
     std::cerr << "cannot open --events " << events << "\n";
     return 1;
   }
-  EventStreamReader reader(&events_file, policy, session.vocabulary());
 
   const auto write_checkpoint = [&]() -> Status {
     CAD_RETURN_NOT_OK(WriteFileAtomic(checkpoint, [&](std::ostream* file) {
-      return session.SaveCheckpoint(file);
+      return observer.SaveCheckpoint(file);
     }));
     CAD_METRIC_INC("stream.checkpoints");
     CAD_FLIGHT_NOTE("stream.checkpoint",
@@ -206,58 +209,26 @@ int Run(int argc, char** argv) {
               << "\n";
     return Status::OK();
   };
-  const auto limit_reached = [&] {
-    return max_snapshots > 0 && monitor.num_snapshots() >= max_snapshots;
+  // Reading and windowing run on a reader thread; this thread observes the
+  // windows, writes their report rows and interval checkpoints, and stops
+  // at a window boundary (the consistent points) once --max_snapshots is
+  // reached or a stop signal arrives. A --max_snapshots stop simulates a
+  // kill and an interrupt is a suspension, so neither ends the stream; at
+  // its end the final (possibly partial) window is observed, matching the
+  // batch aggregation.
+  StreamPipelineHooks hooks;
+  hooks.max_snapshots = max_snapshots;
+  hooks.stop_requested = server::StopRequested;
+  hooks.on_window = [&](const StreamSession::Window& window) -> Status {
+    for (const std::string& row : window.report_rows) (*out) << row << "\n";
+    return window.checkpoint_due ? write_checkpoint() : Status::OK();
   };
-  // Observes the session's pending windows, writing report rows and
-  // interval checkpoints. True when the run must stop before the next
-  // window: --max_snapshots is reached, or a stop signal arrived (window
-  // boundaries are the consistent points).
-  const auto observe_pending = [&]() -> Result<bool> {
-    while (session.pending_windows() > 0) {
-      Result<StreamSession::Window> observed = session.ObserveNext();
-      if (!observed.ok()) return observed.status();
-      for (const std::string& row : observed->report_rows) {
-        (*out) << row << "\n";
-      }
-      if (observed->checkpoint_due) CAD_RETURN_NOT_OK(write_checkpoint());
-      if (limit_reached() || server::StopRequested()) return true;
-    }
-    return false;
-  };
-
-  bool stopped_early = false;
-  bool interrupted = false;
-  while (true) {
-    if (server::StopRequested()) {
-      interrupted = true;
-      break;
-    }
-    Result<std::optional<TimestampedEvent>> next = reader.Next();
-    const size_t line = reader.line_number();
-    if (!next.ok()) return fail(next.status().ToString(), line);
-    if (!next->has_value()) break;
-    const Result<bool> fed = session.Offer(**next);
-    if (!fed.ok()) {
-      return fail("event at line " + std::to_string(line) + ": " +
-                      fed.status().ToString(),
-                  line);
-    }
-    if (*fed) {
-      // Windows completed by this event but not yet fed to the monitor: the
-      // backlog an out-of-order burst creates. Deterministic (a function of
-      // the event data alone), so it is a plain gauge.
-      CAD_METRIC_SET("stream.queue_depth", session.pending_windows());
-    }
-    const Result<bool> stop = observe_pending();
-    if (!stop.ok()) return fail(stop.status().ToString(), line);
-    if (*stop) {
-      stopped_early = limit_reached();
-      interrupted = !stopped_early;
-      break;
-    }
+  const StreamPipelineResult run =
+      RunStreamPipeline(&session, &events_file, hooks);
+  if (run.end == StreamPipelineResult::End::kFailed) {
+    return fail(run.message, run.line);
   }
-
+  const bool interrupted = run.end == StreamPipelineResult::End::kStopped;
   if (interrupted) {
     std::cerr << "interrupted by signal " << server::StopSignal()
               << " at window " << monitor.num_snapshots() << "\n";
@@ -271,21 +242,6 @@ int Run(int argc, char** argv) {
                    static_cast<double>(server::StopSignal()));
   }
 
-  // End of stream: the stale-checkpoint check, then the final (possibly
-  // partial) window, matching the batch aggregation. A max_snapshots stop
-  // simulates a kill and an interrupt is a suspension, so neither ends the
-  // stream.
-  if (!stopped_early && !interrupted) {
-    const Status ended = session.Finish();
-    if (!ended.ok()) {
-      return fail(ended.ToString() + " (events file line " +
-                      std::to_string(reader.line_number()) + ")",
-                  reader.line_number());
-    }
-    const Result<bool> flushed = observe_pending();
-    if (!flushed.ok()) return fail(flushed.status().ToString(), 0);
-  }
-
   if (!out->good()) return fail("output write failed", 0);
 
   const Status exported = observability.WriteExports(obs::SnapshotMetrics());
@@ -293,15 +249,16 @@ int Run(int argc, char** argv) {
     std::cerr << exported.ToString() << "\n";
     return 1;
   }
-  const StreamEventCounts& counts = session.counts();
+  // The counts as of the last observed window: what the reader read ahead
+  // of it is not reported.
+  const StreamEventCounts& counts = observer.counts();
   std::cerr << "processed " << monitor.num_snapshots() << " windows, "
             << monitor.num_transitions() << " transitions (fed " << counts.fed
             << " events";
   if (resumed) std::cerr << ", skipped " << counts.skipped_resume;
   if (policy == EventErrorPolicy::kSkip) {
-    std::cerr << ", rejected "
-              << reader.events_rejected_parse() + counts.rejected_range
-              << " (parse " << reader.events_rejected_parse() << ", range "
+    std::cerr << ", rejected " << counts.rejected_parse + counts.rejected_range
+              << " (parse " << counts.rejected_parse << ", range "
               << counts.rejected_range << ")";
   }
   std::cerr << "), delta=" << FormatDouble(monitor.current_delta(), 9) << "\n";
