@@ -197,9 +197,8 @@ Result<StreamObserver::Window> StreamObserver::Observe(ClosedWindow closed) {
   return window;
 }
 
-Status StreamObserver::SaveCheckpoint(std::ostream* out) {
-  if (!vocab_.empty()) monitor_.SetVocabulary(vocab_);
-  return monitor_.SaveCheckpoint(out);
+Status StreamObserver::SaveCheckpoint(std::ostream* out) const {
+  return monitor_.SaveCheckpoint(out, vocab_.empty() ? nullptr : &vocab_);
 }
 
 // --- Session -----------------------------------------------------------------
@@ -219,12 +218,13 @@ Status StreamSession::Resume(std::istream* in) {
   CAD_CHECK(!intake_.max_window_seen_.has_value())
       << "Resume after the first event";
   OnlineCadMonitor& monitor = observer_.monitor_;
-  CAD_RETURN_NOT_OK(monitor.LoadCheckpoint(in));
+  std::optional<NodeVocabulary> vocabulary;
+  CAD_RETURN_NOT_OK(monitor.LoadCheckpoint(in, &vocabulary));
   // Replaying the stream prefix re-interns every name to the same id; an
   // integer-keyed stream has no vocabulary and nothing changes.
-  if (monitor.vocabulary() != nullptr) {
-    intake_.vocab_ = *monitor.vocabulary();
-    observer_.vocab_ = *monitor.vocabulary();
+  if (vocabulary.has_value()) {
+    intake_.vocab_ = *vocabulary;
+    observer_.vocab_ = std::move(*vocabulary);
   }
   intake_.handed_names_ = intake_.vocab_.size();
   intake_.resumed_ = true;

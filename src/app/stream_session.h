@@ -177,7 +177,7 @@ class StreamObserver {
 
   /// Writes the monitor checkpoint, carrying the vocabulary of a named
   /// stream (format v2/v3) so a resumed run renders the same names.
-  [[nodiscard]] Status SaveCheckpoint(std::ostream* out);
+  [[nodiscard]] Status SaveCheckpoint(std::ostream* out) const;
 
   const OnlineCadMonitor& monitor() const { return monitor_; }
   /// For attaching a stats reporter or evicting the solver cache; windows

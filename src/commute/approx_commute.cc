@@ -43,7 +43,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
         "updatable under churn)");
   }
   const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n, options.commute);
+  const double sentinel = CrossComponentSentinel(volume, n);
   // The sorted edge list feeds both the right-hand sides and the
   // Laplacian; the components come from that Laplacian.
   const std::vector<Edge>& edges = snapshot.edges();
@@ -206,7 +206,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   }
 
   const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n, options.commute);
+  const double sentinel = CrossComponentSentinel(volume, n);
   const double epsilon =
       options.commute.regularization_scale * std::max(volume, 1.0);
   const CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);

@@ -29,15 +29,11 @@ struct CommuteTimeOptions {
   /// metric across components.
   ///
   /// true (strict): report the finite sentinel
-  ///   cross_component_scale * volume * num_nodes,
+  ///   volume * num_nodes,
   /// which dominates every within-component commute time. Preserves the
   /// metric ordering "different component = farther than anything
   /// connected" at the cost of making component churn the loudest signal.
   bool use_cross_component_sentinel = false;
-
-  /// Sentinel scale for the strict mode above; also caps approximate
-  /// within-component estimates against numerical blowup.
-  double cross_component_scale = 1.0;
 };
 
 /// \brief Interface for commute-time distance queries on one graph snapshot.
@@ -60,10 +56,8 @@ class CommuteTimeOracle {
 };
 
 /// Computes the finite stand-in for "infinite" cross-component commute time.
-inline double CrossComponentSentinel(double volume, size_t num_nodes,
-                                     const CommuteTimeOptions& options) {
-  const double scale = options.cross_component_scale;
-  return scale * (volume > 0.0 ? volume : 1.0) *
+inline double CrossComponentSentinel(double volume, size_t num_nodes) {
+  return (volume > 0.0 ? volume : 1.0) *
          static_cast<double>(num_nodes > 0 ? num_nodes : 1);
 }
 

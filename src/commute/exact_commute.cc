@@ -14,7 +14,7 @@ Result<ExactCommuteTime> ExactCommuteTime::Build(
   CAD_METRIC_INC("commute.exact_builds");
   const size_t n = snapshot.num_nodes();
   const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n, options);
+  const double sentinel = CrossComponentSentinel(volume, n);
   // The adjacency CSR gives both the components and, row by row, each
   // component's edges.
   const CsrMatrix adjacency = ToAdjacencyCsr(snapshot);
@@ -108,7 +108,7 @@ Result<ExactCommuteTime> ExactCommuteTime::BuildIncremental(
   CAD_METRIC_INC("commute.exact_incremental_builds");
 
   const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n, options);
+  const double sentinel = CrossComponentSentinel(volume, n);
   return ExactCommuteTime(std::move(lplus), std::move(components), volume,
                           sentinel, options.use_cross_component_sentinel);
 }

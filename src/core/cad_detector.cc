@@ -7,6 +7,10 @@ namespace cad {
 
 namespace {
 
+// Node-count crossover for CommuteEngine::kAuto: the dense O(n^3) exact
+// engine up to here, the approximate embedding beyond.
+constexpr size_t kExactNodeLimit = 400;
+
 Result<std::unique_ptr<CommuteTimeOracle>> Boxed(
     Result<ExactCommuteTime> oracle) {
   if (!oracle.ok()) return oracle.status();
@@ -61,7 +65,7 @@ Result<std::vector<TransitionScores>> ScoreTimeline(
 bool CadDetector::UsesExactEngine(size_t num_nodes) const {
   return options_.engine == CommuteEngine::kExact ||
          (options_.engine == CommuteEngine::kAuto &&
-          num_nodes <= options_.exact_node_limit);
+          num_nodes <= kExactNodeLimit);
 }
 
 Result<std::unique_ptr<CommuteTimeOracle>> CadDetector::BuildOracle(

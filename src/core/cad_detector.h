@@ -21,7 +21,7 @@ enum class CommuteEngine {
   /// Khoa-Chawla embedding; near-linear, (1±eps) accurate. The paper uses
   /// this with k=50 for the larger data sets.
   kApprox,
-  /// kExact for snapshots up to `exact_node_limit` nodes, else kApprox.
+  /// kExact for snapshots up to 400 nodes, else kApprox.
   kAuto,
 };
 
@@ -31,8 +31,6 @@ struct CadOptions {
   /// detector into the corresponding baseline over the same commute engine.
   EdgeScoreKind score_kind = EdgeScoreKind::kCad;
   CommuteEngine engine = CommuteEngine::kAuto;
-  /// Node-count crossover for CommuteEngine::kAuto.
-  size_t exact_node_limit = 400;
   /// Approximate-engine settings (embedding dimension k, CG, seed).
   ApproxCommuteOptions approx;
   /// Exact-engine numerical settings.
@@ -111,7 +109,7 @@ class CadDetector : public NodeScorer {
 
  private:
   /// True when a snapshot on `num_nodes` nodes is built with the exact
-  /// engine (kExact, or kAuto at or below exact_node_limit).
+  /// engine (kExact, or kAuto at or below the 400-node crossover).
   bool UsesExactEngine(size_t num_nodes) const;
 
   CadOptions options_;

@@ -543,7 +543,8 @@ Status WriteFileAtomic(const std::string& path,
 // serialization detail; as member functions they have the access needed to
 // capture state exactly.
 
-Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
+Status OnlineCadMonitor::SaveCheckpoint(
+    std::ostream* out, const NodeVocabulary* vocabulary) const {
   CAD_CHECK(out != nullptr);
   CheckpointWriter writer(out);
   writer.WriteBytes(kCheckpointMagic, kCheckpointMagicSize);
@@ -552,7 +553,7 @@ Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
   // the v2 bump, and only incremental monitors (whose cache state the resume
   // must carry) pay the v3 one. In v3 the vocabulary gets a presence byte —
   // names and incremental state are independent features.
-  const bool named = vocabulary_.has_value();
+  const bool named = vocabulary != nullptr;
   const bool incremental = options_.incremental;
   const uint8_t version = incremental ? kCheckpointVersionIncremental
                           : named     ? kCheckpointVersionNamedNodes
@@ -562,7 +563,7 @@ Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
     writer.WriteU8(named ? 1 : 0);
   }
   if (named) {
-    WriteNodeVocabulary(&writer, *vocabulary_);
+    WriteNodeVocabulary(&writer, *vocabulary);
   }
 
   writer.WriteU64(num_snapshots_);
@@ -637,14 +638,17 @@ Status OnlineCadMonitor::SaveCheckpoint(std::ostream* out) const {
   return writer.Finish();
 }
 
-Status OnlineCadMonitor::SaveCheckpointFile(const std::string& path) const {
+Status OnlineCadMonitor::SaveCheckpointFile(
+    const std::string& path, const NodeVocabulary* vocabulary) const {
   // Atomic replace: a crash mid-write must leave the previous good
   // checkpoint loadable, never a truncated file under the final name.
-  return WriteFileAtomic(
-      path, [this](std::ostream* out) { return SaveCheckpoint(out); });
+  return WriteFileAtomic(path, [this, vocabulary](std::ostream* out) {
+    return SaveCheckpoint(out, vocabulary);
+  });
 }
 
-Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
+Status OnlineCadMonitor::LoadCheckpoint(
+    std::istream* in, std::optional<NodeVocabulary>* vocabulary_out) {
   CAD_CHECK(in != nullptr);
   CheckpointReader reader(in);
   CAD_RETURN_NOT_OK(reader.ExpectHeader());
@@ -831,7 +835,7 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
   // corrupted-checkpoint hazard), then replace the rest of the monitor; a
   // failed load leaves the monitor untouched.
   CAD_RETURN_NOT_OK(solver_cache_.RestoreState(std::move(cache)));
-  vocabulary_ = std::move(vocabulary);
+  if (vocabulary_out != nullptr) *vocabulary_out = std::move(vocabulary);
   num_snapshots_ = static_cast<size_t>(num_snapshots);
   num_transitions_total_ = static_cast<size_t>(num_transitions_total);
   delta_ = delta;
@@ -841,12 +845,13 @@ Status OnlineCadMonitor::LoadCheckpoint(std::istream* in) {
   return Status::OK();
 }
 
-Status OnlineCadMonitor::LoadCheckpointFile(const std::string& path) {
+Status OnlineCadMonitor::LoadCheckpointFile(
+    const std::string& path, std::optional<NodeVocabulary>* vocabulary) {
   std::ifstream file(path, std::ios::binary);
   if (!file.is_open()) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  return LoadCheckpoint(&file);
+  return LoadCheckpoint(&file, vocabulary);
 }
 
 }  // namespace cad

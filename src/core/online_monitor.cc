@@ -74,8 +74,8 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
   // it from the same formula.
   if (const auto* exact =
           dynamic_cast<const ExactCommuteTime*>(previous_oracle_.get())) {
-    const double sentinel = CrossComponentSentinel(
-        exact->volume(), num_nodes, options_.detector.exact);
+    const double sentinel =
+        CrossComponentSentinel(exact->volume(), num_nodes);
     previous_oracle_ = std::make_unique<ExactCommuteTime>(
         ExactCommuteTime::FromParts(
             PadSquare(exact->laplacian_pseudoinverse(), num_nodes),
@@ -85,8 +85,8 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
   }
   if (const auto* approx = dynamic_cast<const ApproxCommuteEmbedding*>(
           previous_oracle_.get())) {
-    const double sentinel = CrossComponentSentinel(
-        approx->volume(), num_nodes, options_.detector.approx.commute);
+    const double sentinel =
+        CrossComponentSentinel(approx->volume(), num_nodes);
     previous_oracle_ = std::make_unique<ApproxCommuteEmbedding>(
         ApproxCommuteEmbedding::FromParts(
             PadColumns(approx->embedding(), num_nodes),

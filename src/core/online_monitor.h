@@ -115,20 +115,6 @@ class OnlineCadMonitor {
 
   const OnlineMonitorOptions& options() const { return options_; }
 
-  /// Attaches the string-id vocabulary of the stream being monitored. The
-  /// monitor never consults it — ids stay dense integers — but SaveCheckpoint
-  /// persists it (format v2) so a resumed run renders the same names.
-  void SetVocabulary(NodeVocabulary vocabulary) {
-    vocabulary_ = std::move(vocabulary);
-  }
-
-  /// The attached vocabulary, or nullptr for integer-id streams.
-  const NodeVocabulary* vocabulary() const {
-    return vocabulary_.has_value() ? &*vocabulary_ : nullptr;
-  }
-
-  void ClearVocabulary() { vocabulary_.reset(); }
-
   /// Attaches a heartbeat reporter (not owned; must outlive the monitor or
   /// be detached with nullptr). Observe ticks it after every successful
   /// window, so with StatsReporter(out, N) one heartbeat line is emitted per
@@ -152,18 +138,29 @@ class OnlineCadMonitor {
   /// oracle, retained score history, calibrated delta, solver-cache
   /// contents) in the versioned binary format of core/checkpoint.h. A monitor
   /// restored from the checkpoint produces byte-identical reports for the
-  /// remaining stream.
-  [[nodiscard]] Status SaveCheckpoint(std::ostream* out) const;
-  [[nodiscard]] Status SaveCheckpointFile(const std::string& path) const;
+  /// remaining stream. A named stream passes its string-id vocabulary, which
+  /// the checkpoint carries (format v2, or v3's vocabulary section) so a
+  /// resumed run renders the same names; the monitor itself only sees dense
+  /// integer ids.
+  [[nodiscard]] Status SaveCheckpoint(
+      std::ostream* out, const NodeVocabulary* vocabulary = nullptr) const;
+  [[nodiscard]] Status SaveCheckpointFile(
+      const std::string& path,
+      const NodeVocabulary* vocabulary = nullptr) const;
 
   /// \brief Restores state written by SaveCheckpoint, replacing this
   /// monitor's progress. Options are NOT serialized: the monitor must be
   /// constructed with the same options as the one that saved (the stream
   /// driver re-supplies its configuration on resume); a mismatched engine
   /// kind is detected and rejected, other mismatches silently change future
-  /// reports. Defined in core/checkpoint.cc alongside the format.
-  [[nodiscard]] Status LoadCheckpoint(std::istream* in);
-  [[nodiscard]] Status LoadCheckpointFile(const std::string& path);
+  /// reports. `*vocabulary` (optional) receives the checkpoint's vocabulary,
+  /// or nullopt when it carries none; it is written only on success. Defined
+  /// in core/checkpoint.cc alongside the format.
+  [[nodiscard]] Status LoadCheckpoint(
+      std::istream* in, std::optional<NodeVocabulary>* vocabulary = nullptr);
+  [[nodiscard]] Status LoadCheckpointFile(
+      const std::string& path,
+      std::optional<NodeVocabulary>* vocabulary = nullptr);
 
  private:
   /// Applies option implications: incremental forces the approximate
@@ -193,7 +190,6 @@ class OnlineCadMonitor {
   // read it.
   std::optional<Snapshot> previous_snapshot_;
   std::unique_ptr<CommuteTimeOracle> previous_oracle_;
-  std::optional<NodeVocabulary> vocabulary_;
   std::vector<TransitionScores> history_;
   obs::StatsReporter* stats_ = nullptr;
   double delta_ = 0.0;

@@ -1,6 +1,5 @@
 #include "graph/temporal_graph.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace cad {
@@ -88,21 +87,6 @@ Status TemporalGraphSequence::CheckConsistent() const {
     }
   }
   return Status::OK();
-}
-
-std::vector<NodePair> TemporalGraphSequence::TransitionSupport(size_t t) const {
-  CAD_CHECK_LT(t + 1, snapshots_.size());
-  std::vector<NodePair> support;
-  support.reserve(snapshots_[t].num_edges() + snapshots_[t + 1].num_edges());
-  for (const Edge& e : snapshots_[t].Edges()) {
-    support.push_back(NodePair{e.u, e.v});
-  }
-  for (const Edge& e : snapshots_[t + 1].Edges()) {
-    support.push_back(NodePair{e.u, e.v});
-  }
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
-  return support;
 }
 
 }  // namespace cad

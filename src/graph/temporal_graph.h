@@ -56,15 +56,8 @@ class TemporalGraphSequence {
     return vocabulary_.has_value() ? &*vocabulary_ : nullptr;
   }
 
-  void ClearVocabulary() { vocabulary_.reset(); }
-
   /// Snapshot at time t (0-based). Bounds-checked.
   const WeightedGraph& Snapshot(size_t t) const {
-    CAD_CHECK_LT(t, snapshots_.size());
-    return snapshots_[t];
-  }
-
-  WeightedGraph& MutableSnapshot(size_t t) {
     CAD_CHECK_LT(t, snapshots_.size());
     return snapshots_[t];
   }
@@ -73,11 +66,6 @@ class TemporalGraphSequence {
 
   /// Average number of nonzero-weight edges per snapshot (the paper's `m`).
   double AverageEdgesPerSnapshot() const;
-
-  /// Union of the edge supports of snapshots t and t+1, i.e. every node pair
-  /// whose weight is nonzero in either snapshot. These are the only pairs
-  /// whose CAD score can be nonzero.
-  std::vector<NodePair> TransitionSupport(size_t t) const;
 
   /// \brief Snapshot-consistency validation for CAD_DCHECK_OK at detector
   /// and pipeline entry points: every snapshot shares the sequence's node

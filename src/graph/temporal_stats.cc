@@ -3,18 +3,53 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <optional>
 #include <ostream>
+#include <utility>
 
 #include "graph/components.h"
+#include "graph/edge_delta.h"
 #include "graph/snapshot.h"
 
 namespace cad {
 
+namespace {
+
+/// Churn of one transition, from one merge pass over the two sorted edge
+/// lists (the union support, in canonical order).
+TransitionStats ProfileTransition(const Snapshot& before,
+                                  const Snapshot& after) {
+  TransitionStats stats;
+  size_t shared = 0;
+  MergeEdgeLists(before.edges(), after.edges(),
+                 [&](NodeId, NodeId, double w1, double w2) {
+                   stats.weight_change_l1 += std::fabs(w2 - w1);
+                   if (w1 == 0.0) {
+                     ++stats.edges_added;
+                   } else if (w2 == 0.0) {
+                     ++stats.edges_removed;
+                   } else {
+                     ++shared;
+                     if (w1 != w2) ++stats.edges_reweighted;
+                   }
+                 });
+  const size_t union_size = stats.edges_added + stats.edges_removed + shared;
+  stats.support_jaccard =
+      union_size == 0 ? 1.0
+                      : static_cast<double>(shared) /
+                            static_cast<double>(union_size);
+  return stats;
+}
+
+}  // namespace
+
 TemporalProfile ProfileSequence(const TemporalGraphSequence& sequence) {
   TemporalProfile profile;
   profile.snapshots.reserve(sequence.num_snapshots());
+  profile.transitions.reserve(sequence.num_transitions());
+  std::optional<Snapshot> previous;
   for (size_t t = 0; t < sequence.num_snapshots(); ++t) {
-    const Snapshot snapshot(sequence.Snapshot(t));
+    Snapshot snapshot(sequence.Snapshot(t));
     SnapshotStats stats;
     stats.num_edges = snapshot.num_edges();
     stats.volume = snapshot.volume();
@@ -29,33 +64,10 @@ TemporalProfile ProfileSequence(const TemporalGraphSequence& sequence) {
       if (size == 1) ++stats.isolated_nodes;
     }
     profile.snapshots.push_back(stats);
-  }
-
-  profile.transitions.reserve(sequence.num_transitions());
-  for (size_t t = 0; t + 1 < sequence.num_snapshots(); ++t) {
-    const WeightedGraph& before = sequence.Snapshot(t);
-    const WeightedGraph& after = sequence.Snapshot(t + 1);
-    TransitionStats stats;
-    size_t shared = 0;
-    for (const NodePair& pair : sequence.TransitionSupport(t)) {
-      const double w1 = before.EdgeWeight(pair.u, pair.v);
-      const double w2 = after.EdgeWeight(pair.u, pair.v);
-      stats.weight_change_l1 += std::fabs(w2 - w1);
-      if (w1 == 0.0) {
-        ++stats.edges_added;
-      } else if (w2 == 0.0) {
-        ++stats.edges_removed;
-      } else {
-        ++shared;
-        if (w1 != w2) ++stats.edges_reweighted;
-      }
+    if (previous.has_value()) {
+      profile.transitions.push_back(ProfileTransition(*previous, snapshot));
     }
-    const size_t union_size = stats.edges_added + stats.edges_removed + shared;
-    stats.support_jaccard =
-        union_size == 0 ? 1.0
-                        : static_cast<double>(shared) /
-                              static_cast<double>(union_size);
-    profile.transitions.push_back(stats);
+    previous = std::move(snapshot);
   }
   return profile;
 }

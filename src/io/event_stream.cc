@@ -5,7 +5,9 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <string_view>
+#include <utility>
 
 #include "common/strings.h"
 #include "obs/obs.h"
@@ -14,11 +16,11 @@ namespace cad {
 
 namespace {
 
-// Largest window count AggregateEventStream will materialize when it has to
-// derive one from the event span. Guards the size_t cast against the
-// wraparound/overflow class of bugs: a bogus start_time or a tiny window
-// length must fail loudly instead of attempting a ~2^64-snapshot allocation.
-constexpr double kMaxDerivedWindows = 1e12;
+// Exclusive bound on the window indices EventWindowAggregator::WindowIndex
+// returns. Guards the size_t cast against the overflow class of bugs: a
+// timestamp far past the start or a tiny window length must fail loudly
+// instead of opening ~2^64 windows.
+constexpr double kMaxWindows = 1e12;
 
 /// True when `token` parses as a non-negative integer, i.e. a valid dense
 /// node id (used by EventIdMode::kAuto to commit a stream's id mode).
@@ -142,79 +144,52 @@ Result<TimestampedEvent> ParseEventLine(const LineTokens& fields,
 }  // namespace
 
 Result<TemporalGraphSequence> AggregateEventStream(
-    const std::vector<TimestampedEvent>& events,
-    const EventAggregationOptions& options) {
-  if (!(options.window_length > 0.0) ||
-      !std::isfinite(options.window_length)) {
-    return Status::InvalidArgument("window_length must be positive");
-  }
-  if (!std::isnan(options.start_time) && !std::isfinite(options.start_time)) {
-    return Status::InvalidArgument("start_time must be finite when set");
-  }
-  // Resolve the node count and the time origin.
-  size_t num_nodes = options.num_nodes;
-  double start = options.start_time;
+    const std::vector<TimestampedEvent>& events, double window_length) {
+  // Window 0 starts at the earliest event, so a non-finite timestamp is
+  // rejected before it can become the start.
+  double start = events.empty() ? 0.0 : events.front().timestamp;
   for (const TimestampedEvent& event : events) {
-    if (event.u == event.v) {
-      return Status::InvalidArgument("self-loop event at node " +
-                                     std::to_string(event.u));
+    if (!std::isfinite(event.timestamp)) {
+      return Status::InvalidArgument("non-finite timestamp");
     }
-    if (!std::isfinite(event.timestamp) || !std::isfinite(event.weight) ||
-        event.weight < 0.0) {
-      return Status::InvalidArgument("event has non-finite or negative field");
-    }
-    if (options.num_nodes == 0) {
-      num_nodes = std::max<size_t>(num_nodes,
-                                   std::max(event.u, event.v) + size_t{1});
-    } else if (event.u >= num_nodes || event.v >= num_nodes) {
-      return Status::OutOfRange("event endpoint exceeds num_nodes");
-    }
-    if (std::isnan(options.start_time)) {
-      start = std::isnan(start) ? event.timestamp
-                                : std::min(start, event.timestamp);
-    }
+    start = std::min(start, event.timestamp);
   }
-  if (events.empty() && std::isnan(start)) start = 0.0;
+  EventWindowOptions options;
+  options.window_length = window_length;
+  options.start_time = start;
+  options.grow_nodes = true;
+  Result<EventWindowAggregator> aggregator =
+      EventWindowAggregator::Create(options);
+  if (!aggregator.ok()) return aggregator.status();
 
-  size_t num_windows = options.num_windows;
-  if (num_windows == 0) {
-    // Only events at or after the start can open a window. With an explicit
-    // start_time every event may precede it; `last - start` then goes
-    // negative and the old floor-then-cast wrapped to ~2^64 windows.
-    double last_in_range = -std::numeric_limits<double>::infinity();
-    for (const TimestampedEvent& event : events) {
-      if (event.timestamp >= start) {
-        last_in_range = std::max(last_in_range, event.timestamp);
-      }
-    }
-    if (std::isinf(last_in_range)) {
-      num_windows = 1;  // no event in range: same shape as the empty stream
-    } else {
-      const double span = (last_in_range - start) / options.window_length;
-      if (!(span < kMaxDerivedWindows)) {
-        return Status::InvalidArgument(
-            "event span needs more than 1e12 windows; check start_time and "
-            "window_length or set num_windows explicitly");
-      }
-      num_windows = static_cast<size_t>(std::floor(span)) + 1;
-    }
+  // (window, input index) per event. The aggregator takes events in window
+  // order; a stable sort keeps each window's events in input order, so
+  // their weights are summed in that order.
+  std::vector<std::pair<size_t, size_t>> order(events.size());
+  bool in_order = true;
+  for (size_t i = 0; i < events.size(); ++i) {
+    CAD_ASSIGN_OR_RETURN(order[i].first,
+                         aggregator->WindowIndex(events[i].timestamp));
+    order[i].second = i;
+    in_order = in_order && (i == 0 || order[i - 1].first <= order[i].first);
+  }
+  if (!in_order) {
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
   }
 
-  std::vector<WeightedGraph> snapshots(num_windows, WeightedGraph(num_nodes));
-  for (const TimestampedEvent& event : events) {
-    const double offset = event.timestamp - start;
-    if (offset < 0.0) continue;  // before the configured start: dropped
-    const auto window =
-        static_cast<size_t>(std::floor(offset / options.window_length));
-    if (window >= num_windows) continue;  // after the configured end
-    CAD_RETURN_NOT_OK(
-        snapshots[window].AddEdgeWeight(event.u, event.v, event.weight));
+  TemporalGraphSequence sequence;
+  std::vector<WeightedGraph> completed;
+  for (const auto& [window, index] : order) {
+    completed.clear();
+    CAD_RETURN_NOT_OK(aggregator->Add(events[index], window, &completed));
+    for (WeightedGraph& snapshot : completed) {
+      CAD_RETURN_NOT_OK(sequence.AppendGrowing(std::move(snapshot)));
+    }
   }
-
-  TemporalGraphSequence sequence(num_nodes);
-  for (WeightedGraph& snapshot : snapshots) {
-    CAD_RETURN_NOT_OK(sequence.Append(std::move(snapshot)));
-  }
+  CAD_RETURN_NOT_OK(sequence.AppendGrowing(aggregator->Flush()));
   return sequence;
 }
 
@@ -358,7 +333,7 @@ Result<size_t> EventWindowAggregator::WindowIndex(double timestamp) const {
     return Status::InvalidArgument("timestamp precedes start_time");
   }
   const double span = offset / options_.window_length;
-  if (!(span < kMaxDerivedWindows)) {
+  if (!(span < kMaxWindows)) {
     return Status::InvalidArgument("timestamp too far past start_time");
   }
   return static_cast<size_t>(std::floor(span));

@@ -2,7 +2,6 @@
 #define CAD_IO_EVENT_STREAM_H_
 
 #include <iosfwd>
-#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,30 +23,18 @@ struct TimestampedEvent {
   double weight = 1.0;
 };
 
-/// \brief Options for turning an event stream into graph snapshots.
-struct EventAggregationOptions {
-  /// Window length in timestamp units (e.g. 30*24*3600 for monthly windows
-  /// over unix seconds). Must be positive.
-  double window_length = 1.0;
-  /// Start of window 0; NaN (default) means the minimum event timestamp.
-  /// When set, it must be finite.
-  double start_time = std::numeric_limits<double>::quiet_NaN();
-  /// Node-set size; 0 means max node id + 1 (the paper's fixed-vertex-set
-  /// framing requires all snapshots to share it).
-  size_t num_nodes = 0;
-  /// Number of windows; 0 means enough to cover the last event at or after
-  /// the start. Events outside [start, start + num_windows * window_length)
-  /// are dropped.
-  size_t num_windows = 0;
-};
-
 /// \brief Aggregates events into a TemporalGraphSequence: each event adds
-/// its weight to edge {u, v} of the window containing its timestamp.
-/// Self-loop events are rejected (InvalidArgument), as are non-positive
-/// window lengths and events with non-finite fields.
+/// its weight to edge {u, v} of the window containing its timestamp. Window 0
+/// starts at the earliest event, and the node set is the discovered one
+/// (max endpoint + 1). The windows are built by a grow-mode
+/// EventWindowAggregator, so the validation and bucketing are the streaming
+/// path's: events need not be in time order, but each window's events are
+/// summed in input order. An empty stream gives one empty window over no
+/// nodes. Self-loop events are rejected (InvalidArgument), as are
+/// non-positive window lengths, events with non-finite fields or negative
+/// weights, and spans of 1e12 windows or more.
 [[nodiscard]] Result<TemporalGraphSequence> AggregateEventStream(
-    const std::vector<TimestampedEvent>& events,
-    const EventAggregationOptions& options);
+    const std::vector<TimestampedEvent>& events, double window_length);
 
 /// \brief Per-record failure handling for streaming ingestion.
 enum class EventErrorPolicy {
@@ -196,12 +183,12 @@ struct EventWindowOptions {
   bool grow_nodes = false;
 };
 
-/// \brief Streaming counterpart of AggregateEventStream: feed time-ordered
-/// events one at a time; each window's snapshot is emitted as soon as an
-/// event lands past its end, so only the one in-progress window is held in
-/// memory. Buckets match AggregateEventStream exactly (same floor((t -
-/// start) / window_length) arithmetic), so driving a monitor from this
-/// aggregator reproduces the batch pipeline's snapshots.
+/// \brief The window builder for events: feed time-ordered events one at a
+/// time; each window's snapshot is emitted as soon as an event lands past its
+/// end, so only the one in-progress window is held in memory. Window t holds
+/// the events with floor((timestamp - start_time) / window_length) == t.
+/// cad_stream and server tenants drive it live; AggregateEventStream drives
+/// it over a whole event vector.
 class EventWindowAggregator {
  public:
   /// Validates options. InvalidArgument on a non-positive/non-finite window
@@ -209,9 +196,8 @@ class EventWindowAggregator {
   [[nodiscard]] static Result<EventWindowAggregator> Create(
       const EventWindowOptions& options);
 
-  /// Window index containing `timestamp` (same bucketing as
-  /// AggregateEventStream). InvalidArgument for timestamps before
-  /// start_time or non-finite.
+  /// Window index containing `timestamp`. InvalidArgument for timestamps
+  /// before start_time, non-finite, or 1e12 or more windows past it.
   [[nodiscard]] Result<size_t> WindowIndex(double timestamp) const;
 
   /// Feeds one event. Windows that closed strictly before the event's
@@ -231,8 +217,7 @@ class EventWindowAggregator {
 
   /// Closes and returns the in-progress window (the final, possibly
   /// partial, snapshot). The aggregator then continues with the next
-  /// window index, so Flush at end-of-stream matches AggregateEventStream's
-  /// last window.
+  /// window index.
   WeightedGraph Flush();
 
   /// Index of the currently open window.

@@ -55,13 +55,12 @@ Result<TemporalGraphSequence> ReadTemporalEdgeList(std::istream* in) {
   bool named_mode = false;
   size_t declared_snapshots = 0;
   size_t num_nodes = 0;
+  // Named mode discovers the node set: the open snapshot grows as names are
+  // interned, AppendGrowing grows the sequence with it, and one GrowTo at
+  // EOF gives every snapshot the full vocabulary (earlier snapshots hold
+  // later-appearing nodes as isolated).
   WeightedGraph current(0);
   NodeVocabulary vocabulary;
-  // Named mode: edges are buffered per snapshot and materialized at EOF once
-  // the full node set is known, so every snapshot is sized to the discovered
-  // vocabulary (earlier snapshots hold later-appearing nodes as isolated).
-  std::vector<Edge> pending_current;
-  std::vector<std::vector<Edge>> pending_snapshots;
   bool in_snapshot = false;
   size_t expected_snapshot = 0;
   size_t line_number = 0;
@@ -115,12 +114,7 @@ Result<TemporalGraphSequence> ReadTemporalEdgeList(std::istream* in) {
                         std::to_string(expected_snapshot));
       }
       if (in_snapshot) {
-        if (named_mode) {
-          pending_snapshots.push_back(std::move(pending_current));
-          pending_current.clear();
-        } else {
-          CAD_RETURN_NOT_OK(sequence.Append(std::move(current)));
-        }
+        CAD_RETURN_NOT_OK(sequence.AppendGrowing(std::move(current)));
       }
       current = WeightedGraph(num_nodes);
       in_snapshot = true;
@@ -133,31 +127,38 @@ Result<TemporalGraphSequence> ReadTemporalEdgeList(std::istream* in) {
       if (!std::isfinite(*weight)) {
         return error_at("non-finite edge weight '" + fields[3] + "'");
       }
+      NodeId u = 0;
+      NodeId v = 0;
       if (named_mode) {
         if (*weight < 0.0) {
           return error_at("edge weight must be finite and >= 0, got " +
                           fields[3]);
         }
-        Result<NodeId> u = vocabulary.Intern(fields[1]);
-        if (!u.ok()) return error_at(u.status().message());
-        Result<NodeId> v = vocabulary.Intern(fields[2]);
-        if (!v.ok()) return error_at(v.status().message());
-        if (*u == *v) {
+        Result<NodeId> u_id = vocabulary.Intern(fields[1]);
+        if (!u_id.ok()) return error_at(u_id.status().message());
+        Result<NodeId> v_id = vocabulary.Intern(fields[2]);
+        if (!v_id.ok()) return error_at(v_id.status().message());
+        if (*u_id == *v_id) {
           return error_at("self-loops are not allowed (node '" + fields[1] +
                           "')");
         }
-        pending_current.push_back(Edge{*u, *v, *weight});
+        u = *u_id;
+        v = *v_id;
+        if (vocabulary.size() > current.num_nodes()) {
+          CAD_RETURN_NOT_OK(current.GrowTo(vocabulary.size()));
+        }
       } else {
-        Result<int64_t> u = ParseInt64(fields[1]);
-        Result<int64_t> v = ParseInt64(fields[2]);
-        if (!u.ok() || !v.ok()) return error_at("malformed edge");
-        if (*u < 0 || *v < 0) return error_at("negative node id");
-        // Repeated edge records within one snapshot accumulate (see the
-        // format contract in temporal_io.h).
-        const Status add = current.AddEdgeWeight(
-            static_cast<NodeId>(*u), static_cast<NodeId>(*v), *weight);
-        if (!add.ok()) return error_at(add.message());
+        Result<int64_t> u_id = ParseInt64(fields[1]);
+        Result<int64_t> v_id = ParseInt64(fields[2]);
+        if (!u_id.ok() || !v_id.ok()) return error_at("malformed edge");
+        if (*u_id < 0 || *v_id < 0) return error_at("negative node id");
+        u = static_cast<NodeId>(*u_id);
+        v = static_cast<NodeId>(*v_id);
       }
+      // Repeated edge records within one snapshot accumulate (see the
+      // format contract in temporal_io.h).
+      const Status add = current.AddEdgeWeight(u, v, *weight);
+      if (!add.ok()) return error_at(add.message());
       ++edges_read;
     } else {
       return error_at("unknown record '" + fields[0] + "'");
@@ -171,21 +172,10 @@ Result<TemporalGraphSequence> ReadTemporalEdgeList(std::istream* in) {
     return Status::InvalidArgument("missing 'temporal' header");
   }
   if (in_snapshot) {
-    if (named_mode) {
-      pending_snapshots.push_back(std::move(pending_current));
-    } else {
-      CAD_RETURN_NOT_OK(sequence.Append(std::move(current)));
-    }
+    CAD_RETURN_NOT_OK(sequence.AppendGrowing(std::move(current)));
   }
   if (named_mode) {
-    sequence = TemporalGraphSequence(vocabulary.size());
-    for (std::vector<Edge>& pending : pending_snapshots) {
-      WeightedGraph snapshot(vocabulary.size());
-      for (const Edge& e : pending) {
-        CAD_RETURN_NOT_OK(snapshot.AddEdgeWeight(e.u, e.v, e.weight));
-      }
-      CAD_RETURN_NOT_OK(sequence.Append(std::move(snapshot)));
-    }
+    CAD_RETURN_NOT_OK(sequence.GrowTo(vocabulary.size()));
   }
   if (sequence.num_snapshots() != declared_snapshots) {
     return Status::InvalidArgument(

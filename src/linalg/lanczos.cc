@@ -8,11 +8,8 @@
 
 namespace cad {
 
-namespace {
-
-Result<LanczosResult> ExtremeEigenpairs(const CsrMatrix& a,
-                                        const LanczosOptions& options,
-                                        bool smallest) {
+Result<LanczosResult> SmallestEigenpairs(const CsrMatrix& a,
+                                         const LanczosOptions& options) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Lanczos: matrix must be square");
   }
@@ -84,7 +81,7 @@ Result<LanczosResult> ExtremeEigenpairs(const CsrMatrix& a,
   EigenDecomposition ritz;
   CAD_ASSIGN_OR_RETURN(ritz, JacobiEigenDecomposition(t));
 
-  // Select the requested end of the Ritz spectrum (eigenvalues ascending).
+  // The k smallest Ritz pairs (eigenvalues ascending).
   const size_t k = options.num_eigenpairs;
   LanczosResult result;
   result.eigenvalues.resize(k);
@@ -98,12 +95,11 @@ Result<LanczosResult> ExtremeEigenpairs(const CsrMatrix& a,
 
   result.converged = true;
   for (size_t out = 0; out < k; ++out) {
-    const size_t src = smallest ? out : m - 1 - out;
-    result.eigenvalues[out] = ritz.eigenvalues[src];
+    result.eigenvalues[out] = ritz.eigenvalues[out];
     // Ritz vector: v = Q y.
     std::vector<double> v(n, 0.0);
     for (size_t j = 0; j < m; ++j) {
-      Axpy(ritz.eigenvectors(j, src), basis[j], &v);
+      Axpy(ritz.eigenvectors(j, out), basis[j], &v);
     }
     const double v_norm = Norm2(v);
     if (v_norm > 0.0) ScaleInPlace(1.0 / v_norm, &v);
@@ -117,31 +113,7 @@ Result<LanczosResult> ExtremeEigenpairs(const CsrMatrix& a,
     }
     for (size_t i = 0; i < n; ++i) result.eigenvectors(i, out) = v[i];
   }
-  // Keep ascending order for the "largest" variant too.
-  if (!smallest) {
-    std::reverse(result.eigenvalues.begin(), result.eigenvalues.end());
-    std::reverse(result.residuals.begin(), result.residuals.end());
-    DenseMatrix reversed(n, k);
-    for (size_t c = 0; c < k; ++c) {
-      for (size_t i = 0; i < n; ++i) {
-        reversed(i, c) = result.eigenvectors(i, k - 1 - c);
-      }
-    }
-    result.eigenvectors = std::move(reversed);
-  }
   return result;
-}
-
-}  // namespace
-
-Result<LanczosResult> SmallestEigenpairs(const CsrMatrix& a,
-                                         const LanczosOptions& options) {
-  return ExtremeEigenpairs(a, options, /*smallest=*/true);
-}
-
-Result<LanczosResult> LargestEigenpairs(const CsrMatrix& a,
-                                        const LanczosOptions& options) {
-  return ExtremeEigenpairs(a, options, /*smallest=*/false);
 }
 
 }  // namespace cad

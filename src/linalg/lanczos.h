@@ -11,7 +11,7 @@ namespace cad {
 
 /// \brief Options for the Lanczos extreme-eigenpair solver.
 struct LanczosOptions {
-  /// Number of eigenpairs to return from the requested end of the spectrum.
+  /// Number of (smallest) eigenpairs to return.
   size_t num_eigenpairs = 2;
   /// Krylov subspace dimension; 0 means min(n, 4 * num_eigenpairs + 40).
   size_t max_subspace = 0;
@@ -41,10 +41,6 @@ struct LanczosResult {
 /// reorthogonalization keeps the basis numerically orthogonal, which is
 /// affordable at the subspace sizes used here.
 [[nodiscard]] Result<LanczosResult> SmallestEigenpairs(
-    const CsrMatrix& a, const LanczosOptions& options = LanczosOptions());
-
-/// \brief Same, for the algebraically largest eigenpairs.
-[[nodiscard]] Result<LanczosResult> LargestEigenpairs(
     const CsrMatrix& a, const LanczosOptions& options = LanczosOptions());
 
 }  // namespace cad

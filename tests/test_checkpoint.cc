@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -498,17 +499,17 @@ TEST(MonitorCheckpointTest, VocabularyRoundTripsThroughVersion2) {
   Result<NodeVocabulary> vocab = NodeVocabulary::FromNames(
       {"a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3"});
   ASSERT_TRUE(vocab.ok());
-  saver.SetVocabulary(*vocab);
   std::stringstream checkpoint;
-  ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint).ok());
+  ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint, &*vocab).ok());
   const std::string bytes = checkpoint.str();
   EXPECT_EQ(static_cast<uint8_t>(bytes[kCheckpointMagicSize]),
             kCheckpointVersionNamedNodes);
 
   OnlineCadMonitor restored(options);
-  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint).ok());
-  ASSERT_NE(restored.vocabulary(), nullptr);
-  EXPECT_TRUE(*restored.vocabulary() == *vocab);
+  std::optional<NodeVocabulary> restored_vocab;
+  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint, &restored_vocab).ok());
+  ASSERT_TRUE(restored_vocab.has_value());
+  EXPECT_TRUE(*restored_vocab == *vocab);
   EXPECT_EQ(restored.num_snapshots(), 2u);
 }
 
@@ -523,21 +524,20 @@ TEST(MonitorCheckpointTest, VocabularyMayRunAheadOfSnapshot) {
   Result<NodeVocabulary> ahead = NodeVocabulary::FromNames(
       {"a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "late_joiner"});
   ASSERT_TRUE(ahead.ok());
-  saver.SetVocabulary(*ahead);
   std::stringstream checkpoint;
-  ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint).ok());
+  ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint, &*ahead).ok());
   OnlineCadMonitor restored(options);
-  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint).ok());
-  ASSERT_NE(restored.vocabulary(), nullptr);
-  EXPECT_EQ(restored.vocabulary()->size(), 9u);
+  std::optional<NodeVocabulary> restored_vocab;
+  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint, &restored_vocab).ok());
+  ASSERT_TRUE(restored_vocab.has_value());
+  EXPECT_EQ(restored_vocab->size(), 9u);
 
   OnlineCadMonitor behind_saver(options);
   ASSERT_TRUE(behind_saver.Observe(TwoTeams(0.0)).ok());
   Result<NodeVocabulary> behind = NodeVocabulary::FromNames({"only_one"});
   ASSERT_TRUE(behind.ok());
-  behind_saver.SetVocabulary(*behind);
   std::stringstream bad_checkpoint;
-  ASSERT_TRUE(behind_saver.SaveCheckpoint(&bad_checkpoint).ok());
+  ASSERT_TRUE(behind_saver.SaveCheckpoint(&bad_checkpoint, &*behind).ok());
   OnlineCadMonitor rejecting(options);
   EXPECT_FALSE(rejecting.LoadCheckpoint(&bad_checkpoint).ok());
 }
@@ -653,8 +653,9 @@ TEST(MonitorCheckpointTest, Version1CheckpointStillLoads) {
   ASSERT_TRUE(saver.SaveCheckpoint(&checkpoint).ok());
 
   OnlineCadMonitor restored(options);
-  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint).ok());
-  EXPECT_EQ(restored.vocabulary(), nullptr);
+  std::optional<NodeVocabulary> restored_vocab;
+  ASSERT_TRUE(restored.LoadCheckpoint(&checkpoint, &restored_vocab).ok());
+  EXPECT_FALSE(restored_vocab.has_value());
   EXPECT_EQ(restored.num_snapshots(), 2u);
   EXPECT_EQ(restored.current_delta(), saver.current_delta());
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -25,9 +26,7 @@ TimestampedEvent Event(NodeId u, NodeId v, double t, double w = 1.0) {
 TEST(AggregateEventStreamTest, BucketsByWindow) {
   const std::vector<TimestampedEvent> events = {
       Event(0, 1, 0.0), Event(0, 1, 0.5), Event(1, 2, 1.2), Event(0, 2, 2.9)};
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  auto sequence = AggregateEventStream(events, options);
+  auto sequence = AggregateEventStream(events, 1.0);
   ASSERT_TRUE(sequence.ok());
   ASSERT_EQ(sequence->num_snapshots(), 3u);
   EXPECT_EQ(sequence->num_nodes(), 3u);
@@ -39,67 +38,42 @@ TEST(AggregateEventStreamTest, BucketsByWindow) {
 TEST(AggregateEventStreamTest, CustomWeightsAccumulate) {
   const std::vector<TimestampedEvent> events = {Event(0, 1, 0.0, 2.5),
                                                 Event(1, 0, 0.1, 1.5)};
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  auto sequence = AggregateEventStream(events, options);
+  auto sequence = AggregateEventStream(events, 1.0);
   ASSERT_TRUE(sequence.ok());
   EXPECT_EQ(sequence->Snapshot(0).EdgeWeight(0, 1), 4.0);  // undirected sum
 }
 
-TEST(AggregateEventStreamTest, ExplicitStartDropsEarlierEvents) {
-  const std::vector<TimestampedEvent> events = {Event(0, 1, 5.0),
-                                                Event(0, 1, 15.0)};
-  EventAggregationOptions options;
-  options.window_length = 10.0;
-  options.start_time = 10.0;
-  options.num_windows = 1;
-  options.num_nodes = 4;
-  auto sequence = AggregateEventStream(events, options);
-  ASSERT_TRUE(sequence.ok());
-  EXPECT_EQ(sequence->num_snapshots(), 1u);
-  EXPECT_EQ(sequence->num_nodes(), 4u);
-  EXPECT_EQ(sequence->Snapshot(0).EdgeWeight(0, 1), 1.0);  // only t=15
-}
-
-TEST(AggregateEventStreamTest, EventsPastConfiguredWindowsDropped) {
-  const std::vector<TimestampedEvent> events = {Event(0, 1, 0.0),
-                                                Event(0, 1, 99.0)};
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  options.num_windows = 2;
-  auto sequence = AggregateEventStream(events, options);
-  ASSERT_TRUE(sequence.ok());
-  EXPECT_EQ(sequence->num_snapshots(), 2u);
-  EXPECT_EQ(sequence->Snapshot(0).EdgeWeight(0, 1), 1.0);
-  EXPECT_EQ(sequence->Snapshot(1).num_edges(), 0u);
-}
-
 TEST(AggregateEventStreamTest, EmptyStream) {
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  options.num_nodes = 5;
-  auto sequence = AggregateEventStream({}, options);
+  auto sequence = AggregateEventStream({}, 1.0);
   ASSERT_TRUE(sequence.ok());
   EXPECT_EQ(sequence->num_snapshots(), 1u);
-  EXPECT_EQ(sequence->num_nodes(), 5u);
+  EXPECT_EQ(sequence->num_nodes(), 0u);
 }
 
 TEST(AggregateEventStreamTest, RejectsBadInput) {
-  EventAggregationOptions options;
-  options.window_length = 0.0;
-  EXPECT_FALSE(AggregateEventStream({}, options).ok());
-
-  options.window_length = 1.0;
-  EXPECT_FALSE(AggregateEventStream({Event(1, 1, 0.0)}, options).ok());
-
-  options.num_nodes = 2;
-  EXPECT_FALSE(AggregateEventStream({Event(0, 5, 0.0)}, options).ok());
-
-  EventAggregationOptions plain;
-  plain.window_length = 1.0;
+  EXPECT_FALSE(AggregateEventStream({}, 0.0).ok());
+  EXPECT_FALSE(AggregateEventStream({Event(1, 1, 0.0)}, 1.0).ok());
   TimestampedEvent bad = Event(0, 1, 0.0);
   bad.weight = -1.0;
-  EXPECT_FALSE(AggregateEventStream({bad}, plain).ok());
+  EXPECT_FALSE(AggregateEventStream({bad}, 1.0).ok());
+}
+
+// Events need not arrive in time order: the node set is discovered from
+// every endpoint, and each window sums its events in input order, not in
+// time order.
+TEST(AggregateEventStreamTest, OutOfOrderEventsSumInInputOrder) {
+  const std::vector<TimestampedEvent> events = {
+      Event(2, 5, 3.5), Event(0, 1, 0.7, 1e16), Event(1, 2, 3.9),
+      Event(0, 1, 0.0, 1.0), Event(0, 1, 0.5, 1.0)};
+  auto sequence = AggregateEventStream(events, 1.0);
+  ASSERT_TRUE(sequence.ok());
+  ASSERT_EQ(sequence->num_snapshots(), 4u);
+  EXPECT_EQ(sequence->num_nodes(), 6u);
+  // (1e16 + 1) + 1 rounds to 1e16; the time-ordered (1 + 1) + 1e16 would not.
+  EXPECT_EQ(sequence->Snapshot(0).EdgeWeight(0, 1), 1e16);
+  EXPECT_EQ(sequence->Snapshot(1).num_edges(), 0u);
+  EXPECT_EQ(sequence->Snapshot(3).EdgeWeight(2, 5), 1.0);
+  EXPECT_EQ(sequence->Snapshot(3).EdgeWeight(1, 2), 1.0);
 }
 
 TEST(ReadEventStreamTest, ParsesFormats) {
@@ -137,9 +111,7 @@ TEST(ReadEventStreamTest, FileRoundTrip) {
   }
   auto events = ReadEventStreamFile(path);
   ASSERT_TRUE(events.ok());
-  EventAggregationOptions options;
-  options.window_length = 2.0;
-  auto sequence = AggregateEventStream(*events, options);
+  auto sequence = AggregateEventStream(*events, 2.0);
   ASSERT_TRUE(sequence.ok());
   EXPECT_EQ(sequence->num_snapshots(), 2u);
   EXPECT_EQ(sequence->Snapshot(0).EdgeWeight(0, 1), 2.0);
@@ -152,35 +124,20 @@ TEST(ReadEventStreamTest, MissingFile) {
             StatusCode::kIoError);
 }
 
-// Regression: with an explicit start_time past every event and derived
-// num_windows, the span (last - start) is negative; the old code cast it to
-// size_t, wrapping to ~2^64 windows. Must degrade to a single empty window.
-TEST(AggregateEventStreamTest, StartAfterAllEventsDoesNotWrapWindowCount) {
-  const std::vector<TimestampedEvent> events = {Event(0, 1, 0.0),
-                                                Event(0, 1, 2.0)};
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  options.start_time = 100.0;
-  auto sequence = AggregateEventStream(events, options);
-  ASSERT_TRUE(sequence.ok());
-  EXPECT_EQ(sequence->num_snapshots(), 1u);
-  EXPECT_EQ(sequence->Snapshot(0).num_edges(), 0u);
-}
-
+// Window 0 starts at the earliest event; an infinite one would make the
+// start non-finite and must be rejected, not bucketed.
 TEST(AggregateEventStreamTest, NonFiniteStartTimeRejected) {
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  options.start_time = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(AggregateEventStream({Event(0, 1, 0.0)}, options).ok());
+  const std::vector<TimestampedEvent> events = {
+      Event(0, 1, 0.0), Event(0, 1, -std::numeric_limits<double>::infinity())};
+  EXPECT_EQ(AggregateEventStream(events, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(AggregateEventStreamTest, AbsurdDerivedWindowCountRejected) {
   // A tiny window over a huge span must be reported, not allocated.
   const std::vector<TimestampedEvent> events = {Event(0, 1, 0.0),
                                                 Event(0, 1, 2.0e12)};
-  EventAggregationOptions options;
-  options.window_length = 1.0;
-  EXPECT_EQ(AggregateEventStream(events, options).status().code(),
+  EXPECT_EQ(AggregateEventStream(events, 1.0).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -403,11 +360,7 @@ TEST(EventWindowAggregatorTest, MatchesBatchAggregation) {
       Event(0, 1, 0.0),       Event(0, 1, 0.5, 2.0), Event(1, 2, 1.2),
       Event(0, 2, 2.9),       Event(2, 3, 6.1),  // windows 3-5 are empty
       Event(0, 3, 6.2, 0.5)};
-  EventAggregationOptions batch_options;
-  batch_options.window_length = 1.0;
-  batch_options.start_time = 0.0;
-  batch_options.num_nodes = 4;
-  auto batch = AggregateEventStream(events, batch_options);
+  auto batch = AggregateEventStream(events, 1.0);
   ASSERT_TRUE(batch.ok());
 
   EventWindowOptions stream_options;

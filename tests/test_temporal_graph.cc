@@ -51,37 +51,5 @@ TEST(TemporalGraphTest, AverageEdges) {
   EXPECT_DOUBLE_EQ(seq.AverageEdgesPerSnapshot(), 1.5);
 }
 
-TEST(TemporalGraphTest, TransitionSupportIsUnionOfEdgeSets) {
-  TemporalGraphSequence seq(4);
-  WeightedGraph g1(4);
-  ASSERT_TRUE(g1.SetEdge(0, 1, 1.0).ok());
-  ASSERT_TRUE(g1.SetEdge(1, 2, 1.0).ok());
-  WeightedGraph g2(4);
-  ASSERT_TRUE(g2.SetEdge(1, 2, 2.0).ok());  // shared, modified
-  ASSERT_TRUE(g2.SetEdge(2, 3, 1.0).ok());  // new
-  ASSERT_TRUE(seq.Append(g1).ok());
-  ASSERT_TRUE(seq.Append(g2).ok());
-
-  const std::vector<NodePair> support = seq.TransitionSupport(0);
-  ASSERT_EQ(support.size(), 3u);
-  EXPECT_EQ(support[0], NodePair::Make(0, 1));
-  EXPECT_EQ(support[1], NodePair::Make(1, 2));
-  EXPECT_EQ(support[2], NodePair::Make(2, 3));
-}
-
-TEST(TemporalGraphTest, TransitionSupportDeduplicates) {
-  TemporalGraphSequence seq(2);
-  ASSERT_TRUE(seq.Append(GraphWithEdge(2, 0, 1, 1.0)).ok());
-  ASSERT_TRUE(seq.Append(GraphWithEdge(2, 0, 1, 5.0)).ok());
-  EXPECT_EQ(seq.TransitionSupport(0).size(), 1u);
-}
-
-TEST(TemporalGraphTest, MutableSnapshotAllowsEditing) {
-  TemporalGraphSequence seq(2);
-  ASSERT_TRUE(seq.Append(WeightedGraph(2)).ok());
-  ASSERT_TRUE(seq.MutableSnapshot(0).SetEdge(0, 1, 4.0).ok());
-  EXPECT_EQ(seq.Snapshot(0).EdgeWeight(0, 1), 4.0);
-}
-
 }  // namespace
 }  // namespace cad

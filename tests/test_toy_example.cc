@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/components.h"
+#include "graph/edge_delta.h"
 
 namespace cad {
 namespace {
@@ -53,15 +54,9 @@ TEST(ToyExampleTest, ScriptedChangesPresent) {
 
 TEST(ToyExampleTest, OnlyFiveEdgesChange) {
   const ToyExample toy = MakeToyExample();
-  const WeightedGraph& before = toy.sequence.Snapshot(0);
-  const WeightedGraph& after = toy.sequence.Snapshot(1);
-  size_t changed = 0;
-  for (const NodePair& pair : toy.sequence.TransitionSupport(0)) {
-    if (before.EdgeWeight(pair.u, pair.v) != after.EdgeWeight(pair.u, pair.v)) {
-      ++changed;
-    }
-  }
-  EXPECT_EQ(changed, 5u);
+  const EdgeDelta delta = DiffSnapshots(Snapshot(toy.sequence.Snapshot(0)),
+                                        Snapshot(toy.sequence.Snapshot(1)));
+  EXPECT_EQ(delta.rank(), 5u);
 }
 
 TEST(ToyExampleTest, GroundTruthSetsConsistent) {

@@ -116,14 +116,11 @@ int Run(int argc, char** argv) {
     Result<std::vector<TimestampedEvent>> stream =
         ReadEventStreamFile(events, policy, &events_rejected, &vocabulary);
     if (!stream.ok()) return stream.status();
-    EventAggregationOptions aggregation;
-    aggregation.window_length = window;
     Result<TemporalGraphSequence> aggregated =
-        AggregateEventStream(*stream, aggregation);
+        AggregateEventStream(*stream, window);
     if (aggregated.ok() && !vocabulary.empty()) {
-      // The vocabulary can run ahead of the max referenced id (names from
-      // events outside the aggregation range); the extra nodes are isolated.
-      CAD_RETURN_NOT_OK(aggregated->GrowTo(vocabulary.size()));
+      // Every interned name belongs to an aggregated event, so the
+      // discovered node set is exactly the vocabulary.
       CAD_RETURN_NOT_OK(aggregated->SetVocabulary(std::move(vocabulary)));
     }
     return aggregated;
