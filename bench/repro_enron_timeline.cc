@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
 
+#include "app/tool_flags.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/timer.h"
@@ -37,7 +39,7 @@ int Run(int argc, char** argv) {
   int64_t k = 50;
   bool warm_start = false;
   double refactor_threshold = 0.1;
-  std::string preconditioner = "auto";
+  std::optional<CgPreconditioner> preconditioner;
   flags.AddInt64("employees", &num_employees, "organization size (paper: 151)");
   flags.AddInt64("months", &num_months, "monthly snapshots (paper: 48)");
   flags.AddInt64("l", &l, "target anomalous nodes per transition for CAD");
@@ -52,11 +54,10 @@ int Run(int argc, char** argv) {
                 "previous embedding and reuse the IC(0) factor");
   flags.AddDouble("refactor_threshold", &refactor_threshold,
                   "IC(0) staleness trigger under --warm_start");
-  flags.AddString("preconditioner", &preconditioner,
-                  "approx engine CG preconditioner: auto, none, jacobi, ic0 "
-                  "(auto = ic0 under --warm_start, else jacobi)");
-  CAD_CHECK_OK(flags.Parse(argc, argv));
-  if (flags.help_requested()) return 0;
+  AddPreconditionerFlag(&flags, &preconditioner);
+  if (const std::optional<int> exit = ParseToolFlags(&flags, argc, argv)) {
+    return *exit;
+  }
 
   EnronSimOptions sim;
   sim.num_employees = static_cast<size_t>(num_employees);
@@ -79,21 +80,9 @@ int Run(int argc, char** argv) {
   cad_options.approx.embedding_dim = static_cast<size_t>(k);
   cad_options.approx.warm_start = warm_start;
   cad_options.approx.refactor_threshold = refactor_threshold;
-  if (preconditioner == "auto") {
-    cad_options.approx.cg.preconditioner =
-        warm_start ? CgPreconditioner::kIncompleteCholesky
-                   : CgPreconditioner::kJacobi;
-  } else if (preconditioner == "none") {
-    cad_options.approx.cg.preconditioner = CgPreconditioner::kNone;
-  } else if (preconditioner == "jacobi") {
-    cad_options.approx.cg.preconditioner = CgPreconditioner::kJacobi;
-  } else if (preconditioner == "ic0") {
-    cad_options.approx.cg.preconditioner =
-        CgPreconditioner::kIncompleteCholesky;
-  } else {
-    std::cerr << "unknown --preconditioner '" << preconditioner << "'\n";
-    return 2;
-  }
+  cad_options.approx.cg.preconditioner = preconditioner.value_or(
+      warm_start ? CgPreconditioner::kIncompleteCholesky
+                 : CgPreconditioner::kJacobi);
   CadDetector cad(cad_options);
   const obs::ScopedMetricsEnable metrics_enable;
   const uint64_t iterations_before = PcgIterationCounter();

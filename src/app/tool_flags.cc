@@ -21,11 +21,24 @@ void AddEngineFlags(FlagParser* flags, CadOptions* cad) {
 void AddWarmStartFlags(FlagParser* flags, bool* warm_start,
                        double* refactor_threshold) {
   flags->AddBool("warm_start", warm_start,
-                 "carry each window's embedding and IC(0) factor into the "
-                 "next (approximate engine)");
+                 "start each window's solves from the previous window's "
+                 "embedding (approximate engine); cad_cli's --preconditioner "
+                 "auto|ic0 also reuses its IC(0) factor");
   flags->AddDouble("refactor_threshold", refactor_threshold,
-                   "relative Laplacian-diagonal drift above which a cached "
-                   "IC(0) factor is rebuilt under --warm_start");
+                   "relative Laplacian-diagonal drift above which a reused "
+                   "IC(0) factor is rebuilt; read only with --warm_start and "
+                   "cad_cli's --preconditioner auto|ic0");
+}
+
+void AddPreconditionerFlag(FlagParser* flags,
+                           std::optional<CgPreconditioner>* preconditioner) {
+  flags->AddChoice("preconditioner", preconditioner,
+                   {{"auto", std::nullopt},
+                    {"none", CgPreconditioner::kNone},
+                    {"jacobi", CgPreconditioner::kJacobi},
+                    {"ic0", CgPreconditioner::kIncompleteCholesky}},
+                   "CG preconditioner: auto, none, jacobi, or ic0 (auto = "
+                   "ic0 under --warm_start, else jacobi)");
 }
 
 void AddThreadsFlag(FlagParser* flags, CadOptions* cad) {

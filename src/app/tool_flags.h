@@ -32,6 +32,11 @@ void AddEngineFlags(FlagParser* flags, CadOptions* cad);
 void AddWarmStartFlags(FlagParser* flags, bool* warm_start,
                        double* refactor_threshold);
 
+/// --preconditioner (cad_cli, repro_enron_timeline): auto, none, jacobi or
+/// ic0, with "auto" bound as nullopt for the tool to resolve.
+void AddPreconditionerFlag(FlagParser* flags,
+                           std::optional<CgPreconditioner>* preconditioner);
+
 /// --threads, into both of `cad`'s thread counts (cad_cli, cad_stream).
 void AddThreadsFlag(FlagParser* flags, CadOptions* cad);
 

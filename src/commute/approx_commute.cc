@@ -24,6 +24,41 @@ uint64_t EdgeJlSeed(uint64_t seed, NodeId u, NodeId v) {
   return x;
 }
 
+/// Folds edge (u, v)'s JL column, k Rademacher draws from `rng` times
+/// `scale`, into the node-major right-hand-side block: row u gains it and
+/// row v loses it.
+void AddJlColumn(Rng* rng, NodeId u, NodeId v, double scale,
+                 DenseMatrix* block) {
+  double* bu = block->mutable_row(u);
+  double* bv = block->mutable_row(v);
+  for (size_t r = 0; r < block->cols(); ++r) {
+    const double q = rng->Rademacher() * scale;
+    bu[r] += q;
+    bv[r] -= q;
+  }
+}
+
+/// The snapshot-level parts every build solves against and the oracle
+/// keeps: the epsilon-regularized Laplacian, its components, the volume and
+/// the cross-component sentinel.
+struct LaplacianSystem {
+  CsrMatrix laplacian;
+  ComponentLabeling components;
+  double volume;
+  double sentinel;
+};
+
+LaplacianSystem MakeLaplacianSystem(const Snapshot& snapshot,
+                                    const ApproxCommuteOptions& options) {
+  const double volume = snapshot.volume();
+  const double epsilon =
+      options.commute.regularization_scale * std::max(volume, 1.0);
+  CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);
+  ComponentLabeling components = ConnectedComponents(laplacian);
+  return {std::move(laplacian), std::move(components), volume,
+          CrossComponentSentinel(volume, snapshot.num_nodes())};
+}
+
 }  // namespace
 
 Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
@@ -42,8 +77,6 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
         "edge-keyed JL draws are what make the cached right-hand sides "
         "updatable under churn)");
   }
-  const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n);
   // The sorted edge list feeds both the right-hand sides and the
   // Laplacian; the components come from that Laplacian.
   const std::vector<Edge>& edges = snapshot.edges();
@@ -56,79 +89,41 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // solver consumes the k right-hand sides as columns.
   DenseMatrix b(n, k);
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
-  if (options.warm_start) {
-    // Edge-keyed draws: stable under edge churn (see EdgeJlSeed).
-    for (const Edge& edge : edges) {
-      Rng rng(EdgeJlSeed(options.seed, edge.u, edge.v));
-      const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
-      double* bu = b.mutable_row(edge.u);
-      double* bv = b.mutable_row(edge.v);
-      for (size_t r = 0; r < k; ++r) {
-        const double q = rng.Rademacher() * scale;
-        bu[r] += q;
-        bv[r] -= q;
-      }
-    }
-  } else {
-    // Stream-order draws from a single generator, matching the original
-    // construction bit for bit.
-    Rng rng(options.seed);
-    std::vector<double> q(k);
-    for (const Edge& edge : edges) {
-      const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
-      for (size_t r = 0; r < k; ++r) q[r] = rng.Rademacher() * scale;
-      double* bu = b.mutable_row(edge.u);
-      double* bv = b.mutable_row(edge.v);
-      for (size_t r = 0; r < k; ++r) {
-        bu[r] += q[r];
-        bv[r] -= q[r];
-      }
-    }
+  Rng rng(options.seed);
+  for (const Edge& edge : edges) {
+    // Under warm start each edge draws from its own keyed generator, stable
+    // under edge churn (see EdgeJlSeed); otherwise one generator draws in
+    // stream order, matching the original construction bit for bit.
+    if (options.warm_start) rng = Rng(EdgeJlSeed(options.seed, edge.u, edge.v));
+    AddJlColumn(&rng, edge.u, edge.v, std::sqrt(edge.weight) * inv_sqrt_k, &b);
   }
 
   // Step 2: solve L z_r = y_r for each column against the regularized
   // Laplacian. Each y_r sums to zero within every component, so the
   // regularized solution tracks the pseudoinverse solution without a 1/eps
   // blowup (see commute_time.h).
-  const double epsilon =
-      options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);
-  ComponentLabeling components = ConnectedComponents(laplacian);
+  LaplacianSystem system = MakeLaplacianSystem(snapshot, options);
   const ConjugateGradientSolver solver(options.cg);
 
   // Warm-start state: the previous snapshot's embedding seeds the solves,
   // and (IC(0) only) the cross-snapshot factorization is reused until the
   // cache's staleness trigger fires.
   CgSolveContext context;
-  const DenseMatrix* previous =
-      options.warm_start && cache != nullptr ? cache->PreviousEmbedding(k, n)
-                                             : nullptr;
-  DenseMatrix x0;
-  if (previous != nullptr) {
-    // Stored k x n; the solver wants the node-major n x k guess block.
-    x0 = DenseMatrix(n, k);
-    for (size_t i = 0; i < n; ++i) {
-      double* row = x0.mutable_row(i);
-      for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
+  if (options.warm_start && cache != nullptr) {
+    context.initial_guess = cache->PreviousEmbedding(n, k);
+    if (context.initial_guess != nullptr) {
+      CAD_METRIC_INC("commute.warm_started_builds");
     }
-    context.initial_guess = &x0;
-    CAD_METRIC_INC("commute.warm_started_builds");
-  }
-  if (options.warm_start && cache != nullptr &&
-      options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
-    CAD_ASSIGN_OR_RETURN(context.cached_factor, cache->FactorFor(laplacian));
+    if (options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
+      CAD_ASSIGN_OR_RETURN(context.cached_factor,
+                           cache->FactorFor(system.laplacian));
+    }
   }
 
-  DenseMatrix x;
+  DenseMatrix z;
   std::vector<CgSummary> summaries;
-  CAD_ASSIGN_OR_RETURN(summaries, solver.SolveBlock(laplacian, b, &x, context));
-  // The embedding is stored k x n; allocated only after the solve so it does
-  // not add to the solve's peak footprint.
-  DenseMatrix z(k, n);
-  for (size_t r = 0; r < k; ++r) {
-    double* z_row = z.mutable_row(r);
-    for (size_t i = 0; i < n; ++i) z_row[i] = x(i, r);
-  }
+  CAD_ASSIGN_OR_RETURN(summaries,
+                       solver.SolveBlock(system.laplacian, b, &z, context));
 
   const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
   for (size_t r = 0; r < k; ++r) {
@@ -144,8 +139,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // it in O(churn * k) instead of rebuilding it.
   if (options.incremental && cache != nullptr) cache->StoreIncrementalRhs(b);
 
-  return ApproxCommuteEmbedding(std::move(z), std::move(components), volume,
-                                sentinel,
+  return ApproxCommuteEmbedding(std::move(z), std::move(system.components),
+                                system.volume, system.sentinel,
                                 options.commute.use_cross_component_sentinel,
                                 cg_stats);
 }
@@ -170,7 +165,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
         "incremental state");
   }
   DenseMatrix* rhs = cache->MutableIncrementalRhs(n, k);
-  const DenseMatrix* previous = cache->PreviousEmbedding(k, n);
+  const DenseMatrix* previous = cache->PreviousEmbedding(n, k);
   if (rhs == nullptr || previous == nullptr) {
     return Status::FailedPrecondition(
         "ApproxCommuteEmbedding::BuildIncremental: cached incremental state "
@@ -193,24 +188,14 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   for (const ChangedEdge& change : delta.changes) {
     Rng rng(EdgeJlSeed(options.seed, change.u, change.v));
-    const double scale = (std::sqrt(change.weight_after) -
-                          std::sqrt(change.weight_before)) *
-                         inv_sqrt_k;
-    double* bu = rhs->mutable_row(change.u);
-    double* bv = rhs->mutable_row(change.v);
-    for (size_t r = 0; r < k; ++r) {
-      const double q = rng.Rademacher() * scale;
-      bu[r] += q;
-      bv[r] -= q;
-    }
+    AddJlColumn(&rng, change.u, change.v,
+                (std::sqrt(change.weight_after) -
+                 std::sqrt(change.weight_before)) *
+                    inv_sqrt_k,
+                rhs);
   }
 
-  const double volume = snapshot.volume();
-  const double sentinel = CrossComponentSentinel(volume, n);
-  const double epsilon =
-      options.commute.regularization_scale * std::max(volume, 1.0);
-  const CsrMatrix laplacian = ToLaplacianCsr(snapshot, epsilon);
-  ComponentLabeling components = ConnectedComponents(laplacian);
+  LaplacianSystem system = MakeLaplacianSystem(snapshot, options);
 
   // Step 2: residual gate. One SpMM against the cached embedding gives
   // every column's exact residual under the *new* regularized Laplacian, so
@@ -218,13 +203,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   // touched — columns that the churn barely perturbed are kept even when
   // their generator overlapped a changed edge, and epsilon drift (volume
   // changes move the regularizer) is accounted for automatically.
-  DenseMatrix x0(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    double* row = x0.mutable_row(i);
-    for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
-  }
   DenseMatrix lz;
-  laplacian.MultiplyBlock(x0, &lz);
+  system.laplacian.MultiplyBlock(*previous, &lz);
   const double tol = std::max(options.incremental_tolerance, 0.0);
   std::vector<size_t> resolve;
   for (size_t r = 0; r < k; ++r) {
@@ -249,26 +229,28 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     DenseMatrix x0s(n, s);
     for (size_t i = 0; i < n; ++i) {
       const double* rhs_row = rhs->row(i);
-      const double* x0_row = x0.row(i);
+      const double* z_row = z.row(i);
       double* bs_row = bs.mutable_row(i);
       double* x0s_row = x0s.mutable_row(i);
       for (size_t idx = 0; idx < s; ++idx) {
         bs_row[idx] = rhs_row[resolve[idx]];
-        x0s_row[idx] = x0_row[resolve[idx]];
+        x0s_row[idx] = z_row[resolve[idx]];
       }
     }
     CgSolveContext context;
     context.initial_guess = &x0s;
     if (options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
-      CAD_ASSIGN_OR_RETURN(context.cached_factor, cache->FactorFor(laplacian));
+      CAD_ASSIGN_OR_RETURN(context.cached_factor,
+                           cache->FactorFor(system.laplacian));
     }
     const ConjugateGradientSolver solver(options.cg);
     DenseMatrix x;
     CAD_ASSIGN_OR_RETURN(summaries,
-                         solver.SolveBlock(laplacian, bs, &x, context));
-    for (size_t idx = 0; idx < s; ++idx) {
-      double* z_row = z.mutable_row(resolve[idx]);
-      for (size_t i = 0; i < n; ++i) z_row[i] = x(i, idx);
+                         solver.SolveBlock(system.laplacian, bs, &x, context));
+    for (size_t i = 0; i < n; ++i) {
+      const double* x_row = x.row(i);
+      double* z_row = z.mutable_row(i);
+      for (size_t idx = 0; idx < s; ++idx) z_row[resolve[idx]] = x_row[idx];
     }
     for (size_t idx = 0; idx < s; ++idx) {
       if (options.require_convergence && !summaries[idx].converged) {
@@ -284,8 +266,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   cache->StoreEmbedding(z);
   cache->RecordIncrementalBuild(resolve.size(), k);
   const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
-  return ApproxCommuteEmbedding(std::move(z), std::move(components), volume,
-                                sentinel,
+  return ApproxCommuteEmbedding(std::move(z), std::move(system.components),
+                                system.volume, system.sentinel,
                                 options.commute.use_cross_component_sentinel,
                                 cg_stats);
 }
@@ -297,11 +279,12 @@ double ApproxCommuteEmbedding::CommuteTime(NodeId u, NodeId v) const {
   // Without the sentinel, the embedding distance estimates exactly the
   // paper-faithful Eq. 3 value: V_G * (e_u - e_v)^T L+ (e_u - e_v), which
   // across components is V_G (l+_uu + l+_vv).
-  const size_t k = embedding_.rows();
+  const size_t k = embedding_.cols();
+  const double* zu = embedding_.row(u);
+  const double* zv = embedding_.row(v);
   double squared = 0.0;
   for (size_t r = 0; r < k; ++r) {
-    const double* row = embedding_.row(r);
-    const double diff = row[u] - row[v];
+    const double diff = zu[r] - zv[r];
     squared += diff * diff;
   }
   // Cap at the sentinel so approximate within-component estimates can never

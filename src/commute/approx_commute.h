@@ -77,11 +77,12 @@ struct ApproxCommuteOptions {
 ///     W the diagonal edge-weight matrix, and Q a k x m Johnson-
 ///     Lindenstrauss matrix with entries ±1/sqrt(k). Y is built in O(k m)
 ///     by streaming edges; Q is never materialized.
-///  2. Solve L z_r = y_r for each of the k rows with Jacobi-preconditioned
-///     CG against the epsilon-regularized Laplacian (the stand-in for the
-///     Spielman-Teng solver; see DESIGN.md substitutions).
-///  3. Then c(u, v) ≈ V_G * || z(:,u) - z(:,v) ||^2, a (1 ± eps) estimate of
-///     the true commute time for k = O(log n / eps^2).
+///  2. Solve L z_r = y_r for each of the k columns of Y^T with Jacobi-
+///     preconditioned CG against the epsilon-regularized Laplacian (the
+///     stand-in for the Spielman-Teng solver; see DESIGN.md substitutions).
+///     The solutions form the n x k embedding Z, one row per node.
+///  3. Then c(u, v) ≈ V_G * || z_u - z_v ||^2 over rows u and v of Z, a
+///     (1 ± eps) estimate of the true commute time for k = O(log n / eps^2).
 ///
 /// Cross-component queries follow the policy in CommuteTimeOptions: by
 /// default the embedding's own estimate is returned, which approximates the
@@ -132,12 +133,13 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
 
   double CommuteTime(NodeId u, NodeId v) const override;
 
-  size_t num_nodes() const override { return embedding_.cols(); }
+  size_t num_nodes() const override { return embedding_.rows(); }
 
-  size_t embedding_dim() const { return embedding_.rows(); }
+  size_t embedding_dim() const { return embedding_.cols(); }
 
-  /// The k x n embedding matrix Z; column i is node i's embedding. Distances
-  /// in this space, scaled by volume, approximate commute times.
+  /// The n x k embedding matrix Z, the block the solver writes; row i is
+  /// node i's embedding. Distances in this space, scaled by volume,
+  /// approximate commute times.
   const DenseMatrix& embedding() const { return embedding_; }
 
   double volume() const { return volume_; }
@@ -164,7 +166,7 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
         use_sentinel_(use_sentinel),
         cg_stats_(cg_stats) {}
 
-  DenseMatrix embedding_;  // k x n
+  DenseMatrix embedding_;  // n x k, node-major
   ComponentLabeling components_;
   double volume_;
   double sentinel_;

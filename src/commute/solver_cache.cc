@@ -8,13 +8,32 @@
 
 namespace cad {
 
+namespace {
+
+// Both cached blocks are node-major n x k; a node-count or embedding-
+// dimension change invalidates them.
+bool HasShape(const std::optional<DenseMatrix>& block, size_t num_nodes,
+              size_t embedding_dim) {
+  return block.has_value() && block->rows() == num_nodes &&
+         block->cols() == embedding_dim;
+}
+
+size_t DenseBytes(const std::optional<DenseMatrix>& matrix) {
+  return matrix.has_value() ? matrix->rows() * matrix->cols() * sizeof(double)
+                            : 0;
+}
+
+size_t CsrBytes(const CsrMatrix& matrix) {
+  return matrix.nnz() * (sizeof(double) + sizeof(uint32_t)) +
+         (matrix.rows() + 1) * sizeof(size_t);
+}
+
+}  // namespace
+
 const DenseMatrix* CommuteSolverCache::PreviousEmbedding(
-    size_t embedding_dim, size_t num_nodes) const {
-  if (!embedding_.has_value() || embedding_->rows() != embedding_dim ||
-      embedding_->cols() != num_nodes) {
-    return nullptr;
-  }
-  return &*embedding_;
+    size_t num_nodes, size_t embedding_dim) const {
+  return HasShape(embedding_, num_nodes, embedding_dim) ? &*embedding_
+                                                         : nullptr;
 }
 
 void CommuteSolverCache::StoreEmbedding(const DenseMatrix& embedding) {
@@ -23,22 +42,16 @@ void CommuteSolverCache::StoreEmbedding(const DenseMatrix& embedding) {
 
 const DenseMatrix* CommuteSolverCache::IncrementalRhs(
     size_t num_nodes, size_t embedding_dim) const {
-  if (!incremental_rhs_.has_value() ||
-      incremental_rhs_->rows() != num_nodes ||
-      incremental_rhs_->cols() != embedding_dim) {
-    return nullptr;
-  }
-  return &*incremental_rhs_;
+  return HasShape(incremental_rhs_, num_nodes, embedding_dim)
+             ? &*incremental_rhs_
+             : nullptr;
 }
 
 DenseMatrix* CommuteSolverCache::MutableIncrementalRhs(size_t num_nodes,
                                                        size_t embedding_dim) {
-  if (!incremental_rhs_.has_value() ||
-      incremental_rhs_->rows() != num_nodes ||
-      incremental_rhs_->cols() != embedding_dim) {
-    return nullptr;
-  }
-  return &*incremental_rhs_;
+  return HasShape(incremental_rhs_, num_nodes, embedding_dim)
+             ? &*incremental_rhs_
+             : nullptr;
 }
 
 void CommuteSolverCache::StoreIncrementalRhs(const DenseMatrix& rhs) {
@@ -212,20 +225,6 @@ void CommuteSolverCache::Clear() {
   dimension_invalidations_ = 0;
   churn_rejections_ = 0;
 }
-
-namespace {
-
-size_t DenseBytes(const std::optional<DenseMatrix>& matrix) {
-  return matrix.has_value() ? matrix->rows() * matrix->cols() * sizeof(double)
-                            : 0;
-}
-
-size_t CsrBytes(const CsrMatrix& matrix) {
-  return matrix.nnz() * (sizeof(double) + sizeof(uint32_t)) +
-         (matrix.rows() + 1) * sizeof(size_t);
-}
-
-}  // namespace
 
 size_t CommuteSolverCache::ApproxBytes() const {
   size_t bytes = DenseBytes(embedding_) + DenseBytes(incremental_rhs_) +

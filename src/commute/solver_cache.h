@@ -39,12 +39,13 @@ class CommuteSolverCache {
   explicit CommuteSolverCache(double refactor_threshold = 0.1)
       : refactor_threshold_(refactor_threshold) {}
 
-  /// The stored embedding if it matches the requested k x n shape (node
-  /// count or embedding dimension changes invalidate it); else nullptr.
-  const DenseMatrix* PreviousEmbedding(size_t embedding_dim,
-                                       size_t num_nodes) const;
+  /// The stored node-major embedding, the block solver's initial guess, if
+  /// it matches the requested n x k shape (node count or embedding
+  /// dimension changes invalidate it); else nullptr.
+  const DenseMatrix* PreviousEmbedding(size_t num_nodes,
+                                       size_t embedding_dim) const;
 
-  /// Stores a k x n embedding for the next snapshot's warm start.
+  /// Stores an n x k embedding for the next snapshot's warm start.
   void StoreEmbedding(const DenseMatrix& embedding);
 
   /// The cached JL right-hand-side block (node-major n x k) if it matches
@@ -150,7 +151,7 @@ class CommuteSolverCache {
 
  private:
   double refactor_threshold_;
-  std::optional<DenseMatrix> embedding_;
+  std::optional<DenseMatrix> embedding_;  // node-major n x k
   std::optional<IncompleteCholesky> factor_;
   std::vector<double> factor_diagonal_;  // diagonal the factor was built from
   size_t factor_reuses_ = 0;

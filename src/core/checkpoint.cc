@@ -35,15 +35,30 @@ constexpr uint64_t kReserveCap = uint64_t{1} << 20;
 
 Status Truncated() { return Status::IoError("checkpoint truncated"); }
 
-void WriteComponents(CheckpointWriter* writer,
-                     const ComponentLabeling& components) {
+// The tail both oracle sections share: the component labeling, the volume,
+// the sentinel and the use-sentinel byte. `Oracle` is ExactCommuteTime or
+// ApproxCommuteEmbedding.
+template <typename Oracle>
+void WriteOracleTail(CheckpointWriter* writer, const Oracle& oracle) {
+  const ComponentLabeling& components = oracle.components();
   writer->WriteU32Vec(components.component);
   writer->WriteU64(components.num_components);
   writer->WriteSizeVec(components.sizes);
+  writer->WriteDouble(oracle.volume());
+  writer->WriteDouble(oracle.sentinel());
+  writer->WriteU8(oracle.use_sentinel() ? 1 : 0);
 }
 
-Result<ComponentLabeling> ReadComponents(CheckpointReader* reader) {
+struct OracleTail {
   ComponentLabeling components;
+  double volume = 0.0;
+  double sentinel = 0.0;
+  bool use_sentinel = false;
+};
+
+Result<OracleTail> ReadOracleTail(CheckpointReader* reader) {
+  OracleTail tail;
+  ComponentLabeling& components = tail.components;
   CAD_ASSIGN_OR_RETURN(components.component, reader->ReadU32Vec());
   uint64_t num_components = 0;
   CAD_ASSIGN_OR_RETURN(num_components, reader->ReadU64());
@@ -66,7 +81,12 @@ Result<ComponentLabeling> ReadComponents(CheckpointReader* reader) {
     return Status::InvalidArgument(
         "checkpoint: component sizes do not match the labels");
   }
-  return components;
+  CAD_ASSIGN_OR_RETURN(tail.volume, reader->ReadDouble());
+  CAD_ASSIGN_OR_RETURN(tail.sentinel, reader->ReadDouble());
+  uint8_t use_sentinel = 0;
+  CAD_ASSIGN_OR_RETURN(use_sentinel, reader->ReadU8());
+  tail.use_sentinel = use_sentinel != 0;
+  return tail;
 }
 
 void WriteCgStats(CheckpointWriter* writer, const CgBatchStats& stats) {
@@ -582,18 +602,13 @@ Status OnlineCadMonitor::SaveCheckpoint(
             dynamic_cast<const ExactCommuteTime*>(previous_oracle_.get())) {
       writer.WriteU8(kOracleExact);
       WriteDenseMatrix(&writer, exact->laplacian_pseudoinverse());
-      WriteComponents(&writer, exact->components());
-      writer.WriteDouble(exact->volume());
-      writer.WriteDouble(exact->sentinel());
-      writer.WriteU8(exact->use_sentinel() ? 1 : 0);
+      WriteOracleTail(&writer, *exact);
     } else if (const auto* approx = dynamic_cast<const ApproxCommuteEmbedding*>(
                    previous_oracle_.get())) {
       writer.WriteU8(kOracleApprox);
-      WriteDenseMatrix(&writer, approx->embedding());
-      WriteComponents(&writer, approx->components());
-      writer.WriteDouble(approx->volume());
-      writer.WriteDouble(approx->sentinel());
-      writer.WriteU8(approx->use_sentinel() ? 1 : 0);
+      // Embedding sections stay k x n on disk, as in every format version.
+      WriteDenseMatrix(&writer, approx->embedding().Transpose());
+      WriteOracleTail(&writer, *approx);
       WriteCgStats(&writer, approx->cg_stats());
     } else {
       return Status::NotImplemented(
@@ -609,7 +624,7 @@ Status OnlineCadMonitor::SaveCheckpoint(
   const CommuteSolverCache::State cache = solver_cache_.ExportState();
   writer.WriteU8(cache.embedding.has_value() ? 1 : 0);
   if (cache.embedding.has_value()) {
-    WriteDenseMatrix(&writer, *cache.embedding);
+    WriteDenseMatrix(&writer, cache.embedding->Transpose());
   }
   writer.WriteU8(cache.factor_lower.has_value() ? 1 : 0);
   if (cache.factor_lower.has_value()) {
@@ -719,36 +734,25 @@ Status OnlineCadMonitor::LoadCheckpoint(
         return Status::InvalidArgument(
             "checkpoint: exact oracle pseudoinverse is not square");
       }
-      ComponentLabeling components;
-      CAD_ASSIGN_OR_RETURN(components, ReadComponents(&reader));
-      labeled_nodes = components.component.size();
-      double volume = 0.0;
-      double sentinel = 0.0;
-      uint8_t use_sentinel = 0;
-      CAD_ASSIGN_OR_RETURN(volume, reader.ReadDouble());
-      CAD_ASSIGN_OR_RETURN(sentinel, reader.ReadDouble());
-      CAD_ASSIGN_OR_RETURN(use_sentinel, reader.ReadU8());
+      OracleTail tail;
+      CAD_ASSIGN_OR_RETURN(tail, ReadOracleTail(&reader));
+      labeled_nodes = tail.components.component.size();
       previous_oracle = std::make_unique<ExactCommuteTime>(
-          ExactCommuteTime::FromParts(std::move(lplus), std::move(components),
-                                      volume, sentinel, use_sentinel != 0));
+          ExactCommuteTime::FromParts(std::move(lplus),
+                                      std::move(tail.components), tail.volume,
+                                      tail.sentinel, tail.use_sentinel));
     } else if (oracle_tag == kOracleApprox) {
       DenseMatrix embedding;
       CAD_ASSIGN_OR_RETURN(embedding, ReadDenseMatrix(&reader));
-      ComponentLabeling components;
-      CAD_ASSIGN_OR_RETURN(components, ReadComponents(&reader));
-      labeled_nodes = components.component.size();
-      double volume = 0.0;
-      double sentinel = 0.0;
-      uint8_t use_sentinel = 0;
-      CAD_ASSIGN_OR_RETURN(volume, reader.ReadDouble());
-      CAD_ASSIGN_OR_RETURN(sentinel, reader.ReadDouble());
-      CAD_ASSIGN_OR_RETURN(use_sentinel, reader.ReadU8());
+      OracleTail tail;
+      CAD_ASSIGN_OR_RETURN(tail, ReadOracleTail(&reader));
+      labeled_nodes = tail.components.component.size();
       CgBatchStats cg_stats;
       CAD_ASSIGN_OR_RETURN(cg_stats, ReadCgStats(&reader));
       previous_oracle = std::make_unique<ApproxCommuteEmbedding>(
           ApproxCommuteEmbedding::FromParts(
-              std::move(embedding), std::move(components), volume, sentinel,
-              use_sentinel != 0, cg_stats));
+              embedding.Transpose(), std::move(tail.components), tail.volume,
+              tail.sentinel, tail.use_sentinel, cg_stats));
     } else {
       return Status::InvalidArgument("checkpoint: unknown oracle tag " +
                                      std::to_string(oracle_tag));
@@ -791,7 +795,7 @@ Status OnlineCadMonitor::LoadCheckpoint(
   if (has_embedding != 0) {
     DenseMatrix embedding;
     CAD_ASSIGN_OR_RETURN(embedding, ReadDenseMatrix(&reader));
-    cache.embedding = std::move(embedding);
+    cache.embedding = embedding.Transpose();
   }
   uint8_t has_factor = 0;
   CAD_ASSIGN_OR_RETURN(has_factor, reader.ReadU8());

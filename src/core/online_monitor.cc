@@ -30,23 +30,13 @@ ComponentLabeling GrowComponents(const ComponentLabeling& components,
   return grown;
 }
 
-// Zero-pads a square matrix (the exact engine's L+) to size n x n. Isolated
-// nodes have l+_ii = 0, so zero rows/columns are exactly what a fresh build
-// produces for them.
-DenseMatrix PadSquare(const DenseMatrix& matrix, size_t n) {
-  DenseMatrix padded(n, n);
-  for (size_t i = 0; i < matrix.rows(); ++i) {
-    for (size_t j = 0; j < matrix.cols(); ++j) {
-      padded(i, j) = matrix(i, j);
-    }
-  }
-  return padded;
-}
-
-// Zero-pads a k x n embedding with columns for the appended nodes. Isolated
-// nodes have no incident edges, so their JL projections are exactly zero.
-DenseMatrix PadColumns(const DenseMatrix& matrix, size_t cols) {
-  DenseMatrix padded(matrix.rows(), cols);
+// Zero-pads `matrix` to rows x cols. The nodes a window grows by are
+// isolated, and a fresh build gives them exactly zeros: zero rows and
+// columns of the exact engine's L+ (l+_ii = 0) and zero rows of the
+// approximate engine's n x k embedding (no incident edges, so no JL
+// projection).
+DenseMatrix ZeroPad(const DenseMatrix& matrix, size_t rows, size_t cols) {
+  DenseMatrix padded(rows, cols);
   for (size_t i = 0; i < matrix.rows(); ++i) {
     for (size_t j = 0; j < matrix.cols(); ++j) {
       padded(i, j) = matrix(i, j);
@@ -78,7 +68,7 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
         CrossComponentSentinel(exact->volume(), num_nodes);
     previous_oracle_ = std::make_unique<ExactCommuteTime>(
         ExactCommuteTime::FromParts(
-            PadSquare(exact->laplacian_pseudoinverse(), num_nodes),
+            ZeroPad(exact->laplacian_pseudoinverse(), num_nodes, num_nodes),
             GrowComponents(exact->components(), num_nodes), exact->volume(),
             sentinel, exact->use_sentinel()));
     return Status::OK();
@@ -89,7 +79,8 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
         CrossComponentSentinel(approx->volume(), num_nodes);
     previous_oracle_ = std::make_unique<ApproxCommuteEmbedding>(
         ApproxCommuteEmbedding::FromParts(
-            PadColumns(approx->embedding(), num_nodes),
+            ZeroPad(approx->embedding(), num_nodes,
+                    approx->embedding_dim()),
             GrowComponents(approx->components(), num_nodes), approx->volume(),
             sentinel, approx->use_sentinel(), approx->cg_stats()));
     return Status::OK();

@@ -396,13 +396,8 @@ TEST_P(IncrementalSweep, ApproxIncrementalHonorsResidualContract) {
   const double epsilon = options.commute.regularization_scale *
                          std::max(Snapshot(after).volume(), 1.0);
   const CsrMatrix laplacian = ToLaplacianCsr(after, epsilon);
-  const DenseMatrix& z = incremental->embedding();  // k x n
-  DenseMatrix x0(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t r = 0; r < k; ++r) x0(i, r) = z(r, i);
-  }
   DenseMatrix lz;
-  laplacian.MultiplyBlock(x0, &lz);
+  laplacian.MultiplyBlock(incremental->embedding(), &lz);
   for (size_t r = 0; r < k; ++r) {
     double residual2 = 0.0;
     double norm2 = 0.0;

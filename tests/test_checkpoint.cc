@@ -8,12 +8,16 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
+#include "commute/approx_commute.h"
+#include "commute/solver_cache.h"
+#include "core/cad_detector.h"
 #include "core/online_monitor.h"
 
 namespace cad {
@@ -593,6 +597,119 @@ TEST(MonitorCheckpointTest, IncrementalMonitorWritesVersion3) {
   ASSERT_TRUE(old_style.SaveCheckpoint(&old_checkpoint).ok());
   EXPECT_EQ(static_cast<uint8_t>(old_checkpoint.str()[kCheckpointMagicSize]),
             kCheckpointVersionIntegerIds);
+}
+
+// ---------------------------------------------------------------------------
+// On-disk embedding layout: the approximate engine keeps Z node-major
+// (n x k), and every checkpoint version stores its embedding sections k x n.
+
+struct EmbeddingSections {
+  DenseMatrix oracle;
+  DenseMatrix cache;
+};
+
+/// Decodes the previous oracle's and the solver cache's embedding sections
+/// from a vocabulary-free approximate-engine checkpoint, skipping the rest.
+Result<EmbeddingSections> DecodeEmbeddingSections(const std::string& bytes) {
+  std::istringstream in(bytes);
+  CheckpointReader reader(&in);
+  CAD_RETURN_NOT_OK(reader.ExpectHeader());
+  if (reader.version() >= kCheckpointVersionIncremental) {
+    CAD_RETURN_NOT_OK(reader.ReadU8().status());  // vocabulary flag
+  }
+  CAD_RETURN_NOT_OK(reader.ReadU64().status());     // snapshots
+  CAD_RETURN_NOT_OK(reader.ReadU64().status());     // transitions
+  CAD_RETURN_NOT_OK(reader.ReadDouble().status());  // delta
+  CAD_RETURN_NOT_OK(reader.ReadU8().status());      // has previous
+  CAD_RETURN_NOT_OK(ReadWeightedGraph(&reader).status());
+  CAD_RETURN_NOT_OK(reader.ReadU8().status());  // oracle tag
+  EmbeddingSections sections;
+  CAD_ASSIGN_OR_RETURN(sections.oracle, ReadDenseMatrix(&reader));
+  // Components, volume, sentinel, use-sentinel byte, then the CG stats.
+  CAD_RETURN_NOT_OK(reader.ReadU32Vec().status());
+  CAD_RETURN_NOT_OK(reader.ReadU64().status());
+  CAD_RETURN_NOT_OK(reader.ReadSizeVec().status());
+  CAD_RETURN_NOT_OK(reader.ReadDouble().status());
+  CAD_RETURN_NOT_OK(reader.ReadDouble().status());
+  CAD_RETURN_NOT_OK(reader.ReadU8().status());
+  for (int i = 0; i < 5; ++i) CAD_RETURN_NOT_OK(reader.ReadU64().status());
+  CAD_RETURN_NOT_OK(reader.ReadDouble().status());
+  uint64_t history = 0;
+  CAD_ASSIGN_OR_RETURN(history, reader.ReadU64());
+  for (uint64_t i = 0; i < history; ++i) {
+    CAD_RETURN_NOT_OK(ReadTransitionScores(&reader).status());
+  }
+  uint8_t has_embedding = 0;
+  CAD_ASSIGN_OR_RETURN(has_embedding, reader.ReadU8());
+  if (has_embedding == 0) {
+    return Status::InvalidArgument("checkpoint has no cache embedding");
+  }
+  CAD_ASSIGN_OR_RETURN(sections.cache, ReadDenseMatrix(&reader));
+  return sections;
+}
+
+/// The oracle a monitor with `options` holds after `stream`, rebuilt
+/// through the same detector calls Observe makes.
+DenseMatrix ReplayOracleEmbedding(const OnlineMonitorOptions& options,
+                                  const std::vector<WeightedGraph>& stream) {
+  CadDetector detector(options.detector);
+  CommuteSolverCache cache(options.detector.approx.refactor_threshold);
+  std::optional<Snapshot> previous;
+  std::unique_ptr<CommuteTimeOracle> oracle;
+  for (const WeightedGraph& graph : stream) {
+    const Snapshot snapshot(graph);
+    Result<std::unique_ptr<CommuteTimeOracle>> built =
+        options.incremental && previous.has_value()
+            ? detector.BuildOracleIncremental(snapshot, *previous,
+                                              oracle.get(), &cache)
+            : detector.BuildOracle(snapshot, &cache);
+    CAD_CHECK_OK(built.status());
+    oracle = std::move(built).ValueOrDie();
+    previous = snapshot;
+  }
+  return dynamic_cast<const ApproxCommuteEmbedding&>(*oracle).embedding();
+}
+
+TEST(CheckpointEmbeddingLayoutTest, SectionsAreTheTransposedEmbedding) {
+  // k != n, so a section written without its transpose has the wrong shape.
+  OnlineMonitorOptions incremental = IncrementalApproxOptions();
+  incremental.detector.approx.embedding_dim = 5;
+  OnlineMonitorOptions warm_start = incremental;
+  warm_start.incremental = false;
+  warm_start.detector.approx.warm_start = true;
+  std::vector<WeightedGraph> stream = DriftingStream();
+  stream.resize(4);  // no node growth
+  for (const OnlineMonitorOptions& options : {warm_start, incremental}) {
+    OnlineCadMonitor monitor(options);
+    for (const WeightedGraph& graph : stream) {
+      ASSERT_TRUE(monitor.Observe(graph).ok());
+    }
+    std::stringstream checkpoint;
+    ASSERT_TRUE(monitor.SaveCheckpoint(&checkpoint).ok());
+    const Result<EmbeddingSections> sections =
+        DecodeEmbeddingSections(checkpoint.str());
+    ASSERT_TRUE(sections.ok()) << sections.status();
+
+    const DenseMatrix expected =
+        ReplayOracleEmbedding(monitor.options(), stream);
+    const size_t n = 8;
+    const size_t k = 5;
+    ASSERT_EQ(expected.rows(), n);
+    ASSERT_EQ(expected.cols(), k);
+    // After a window without node growth the cache holds the oracle's own
+    // embedding, so both sections match it bit for bit.
+    for (const DenseMatrix* section : {&sections->oracle, &sections->cache}) {
+      ASSERT_EQ(section->rows(), k);
+      ASSERT_EQ(section->cols(), n);
+      for (size_t r = 0; r < k; ++r) {
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>((*section)(r, i)),
+                    std::bit_cast<uint64_t>(expected(i, r)))
+              << "r=" << r << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(MonitorCheckpointTest, PreIncrementalCheckpointLoadsIntoIncrementalMonitor) {

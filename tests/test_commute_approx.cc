@@ -39,8 +39,8 @@ TEST(ApproxCommuteTest, EmbeddingDimensionsMatch) {
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(oracle->embedding_dim(), 13u);
   EXPECT_EQ(oracle->num_nodes(), 5u);
-  EXPECT_EQ(oracle->embedding().rows(), 13u);
-  EXPECT_EQ(oracle->embedding().cols(), 5u);
+  EXPECT_EQ(oracle->embedding().rows(), 5u);
+  EXPECT_EQ(oracle->embedding().cols(), 13u);
 }
 
 TEST(ApproxCommuteTest, ApproximatesExactOnSmallGraph) {
@@ -292,7 +292,7 @@ TEST(ApproxWarmStartTest, WarmStartOffIsBitIdenticalToLegacyBuild) {
   ASSERT_TRUE(with_cache.ok());
   EXPECT_EQ(legacy->embedding().MaxAbsDifference(with_cache->embedding()),
             0.0);
-  EXPECT_EQ(cache.PreviousEmbedding(24, 60), nullptr);  // nothing stored
+  EXPECT_EQ(cache.PreviousEmbedding(60, 24), nullptr);  // nothing stored
 }
 
 TEST(ApproxWarmStartTest, BlockSolverMatchesSerialUnderWarmStart) {

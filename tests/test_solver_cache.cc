@@ -110,10 +110,10 @@ TEST(SolverCacheTest, DimensionChangeRefactorizes) {
 TEST(SolverCacheTest, ClearDropsFactorAndEmbedding) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  cache.StoreEmbedding(DenseMatrix(4, 12));
-  ASSERT_NE(cache.PreviousEmbedding(4, 12), nullptr);
+  cache.StoreEmbedding(DenseMatrix(12, 4));
+  ASSERT_NE(cache.PreviousEmbedding(12, 4), nullptr);
   cache.Clear();
-  EXPECT_EQ(cache.PreviousEmbedding(4, 12), nullptr);
+  EXPECT_EQ(cache.PreviousEmbedding(12, 4), nullptr);
   // Clear also resets the statistics, so the forced refactorization that
   // follows is counted from a clean slate.
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
@@ -123,11 +123,11 @@ TEST(SolverCacheTest, ClearDropsFactorAndEmbedding) {
 
 TEST(SolverCacheTest, EmbeddingShapeMismatchReturnsNull) {
   CommuteSolverCache cache;
-  EXPECT_EQ(cache.PreviousEmbedding(4, 12), nullptr);
-  cache.StoreEmbedding(DenseMatrix(4, 12));
-  EXPECT_NE(cache.PreviousEmbedding(4, 12), nullptr);
-  EXPECT_EQ(cache.PreviousEmbedding(5, 12), nullptr);  // k changed
-  EXPECT_EQ(cache.PreviousEmbedding(4, 13), nullptr);  // n changed
+  EXPECT_EQ(cache.PreviousEmbedding(12, 4), nullptr);
+  cache.StoreEmbedding(DenseMatrix(12, 4));
+  EXPECT_NE(cache.PreviousEmbedding(12, 4), nullptr);
+  EXPECT_EQ(cache.PreviousEmbedding(12, 5), nullptr);  // k changed
+  EXPECT_EQ(cache.PreviousEmbedding(13, 4), nullptr);  // n changed
 }
 
 TEST(SolverCacheTest, DimensionChangeKeepsDriftGaugeHonest) {
@@ -183,14 +183,14 @@ TEST(SolverCacheTest, RestoreRejectsDiagonalWithoutFactor) {
 TEST(SolverCacheTest, RejectedRestoreLeavesCacheUntouched) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  cache.StoreEmbedding(DenseMatrix(4, 12));
+  cache.StoreEmbedding(DenseMatrix(12, 4));
 
   CommuteSolverCache::State corrupt = cache.ExportState();
   corrupt.factor_diagonal.pop_back();
   ASSERT_FALSE(cache.RestoreState(std::move(corrupt)).ok());
 
   // The previously cached factor and embedding are still served.
-  EXPECT_NE(cache.PreviousEmbedding(4, 12), nullptr);
+  EXPECT_NE(cache.PreviousEmbedding(12, 4), nullptr);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   EXPECT_EQ(cache.factor_reuses(), 1u);
   EXPECT_EQ(cache.refactorizations(), 1u);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/pipeline.h"
@@ -106,6 +108,34 @@ TEST(ToolFlagsTest, BatchFlagsLandInThePipelineOptions) {
   EXPECT_EQ(options.nodes_per_transition, 3.0);
   EXPECT_EQ(options.cad.analysis_threads, 2u);
   EXPECT_EQ(options.cad.approx.cg.num_threads, 2u);
+}
+
+TEST(ToolFlagsTest, PreconditionerFlagBindsAutoAsNullopt) {
+  const std::vector<std::pair<std::string, std::optional<CgPreconditioner>>>
+      cases = {{"auto", std::nullopt},
+               {"none", CgPreconditioner::kNone},
+               {"jacobi", CgPreconditioner::kJacobi},
+               {"ic0", CgPreconditioner::kIncompleteCholesky}};
+  for (const auto& [name, expected] : cases) {
+    FlagParser flags;
+    std::optional<CgPreconditioner> preconditioner =
+        CgPreconditioner::kJacobi;
+    AddPreconditionerFlag(&flags, &preconditioner);
+    ASSERT_TRUE(ParseArgs(&flags, {"--preconditioner", name}).ok()) << name;
+    EXPECT_EQ(preconditioner, expected) << name;
+  }
+
+  FlagParser flags;
+  std::optional<CgPreconditioner> preconditioner;
+  AddPreconditionerFlag(&flags, &preconditioner);
+  EXPECT_NE(flags.Usage().find("--preconditioner (default: auto)"),
+            std::string::npos);
+  const Status unknown = ParseArgs(&flags, {"--preconditioner", "ilu"});
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("allowed: auto, none, jacobi, ic0"),
+            std::string::npos)
+      << unknown;
+  EXPECT_EQ(preconditioner, std::nullopt);
 }
 
 TEST(ToolFlagsTest, UsageShowsEachToolsOwnDefaults) {

@@ -40,11 +40,12 @@ int Run(int argc, char** argv) {
   std::string nodes_csv;
   std::string json_out;
   std::string dot_dir;
-  std::string preconditioner = "auto";
+  std::optional<CgPreconditioner> preconditioner;
   AddEventsFlag(&flags, &events);
   AddWindowFlags(&flags, &window, &policy);
   AddEngineFlags(&flags, &options.cad);
   AddWarmStartFlags(&flags, &options.warm_start, &options.refactor_threshold);
+  AddPreconditionerFlag(&flags, &preconditioner);
   AddTargetFlag(&flags, &options.nodes_per_transition);
   AddThreadsFlag(&flags, &options.cad);
   ObservabilityFlags observability(&flags);
@@ -57,9 +58,6 @@ int Run(int argc, char** argv) {
                 "print per-snapshot / per-transition dataset statistics");
   flags.AddString("method", &options.method,
                   "CAD, ADJ, COM, SUM, ACT, CLC, or AFM");
-  flags.AddString("preconditioner", &preconditioner,
-                  "CG preconditioner: auto, none, jacobi, or ic0 (auto = "
-                  "ic0 under --warm_start, else jacobi)");
   flags.AddString("edges_csv", &edges_csv,
                   "write the anomalous-edge report here ('-' for stdout)");
   flags.AddString("nodes_csv", &nodes_csv,
@@ -81,21 +79,9 @@ int Run(int argc, char** argv) {
   // "auto" upgrades warm-started runs to IC(0): the factorization is
   // amortized across snapshots by the cache, so its higher build cost pays
   // for itself; cold runs keep the cheap Jacobi default.
-  if (preconditioner == "auto") {
-    options.cad.approx.cg.preconditioner =
-        options.warm_start ? CgPreconditioner::kIncompleteCholesky
-                           : CgPreconditioner::kJacobi;
-  } else if (preconditioner == "none") {
-    options.cad.approx.cg.preconditioner = CgPreconditioner::kNone;
-  } else if (preconditioner == "jacobi") {
-    options.cad.approx.cg.preconditioner = CgPreconditioner::kJacobi;
-  } else if (preconditioner == "ic0") {
-    options.cad.approx.cg.preconditioner =
-        CgPreconditioner::kIncompleteCholesky;
-  } else {
-    std::cerr << "unknown --preconditioner '" << preconditioner << "'\n";
-    return 2;
-  }
+  options.cad.approx.cg.preconditioner = preconditioner.value_or(
+      options.warm_start ? CgPreconditioner::kIncompleteCholesky
+                         : CgPreconditioner::kJacobi);
   // Turn observability on before loading so the input stage is covered too.
   const Status started = observability.Start();
   if (!started.ok()) {
