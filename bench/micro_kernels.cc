@@ -6,8 +6,11 @@
 //
 // Beyond the usual google-benchmark flags, `--check_spmm` runs the kernel
 // equivalence checks instead of timing: MultiplyBlock against k per-column
-// SpMVs and IncompleteCholesky::ApplyBlock against k per-column applies, both
-// to 0 ULP. CI's perf-smoke job gates on it.
+// SpMVs and IncompleteCholesky::ApplyBlock against k per-column applies, and
+// the lockstep CG's leading-column forms (MultiplyOverwriteLeading,
+// ApplyLeadingColumns) at widths 1-16 inside a wider row stride, all to
+// 0 ULP, with the columns past the width left untouched. CI's perf-smoke job
+// gates on it.
 
 #include <benchmark/benchmark.h>
 
@@ -219,10 +222,14 @@ DenseMatrix BenchRhs(size_t n, size_t k) {
 }
 
 void BM_PcgSolveBlock(benchmark::State& state) {
-  // k Laplacian systems advanced in lockstep, sharing each SpMM sweep.
+  // k Laplacian systems advanced in lockstep, sharing each SpMM sweep, on
+  // an ER graph (third argument 0) or a power-law R-MAT graph (1). The
+  // 8k-node R-MAT rows at k = 10 and k = 50 are the solve shapes of
+  // cadbench's batch_rmat and stream_churn workloads.
   const auto n = static_cast<size_t>(state.range(0));
   const auto k = static_cast<size_t>(state.range(1));
-  const WeightedGraph g = BenchGraph(n);
+  const WeightedGraph g =
+      state.range(2) != 0 ? BenchRmatGraph(n) : BenchGraph(n);
   const CsrMatrix l = ToLaplacianCsr(g, 1e-8 * Snapshot(g).volume());
   const DenseMatrix rhs = BenchRhs(n, k);
   const ConjugateGradientSolver solver;
@@ -233,7 +240,11 @@ void BM_PcgSolveBlock(benchmark::State& state) {
     benchmark::DoNotOptimize(x.data().data());
   }
 }
-BENCHMARK(BM_PcgSolveBlock)->Args({10000, 16})->Args({100000, 16});
+BENCHMARK(BM_PcgSolveBlock)
+    ->Args({10000, 16, 0})
+    ->Args({100000, 16, 0})
+    ->Args({8000, 10, 1})
+    ->Args({8000, 50, 1});
 
 void BM_ApproxEmbeddingBuild(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
@@ -380,6 +391,36 @@ size_t RunSpmmCheck() {
 
       std::printf("check_spmm n=%zu k=%zu: OK\n", n, k);
     }
+
+    // The lockstep CG's sweeps over the leading `width` columns of wider
+    // blocks: the SpMM and the IC(0) apply, read and written through a row
+    // stride past the width.
+    const WeightedGraph g = BenchGraph(n);
+    const CsrMatrix l = ToLaplacianCsr(g, 1e-6 * Snapshot(g).volume());
+    auto ic = IncompleteCholesky::Factor(l);
+    CAD_CHECK(ic.ok());
+    constexpr size_t kStride = 19;
+    const DenseMatrix x = BenchBlock(n, kStride);
+    std::vector<double> x_col(n);
+    for (size_t width = 1; width <= 16; ++width) {
+      DenseMatrix y(n, kStride);
+      l.MultiplyOverwriteLeading(1.0, x, width, &y);
+      DenseMatrix z(n, kStride);
+      ic->ApplyLeadingColumns(x, width, &z);
+      for (size_t c = 0; c < kStride; ++c) {
+        for (size_t i = 0; i < n; ++i) x_col[i] = x(i, c);
+        const std::vector<double> spmv =
+            c < width ? l.Multiply(x_col) : std::vector<double>(n, 0.0);
+        const std::vector<double> apply =
+            c < width ? ic->Apply(x_col) : std::vector<double>(n, 0.0);
+        for (size_t i = 0; i < n; ++i) {
+          expect_identical(spmv[i], y(i, c), "leading SpMM", i, c);
+          expect_identical(apply[i], z(i, c), "leading IC apply", i, c);
+        }
+      }
+    }
+    std::printf("check_spmm n=%zu leading widths 1-16, stride %zu: OK\n", n,
+                kStride);
   }
   return mismatches;
 }

@@ -35,7 +35,7 @@ int Run(int argc, char** argv) {
   int64_t l = 5;
   int64_t act_window = 3;
   int64_t seed = 7;
-  std::string engine = "exact";
+  CommuteEngine engine = CommuteEngine::kExact;
   int64_t k = 50;
   bool warm_start = false;
   double refactor_threshold = 0.1;
@@ -45,7 +45,9 @@ int Run(int argc, char** argv) {
   flags.AddInt64("l", &l, "target anomalous nodes per transition for CAD");
   flags.AddInt64("act_window", &act_window, "ACT window size w (paper: 3)");
   flags.AddInt64("seed", &seed, "simulator seed");
-  flags.AddString("engine", &engine,
+  flags.AddChoice("engine", &engine,
+                  {{"exact", CommuteEngine::kExact},
+                   {"approx", CommuteEngine::kApprox}},
                   "commute engine for CAD: exact (paper) or approx (solver "
                   "benchmarking)");
   flags.AddInt64("k", &k, "embedding dimension for --engine approx");
@@ -71,12 +73,9 @@ int Run(int argc, char** argv) {
 
   // --- CAD: exact commute times (as in the paper for n = 151), or the
   // approximate engine when benchmarking the solver stack. ---
-  const bool approx_engine = engine == "approx";
-  CAD_CHECK(approx_engine || engine == "exact")
-      << "unknown --engine '" << engine << "'";
+  const bool approx_engine = engine == CommuteEngine::kApprox;
   CadOptions cad_options;
-  cad_options.engine =
-      approx_engine ? CommuteEngine::kApprox : CommuteEngine::kExact;
+  cad_options.engine = engine;
   cad_options.approx.embedding_dim = static_cast<size_t>(k);
   cad_options.approx.warm_start = warm_start;
   cad_options.approx.refactor_threshold = refactor_threshold;

@@ -1,6 +1,7 @@
 #include "commute/approx_commute.h"
 
 #include <cmath>
+#include <utility>
 
 #include "commute/solver_cache.h"
 #include "obs/obs.h"
@@ -137,7 +138,9 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   if (options.warm_start && cache != nullptr) cache->StoreEmbedding(z);
   // Incremental mode: persist the RHS block so the next window can update
   // it in O(churn * k) instead of rebuilding it.
-  if (options.incremental && cache != nullptr) cache->StoreIncrementalRhs(b);
+  if (options.incremental && cache != nullptr) {
+    cache->StoreIncrementalRhs(std::move(b));
+  }
 
   return ApproxCommuteEmbedding(std::move(z), std::move(system.components),
                                 system.volume, system.sentinel,
@@ -205,18 +208,23 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   // changes move the regularizer) is accounted for automatically.
   DenseMatrix lz;
   system.laplacian.MultiplyBlock(*previous, &lz);
+  // One ascending-row pass over the row-major blocks with k accumulators of
+  // each kind: every column still sums its rows in ascending order.
   const double tol = std::max(options.incremental_tolerance, 0.0);
+  std::vector<double> residual2(k, 0.0);
+  std::vector<double> norm2(k, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* yi = rhs->row(i);
+    const double* lzi = lz.row(i);
+    for (size_t r = 0; r < k; ++r) {
+      const double d = yi[r] - lzi[r];
+      residual2[r] += d * d;
+      norm2[r] += yi[r] * yi[r];
+    }
+  }
   std::vector<size_t> resolve;
   for (size_t r = 0; r < k; ++r) {
-    double residual2 = 0.0;
-    double norm2 = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double y = (*rhs)(i, r);
-      const double d = y - lz(i, r);
-      residual2 += d * d;
-      norm2 += y * y;
-    }
-    if (residual2 > tol * tol * norm2) resolve.push_back(r);
+    if (residual2[r] > tol * tol * norm2[r]) resolve.push_back(r);
   }
 
   // Step 3: re-solve only the gated columns, warm-started from the cached
@@ -263,7 +271,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     }
   }
 
-  cache->StoreEmbedding(z);
+  // With nothing re-solved, z is a copy of the cached embedding already.
+  if (!resolve.empty()) cache->StoreEmbedding(z);
   cache->RecordIncrementalBuild(resolve.size(), k);
   const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
   return ApproxCommuteEmbedding(std::move(z), std::move(system.components),

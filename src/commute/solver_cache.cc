@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -54,8 +55,8 @@ DenseMatrix* CommuteSolverCache::MutableIncrementalRhs(size_t num_nodes,
              : nullptr;
 }
 
-void CommuteSolverCache::StoreIncrementalRhs(const DenseMatrix& rhs) {
-  incremental_rhs_ = rhs;
+void CommuteSolverCache::StoreIncrementalRhs(DenseMatrix rhs) {
+  incremental_rhs_ = std::move(rhs);
 }
 
 void CommuteSolverCache::RecordIncrementalBuild(size_t resolved,

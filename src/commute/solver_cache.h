@@ -59,8 +59,9 @@ class CommuteSolverCache {
   DenseMatrix* MutableIncrementalRhs(size_t num_nodes, size_t embedding_dim);
 
   /// Stores the node-major n x k right-hand-side block for the next
-  /// snapshot's incremental update.
-  void StoreIncrementalRhs(const DenseMatrix& rhs);
+  /// snapshot's incremental update (pass an rvalue to store it without a
+  /// copy).
+  void StoreIncrementalRhs(DenseMatrix rhs);
 
   /// Records the outcome of one incremental embedding build: how many of
   /// the k right-hand sides were re-solved vs reused verbatim. Feeds the

@@ -1,26 +1,25 @@
 #include "linalg/conjugate_gradient.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "obs/obs.h"
 
+#include "linalg/column_kernels.h"
 #include "linalg/incomplete_cholesky.h"
 
 namespace cad {
 
 namespace {
 
-/// Widest column group one lockstep sweep advances: the SpMM kernel's
-/// register-accumulator width (linalg/sparse_matrix.cc).
-constexpr size_t kMaxGroupWidth = 16;
-
 /// Shared read-only preconditioner state, dispatched by kind so the
-/// per-iteration block apply carries no closure indirection.
+/// per-iteration passes carry no closure indirection.
 struct BlockPreconditioner {
   CgPreconditioner kind = CgPreconditioner::kNone;
   std::vector<double> inv_diag;                    // kJacobi
@@ -31,27 +30,16 @@ struct BlockPreconditioner {
     return owned.has_value() ? &*owned : borrowed;
   }
 
-  /// Z = M^{-1} R, column by column.
-  void Apply(const DenseMatrix& r, DenseMatrix* z) const {
-    const size_t n = r.rows();
-    const size_t k = r.cols();
-    if (z->rows() != n || z->cols() != k) *z = DenseMatrix(n, k);
-    switch (kind) {
-      case CgPreconditioner::kNone:
-        *z = r;
-        return;
-      case CgPreconditioner::kJacobi:
-        for (size_t i = 0; i < n; ++i) {
-          const double d = inv_diag[i];
-          const double* ri = r.row(i);
-          double* zi = z->mutable_row(i);
-          for (size_t c = 0; c < k; ++c) zi[c] = d * ri[c];
-        }
-        return;
-      case CgPreconditioner::kIncompleteCholesky:
-        factor()->ApplyBlock(r, z);
-        return;
-    }
+  /// Jacobi and no preconditioning apply z = d_i * r_i row by row (d = 1.0
+  /// without one: 1.0 * r is r bitwise), so the apply fuses into the sweep
+  /// that writes r. IC(0) is a pair of triangular solves with their own
+  /// row order and runs as its own pass.
+  bool elementwise() const {
+    return kind != CgPreconditioner::kIncompleteCholesky;
+  }
+  /// The per-row scale of an elementwise apply; nullptr means 1.0.
+  const double* scale() const {
+    return kind == CgPreconditioner::kJacobi ? inv_diag.data() : nullptr;
   }
 };
 
@@ -83,16 +71,161 @@ Result<BlockPreconditioner> MakeBlockPreconditioner(
   return Status::Internal("unknown preconditioner kind");
 }
 
+/// Per-slot scalars of one column group, kept in the same slot order as
+/// the group's packed work blocks.
+using SlotArray = std::array<double, kMaxKernelWidth>;
+
+/// One column group's work blocks. R, Z, P and AP are n x k (k the group's
+/// width); X is the caller's solution block, whose group columns start at
+/// `x` with row stride `x_stride`. Slot s of every block holds local column
+/// `column[s]`, and the still-iterating columns occupy slots [0, w).
+struct PackedGroup {
+  size_t n = 0;
+  size_t k = 0;
+  double* x = nullptr;
+  size_t x_stride = 0;
+  DenseMatrix r, z, p, ap;
+  std::array<uint32_t, kMaxKernelWidth> column{};
+  SlotArray b_norm{}, target{}, rz{}, rr{}, rz_next{};
+
+  /// Swaps slots s and t in every per-slot scalar.
+  void SwapSlots(size_t s, size_t t) {
+    std::swap(column[s], column[t]);
+    std::swap(b_norm[s], b_norm[t]);
+    std::swap(target[s], target[t]);
+    std::swap(rz[s], rz[t]);
+    std::swap(rr[s], rr[t]);
+    std::swap(rz_next[s], rz_next[t]);
+  }
+};
+
+/// Slot moves gathered by one retirement pass: (s, t) retires the column in
+/// slot s by swapping it with the last active slot t.
+struct SlotMoves {
+  std::array<std::pair<uint32_t, uint32_t>, kMaxKernelWidth> moves;
+  size_t count = 0;
+};
+
+/// Retires slot s of the w active slots: swaps it with the last active
+/// slot and records the move for ApplySlotMoves (nothing to move when s is
+/// that slot).
+void RetireSlot(size_t s, size_t* w, PackedGroup* g, SlotMoves* moves) {
+  --*w;
+  if (s == *w) return;
+  g->SwapSlots(s, *w);
+  moves->moves[moves->count++] = {static_cast<uint32_t>(s),
+                                  static_cast<uint32_t>(*w)};
+}
+
+/// Applies `moves`, in order, to every row of the group's blocks in one
+/// pass: X swaps (the retired column's solution must survive in slot t),
+/// while R, Z and P only copy slot t into slot s — a retired column's
+/// residual and directions are never read again.
+void ApplySlotMoves(const SlotMoves& moves, PackedGroup* g) {
+  for (size_t i = 0; i < g->n; ++i) {
+    double* xi = g->x + i * g->x_stride;
+    double* ri = g->r.mutable_row(i);
+    double* zi = g->z.mutable_row(i);
+    double* pi = g->p.mutable_row(i);
+    for (size_t m = 0; m < moves.count; ++m) {
+      const auto [s, t] = moves.moves[m];
+      std::swap(xi[s], xi[t]);
+      ri[s] = ri[t];
+      zi[s] = zi[t];
+      pi[s] = pi[t];
+    }
+  }
+}
+
+/// Writes every slot's solution back to its own column of X.
+void UnpackSolutions(const PackedGroup& g) {
+  double row[kMaxKernelWidth] = {};
+  for (size_t i = 0; i < g.n; ++i) {
+    double* xi = g.x + i * g.x_stride;
+    for (size_t s = 0; s < g.k; ++s) row[g.column[s]] = xi[s];
+    std::copy(row, row + g.k, xi);
+  }
+}
+
+/// Z = M^{-1} R (elementwise kinds only), P = Z and rz = r^T z on the
+/// first W slots, one pass.
+template <size_t W, bool kElementwise>
+void StartDirections(const double* scale, PackedGroup* g) {
+  double rz[W] = {0.0};
+  for (size_t i = 0; i < g->n; ++i) {
+    const double d = scale != nullptr ? scale[i] : 1.0;
+    const double* ri = g->r.row(i);
+    double* zi = g->z.mutable_row(i);
+    double* pi = g->p.mutable_row(i);
+    for (size_t s = 0; s < W; ++s) {
+      if constexpr (kElementwise) zi[s] = d * ri[s];
+      pi[s] = zi[s];
+      rz[s] += ri[s] * zi[s];
+    }
+  }
+  std::copy(rz, rz + W, g->rz.begin());
+}
+
+/// X += alpha P and R -= alpha AP with the ||r||^2 reduction, plus (for
+/// the elementwise kinds) Z = M^{-1} R and the r^T z reduction, on the
+/// first W slots in one pass. Each expression is the scalar recurrence's,
+/// and every reduction sums in ascending row order, as Dot does. Columns
+/// that converge on this residual get a Z they never use.
+template <size_t W, bool kElementwise>
+void UpdateIterates(const SlotArray& alphas, const double* scale,
+                    PackedGroup* g) {
+  double alpha[W] = {};
+  std::copy(alphas.begin(), alphas.begin() + W, alpha);
+  double rr[W] = {0.0};
+  double rz[W] = {0.0};
+  for (size_t i = 0; i < g->n; ++i) {
+    double* xi = g->x + i * g->x_stride;
+    double* ri = g->r.mutable_row(i);
+    const double* pi = g->p.row(i);
+    const double* api = g->ap.row(i);
+    const double d = scale != nullptr ? scale[i] : 1.0;
+    double* zi = g->z.mutable_row(i);
+    for (size_t s = 0; s < W; ++s) {
+      xi[s] += alpha[s] * pi[s];
+      const double rv = ri[s] - alpha[s] * api[s];
+      ri[s] = rv;
+      rr[s] += rv * rv;
+      if constexpr (kElementwise) {
+        const double zv = d * rv;
+        zi[s] = zv;
+        rz[s] += rv * zv;
+      }
+    }
+  }
+  std::copy(rr, rr + W, g->rr.begin());
+  if constexpr (kElementwise) std::copy(rz, rz + W, g->rz_next.begin());
+}
+
+/// P = Z + beta P on the first W slots.
+template <size_t W>
+void UpdateDirections(const SlotArray& betas, PackedGroup* g) {
+  double beta[W] = {};
+  std::copy(betas.begin(), betas.begin() + W, beta);
+  for (size_t i = 0; i < g->n; ++i) {
+    const double* zi = g->z.row(i);
+    double* pi = g->p.mutable_row(i);
+    for (size_t s = 0; s < W; ++s) pi[s] = zi[s] + beta[s] * pi[s];
+  }
+}
+
 /// The lockstep CG kernel on one column group: advances columns [begin,
 /// end) of B through one shared SpMM/preconditioner sweep per iteration,
-/// with per-column scalars and an active mask that freezes converged
-/// columns. Every floating-point operation touching column c happens in
-/// exactly the order a scalar PCG on column c alone would execute it, so a
-/// column's solution and iteration count do not depend on which other
-/// columns share the group. B and X0 are read in place through their row
-/// stride, and the solution is written into the same columns of *x, which
-/// must be n x B.cols() and zero in those columns. Returns the group's
-/// summaries in column order.
+/// with per-column scalars. Still-iterating columns are kept packed in the
+/// leading slots [0, w) of the work blocks: a column that converges is
+/// swapped to the back, and every per-iteration pass runs at the current w
+/// through compile-time-width kernels, so converged columns cost nothing.
+/// Every floating-point operation touching a column happens in exactly the
+/// order a scalar PCG on that column alone would execute it — a slot is
+/// only where the column's values live — so a column's solution and
+/// iteration count do not depend on which other columns share the group.
+/// B and X0 are read in place through their row stride, and the solution
+/// is written into the same columns of *x, which must be n x B.cols() and
+/// zero in those columns. Returns the group's summaries in column order.
 Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
                                              const DenseMatrix& b,
                                              size_t begin, size_t end,
@@ -101,178 +234,178 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
                                              const DenseMatrix* x0,
                                              DenseMatrix* x) {
   CAD_TRACE_SPAN("pcg_column_group");
-  const size_t n = a.rows();
-  const size_t k = end - begin;  // the group's width; c below is local
+  PackedGroup g;
+  g.n = a.rows();
+  g.k = end - begin;  // the group's width; columns below are local
+  CAD_DCHECK(g.k >= 1 && g.k <= kMaxKernelWidth);
+  const size_t n = g.n;
+  const size_t k = g.k;
+  g.x = x->mutable_data().data() + begin;
+  g.x_stride = x->cols();
   std::vector<CgSummary> summaries(k);
 
   // R starts as the group's columns of B. Per-column ||b|| is accumulated
   // in the same ascending-i order as Norm2.
-  DenseMatrix r(n, k);
-  std::vector<double> accum(k, 0.0);
+  g.r = DenseMatrix(n, k);
+  SlotArray accum{};
   for (size_t i = 0; i < n; ++i) {
     const double* bi = b.row(i) + begin;
-    double* ri = r.mutable_row(i);
+    double* ri = g.r.mutable_row(i);
     for (size_t c = 0; c < k; ++c) {
       ri[c] = bi[c];
       accum[c] += bi[c] * bi[c];
     }
   }
-  std::vector<double> b_norm(k, 0.0);
-  std::vector<double> target(k, 0.0);
-  std::vector<uint32_t> active;  // still-iterating columns, ascending
-  active.reserve(k);
   for (size_t c = 0; c < k; ++c) {
-    b_norm[c] = std::sqrt(accum[c]);
-    if (b_norm[c] == 0.0) {
-      summaries[c].converged = true;  // x column stays zero
-    } else {
-      target[c] = options.tolerance * b_norm[c];
-      active.push_back(static_cast<uint32_t>(c));
-    }
+    g.column[c] = static_cast<uint32_t>(c);
+    g.b_norm[c] = std::sqrt(accum[c]);
+    g.target[c] = options.tolerance * g.b_norm[c];
   }
 
-  if (x0 != nullptr && !active.empty()) {
+  if (x0 != nullptr) {
     // X starts at the guess. Zero-rhs columns are not copied: they keep the
     // b = 0 contract (x = 0) regardless of guess.
     for (size_t i = 0; i < n; ++i) {
       const double* gi = x0->row(i) + begin;
-      double* xi = x->mutable_row(i) + begin;
-      for (const uint32_t c : active) xi[c] = gi[c];
-    }
-    a.MultiplyAccumulateColumns(-1.0, *x0, begin, &r);  // R = B - A X0
-    std::fill(accum.begin(), accum.end(), 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const double* ri = r.row(i);
-      for (const uint32_t c : active) accum[c] += ri[c] * ri[c];
-    }
-    size_t w = 0;
-    for (const uint32_t c : active) {
-      const double r0_norm = std::sqrt(accum[c]);
-      summaries[c].relative_residual = r0_norm / b_norm[c];
-      if (r0_norm <= target[c]) {
-        summaries[c].converged = true;  // guess already meets the target
-      } else {
-        active[w++] = c;
+      double* xi = g.x + i * g.x_stride;
+      for (size_t c = 0; c < k; ++c) {
+        if (g.b_norm[c] != 0.0) xi[c] = gi[c];
       }
     }
-    active.resize(w);
+    a.MultiplyAccumulateColumns(-1.0, *x0, begin, &g.r);  // R = B - A X0
+    accum.fill(0.0);
+    DispatchWidth(k, [&](auto w) {
+      AccumulateColumnDots<decltype(w)::value>(n, g.r.data().data(), k,
+                                               g.r.data().data(), k,
+                                               accum.data());
+    });
   }
-  if (active.empty()) return summaries;
+  // Retire the columns that start converged: zero right-hand sides (x stays
+  // zero) and guesses that already meet the target.
+  size_t w = k;
+  SlotMoves moves;
+  for (size_t s = 0; s < w;) {
+    CgSummary& summary = summaries[g.column[s]];
+    bool done = g.b_norm[s] == 0.0;
+    if (!done && x0 != nullptr) {
+      const double r0_norm = std::sqrt(accum[g.column[s]]);
+      summary.relative_residual = r0_norm / g.b_norm[s];
+      done = r0_norm <= g.target[s];
+    }
+    if (!done) {
+      ++s;
+      continue;
+    }
+    summary.converged = true;
+    RetireSlot(s, &w, &g, &moves);
+  }
+  bool packed = moves.count > 0;
+  g.z = DenseMatrix(n, k);
+  g.p = DenseMatrix(n, k);
+  if (packed) ApplySlotMoves(moves, &g);
 
-  DenseMatrix z(n, k);
-  precond.Apply(r, &z);
-  DenseMatrix p = z;
-  DenseMatrix ap(n, k);
-  std::vector<double> rz(k, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double* ri = r.row(i);
-    const double* zi = z.row(i);
-    for (const uint32_t c : active) rz[c] += ri[c] * zi[c];
+  const double* scale = precond.scale();
+  if (w > 0) {
+    if (!precond.elementwise()) {
+      precond.factor()->ApplyLeadingColumns(g.r, w, &g.z);
+    }
+    DispatchWidth(w, [&](auto width) {
+      constexpr size_t W = decltype(width)::value;
+      if (precond.elementwise()) {
+        StartDirections<W, true>(scale, &g);
+      } else {
+        StartDirections<W, false>(scale, &g);
+      }
+    });
   }
-  std::vector<double> scalars(k, 0.0);
+  g.ap = DenseMatrix(n, k);
+  SlotArray scalars{};
 
   const size_t max_iters =
       options.max_iterations > 0 ? options.max_iterations : 10 * n + 100;
 
   // cad-lint: hot-path begin (per-iteration loop: no buffer growth allowed)
-  for (size_t iter = 0; iter < max_iters && !active.empty(); ++iter) {
+  for (size_t iter = 0; iter < max_iters && w > 0; ++iter) {
     // Overwrite form of AP = A P: bitwise equal to zero-filling AP and
-    // accumulating, without the fill pass over n*k doubles.
-    a.MultiplyOverwriteBlock(1.0, p, &ap);
+    // accumulating, without the fill pass.
+    a.MultiplyOverwriteLeading(1.0, g.p, w, &g.ap);
 
-    std::fill(scalars.begin(), scalars.end(), 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const double* pi = p.row(i);
-      const double* api = ap.row(i);
-      for (const uint32_t c : active) scalars[c] += pi[c] * api[c];
-    }
-    for (const uint32_t c : active) {
-      if (scalars[c] <= 0.0) {
-        return Status::NumericalError(
-            "CG: non-positive curvature encountered (p^T A p = " +
-            std::to_string(scalars[c]) +
-            "); matrix not positive semidefinite?");
+    std::fill(scalars.begin(), scalars.begin() + w, 0.0);
+    DispatchWidth(w, [&](auto width) {
+      AccumulateColumnDots<decltype(width)::value>(
+          n, g.p.data().data(), k, g.ap.data().data(), k, scalars.data());
+    });
+    // A breakdown reports the lowest column's p^T A p, as a column-ordered
+    // scan would.
+    size_t breakdown = k;
+    for (size_t s = 0; s < w; ++s) {
+      if (scalars[s] <= 0.0 &&
+          (breakdown == k || g.column[s] < g.column[breakdown])) {
+        breakdown = s;
       }
     }
-    // scalars now holds p^T A p; turn it into alpha = rz / pap per column.
-    for (const uint32_t c : active) scalars[c] = rz[c] / scalars[c];
-    // X/R update fused with the ||r|| reduction in one sweep. The
-    // reduction accumulates each column in the ascending-row sequence Norm2
-    // uses, so convergence decisions match the scalar recurrence.
-    std::fill(accum.begin(), accum.end(), 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      double* xi = x->mutable_row(i) + begin;
-      double* ri = r.mutable_row(i);
-      const double* pi = p.row(i);
-      const double* api = ap.row(i);
-      for (const uint32_t c : active) {
-        const double alpha = scalars[c];
-        xi[c] += alpha * pi[c];
-        const double rv = ri[c] - alpha * api[c];
-        ri[c] = rv;
-        accum[c] += rv * rv;
-      }
+    if (breakdown < k) {
+      return Status::NumericalError(
+          "CG: non-positive curvature encountered (p^T A p = " +
+          std::to_string(scalars[breakdown]) +
+          "); matrix not positive semidefinite?");
     }
-    size_t w = 0;
-    for (const uint32_t c : active) {
-      const double r_norm = std::sqrt(accum[c]);
-      summaries[c].iterations = iter + 1;
-      summaries[c].relative_residual = r_norm / b_norm[c];
-      if (r_norm <= target[c]) {
-        summaries[c].converged = true;
+    // scalars now holds p^T A p; turn it into alpha = rz / pap per slot.
+    for (size_t s = 0; s < w; ++s) scalars[s] = g.rz[s] / scalars[s];
+    DispatchWidth(w, [&](auto width) {
+      constexpr size_t W = decltype(width)::value;
+      if (precond.elementwise()) {
+        UpdateIterates<W, true>(scalars, scale, &g);
       } else {
-        active[w++] = c;
+        UpdateIterates<W, false>(scalars, scale, &g);
       }
-    }
-    active.resize(w);  // shrink only, never reallocates  // cad-lint: allow(hot-alloc)
-    if (active.empty()) break;
+    });
 
-    std::fill(scalars.begin(), scalars.end(), 0.0);
-    if (precond.kind == CgPreconditioner::kIncompleteCholesky) {
-      // IC(0) apply is a triangular solve with its own row ordering; keep
-      // the generic two-pass form.
-      precond.Apply(r, &z);
-      for (size_t i = 0; i < n; ++i) {
-        const double* ri = r.row(i);
-        const double* zi = z.row(i);
-        for (const uint32_t c : active) scalars[c] += ri[c] * zi[c];
+    // Retire the columns this residual converges, swapping each with the
+    // last active slot, then move the blocks' slots in one pass.
+    moves.count = 0;
+    for (size_t s = 0; s < w;) {
+      const double r_norm = std::sqrt(g.rr[s]);
+      CgSummary& summary = summaries[g.column[s]];
+      summary.iterations = iter + 1;
+      summary.relative_residual = r_norm / g.b_norm[s];
+      if (r_norm > g.target[s]) {
+        ++s;
+        continue;
       }
-    } else {
-      // Jacobi/identity applies are elementwise, so the apply fuses with
-      // the r^T z reduction: z rows are written with the exact expressions
-      // BlockPreconditioner::Apply uses (z = r, or z = inv_diag * r). Only
-      // active columns of z are refreshed; frozen columns are never read
-      // again.
-      const bool jacobi = precond.kind == CgPreconditioner::kJacobi;
-      for (size_t i = 0; i < n; ++i) {
-        const double d = jacobi ? precond.inv_diag[i] : 1.0;
-        const double* ri = r.row(i);
-        double* zi = z.mutable_row(i);
-        for (const uint32_t c : active) {
-          const double zv = d * ri[c];
-          zi[c] = zv;
-          scalars[c] += ri[c] * zv;
-        }
-      }
+      summary.converged = true;
+      RetireSlot(s, &w, &g, &moves);
     }
-    for (const uint32_t c : active) {
-      const double rz_next = scalars[c];
-      const double beta = rz_next / rz[c];
-      rz[c] = rz_next;
-      scalars[c] = beta;
+    if (moves.count > 0) {
+      packed = true;
+      ApplySlotMoves(moves, &g);
     }
-    for (size_t i = 0; i < n; ++i) {
-      double* pi = p.mutable_row(i);
-      const double* zi = z.row(i);
-      for (const uint32_t c : active) pi[c] = zi[c] + scalars[c] * pi[c];
+    if (w == 0) break;
+
+    if (!precond.elementwise()) {
+      precond.factor()->ApplyLeadingColumns(g.r, w, &g.z);
+      std::fill(g.rz_next.begin(), g.rz_next.begin() + w, 0.0);
+      DispatchWidth(w, [&](auto width) {
+        AccumulateColumnDots<decltype(width)::value>(
+            n, g.r.data().data(), k, g.z.data().data(), k,
+            g.rz_next.data());
+      });
     }
+    for (size_t s = 0; s < w; ++s) {
+      scalars[s] = g.rz_next[s] / g.rz[s];  // beta
+      g.rz[s] = g.rz_next[s];
+    }
+    DispatchWidth(w, [&](auto width) {
+      UpdateDirections<decltype(width)::value>(scalars, &g);
+    });
   }
   // cad-lint: hot-path end
   // Iteration cap reached: converged iff the last residual meets the target.
-  for (const uint32_t c : active) {
-    summaries[c].converged =
-        summaries[c].relative_residual <= options.tolerance;
+  for (size_t s = 0; s < w; ++s) {
+    CgSummary& summary = summaries[g.column[s]];
+    summary.converged = summary.relative_residual <= options.tolerance;
   }
+  if (packed) UnpackSolutions(g);
   return summaries;
 }
 
@@ -416,7 +549,7 @@ Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveBlock(
   const size_t n = a.rows();
   const size_t k = b.cols();
   // Columns are split into contiguous groups, at least one per thread and
-  // none wider than kMaxGroupWidth, each advanced in lockstep by one task
+  // none wider than kMaxKernelWidth, each advanced in lockstep by one task
   // in the caller's blocks. Grouping only regroups which columns share a sweep; it
   // never changes any column's arithmetic, so solutions do not depend on
   // the thread count. The tasks are indexed by column, not group, so
@@ -425,7 +558,7 @@ Result<std::vector<CgSummary>> ConjugateGradientSolver::SolveBlock(
   // column and every other task is empty.
   const size_t num_groups =
       std::max({std::min(options_.num_threads, k),
-                (k + kMaxGroupWidth - 1) / kMaxGroupWidth, size_t{1}});
+                (k + kMaxKernelWidth - 1) / kMaxKernelWidth, size_t{1}});
   std::vector<size_t> group_begin(num_groups + 1);
   for (size_t group = 0; group <= num_groups; ++group) {
     group_begin[group] = group * k / num_groups;

@@ -121,8 +121,8 @@ class ConjugateGradientSolver {
   /// block: the columns are split into groups of at most 16 (see
   /// CgOptions::num_threads), and every CG iteration advances a group's
   /// still-unconverged systems through one shared SpMM sweep with
-  /// per-system scalars (alpha, beta, residual norms) and a convergence
-  /// mask that freezes finished columns.
+  /// per-system scalars (alpha, beta, residual norms); a finished column
+  /// leaves the sweep, so each pass covers only the columns still running.
   /// The preconditioner (an IC(0) factorization included) is built once for
   /// all k systems unless CgSolveContext supplies one. Each column's
   /// floating-point sequence is that of a scalar PCG on the column alone,

@@ -144,15 +144,29 @@ std::vector<double> IncompleteCholesky::Apply(
 
 void IncompleteCholesky::ApplyBlock(const DenseMatrix& b,
                                     DenseMatrix* x) const {
+  CAD_CHECK_EQ(b.rows(), dimension());
+  if (x->rows() != b.rows() || x->cols() != b.cols()) {
+    *x = DenseMatrix(b.rows(), b.cols());
+  }
+  ApplyLeadingColumns(b, b.cols(), x);
+}
+
+void IncompleteCholesky::ApplyLeadingColumns(const DenseMatrix& b,
+                                             size_t width,
+                                             DenseMatrix* x) const {
   const size_t n = dimension();
-  const size_t k = b.cols();
   CAD_CHECK_EQ(b.rows(), n);
+  CAD_CHECK_EQ(x->rows(), n);
+  CAD_DCHECK(width <= b.cols() && width <= x->cols() && x != &b);
   // Each column follows exactly the scalar Apply substitution order (terms
   // subtracted in CSR position order, then one division), so the block
-  // application is bit-identical to k scalar applications.
-  const size_t k4 = k - k % 4;
-  const auto accumulate_row = [k, k4](double coeff, const double* src,
-                                      double* sums) {
+  // application is bit-identical to `width` scalar applications. Both
+  // sweeps run in place in X: forward row i reads only rows j < i, which
+  // already hold Y, and backward row i reads its own Y value and rows
+  // j > i, which already hold X.
+  const size_t k4 = width - width % 4;
+  const auto accumulate_row = [width, k4](double coeff, const double* src,
+                                          double* sums) {
     size_t c = 0;
     for (; c < k4; c += 4) {
       sums[c] -= coeff * src[c];
@@ -160,39 +174,33 @@ void IncompleteCholesky::ApplyBlock(const DenseMatrix& b,
       sums[c + 2] -= coeff * src[c + 2];
       sums[c + 3] -= coeff * src[c + 3];
     }
-    for (; c < k; ++c) sums[c] -= coeff * src[c];
+    for (; c < width; ++c) sums[c] -= coeff * src[c];
   };
 
   // Forward substitution L Y = B (diagonal is each row's last entry).
-  DenseMatrix y(n, k);
-  std::vector<double> sums(k);
   for (size_t i = 0; i < n; ++i) {
     const double* bi = b.row(i);
-    std::copy(bi, bi + k, sums.begin());
+    double* yi = x->mutable_row(i);
+    std::copy(bi, bi + width, yi);
     const size_t end = lower_.RowEnd(i);
     for (size_t p = lower_.RowBegin(i); p + 1 < end; ++p) {
-      accumulate_row(lower_.values()[p], y.row(lower_.col_indices()[p]),
-                     sums.data());
+      accumulate_row(lower_.values()[p], x->row(lower_.col_indices()[p]), yi);
     }
     const double diag = lower_.values()[end - 1];
-    double* yi = y.mutable_row(i);
-    for (size_t c = 0; c < k; ++c) yi[c] = sums[c] / diag;
+    for (size_t c = 0; c < width; ++c) yi[c] = yi[c] / diag;
   }
   // Back substitution L^T X = Y using the transpose's (upper-triangular)
   // rows, whose first entry is the diagonal.
-  *x = DenseMatrix(n, k);
   for (size_t ii = n; ii > 0; --ii) {
     const size_t i = ii - 1;
-    const double* yi = y.row(i);
-    std::copy(yi, yi + k, sums.begin());
+    double* xi = x->mutable_row(i);
     const size_t begin = lower_transpose_.RowBegin(i);
     for (size_t p = begin + 1; p < lower_transpose_.RowEnd(i); ++p) {
       accumulate_row(lower_transpose_.values()[p],
-                     x->row(lower_transpose_.col_indices()[p]), sums.data());
+                     x->row(lower_transpose_.col_indices()[p]), xi);
     }
     const double diag = lower_transpose_.values()[begin];
-    double* xi = x->mutable_row(i);
-    for (size_t c = 0; c < k; ++c) xi[c] = sums[c] / diag;
+    for (size_t c = 0; c < width; ++c) xi[c] = xi[c] / diag;
   }
 }
 

@@ -46,6 +46,14 @@ class IncompleteCholesky {
   /// order is unchanged. Resizes *x to match b.
   void ApplyBlock(const DenseMatrix& b, DenseMatrix* x) const;
 
+  /// ApplyBlock on the leading `width` columns of B, written into the
+  /// leading `width` columns of *X; each block is read or written through
+  /// its own row stride, and X's other columns are not touched. *x must
+  /// already have dimension() rows and must not be `b`. No allocation: the
+  /// lockstep CG's per-iteration apply on its packed active columns.
+  void ApplyLeadingColumns(const DenseMatrix& b, size_t width,
+                           DenseMatrix* x) const;
+
   size_t dimension() const { return lower_.rows(); }
 
   /// The incomplete factor (lower triangular, diagonal included).

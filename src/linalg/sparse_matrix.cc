@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "linalg/column_kernels.h"
 
 namespace cad {
 
@@ -138,6 +141,11 @@ void CsrMatrix::MultiplyBlock(const DenseMatrix& x, DenseMatrix* y) const {
 
 namespace {
 
+/// Two adjacent column sums advanced by one SSE2 instruction. Each lane is
+/// an ordinary IEEE double multiply and add, so a pair computes exactly
+/// what two scalar sums would.
+typedef double ColumnPair __attribute__((vector_size(16)));
+
 /// Accumulates columns [c0, c0 + W) of one CSR row into W compile-time
 /// register accumulators. The per-column arithmetic is exactly the scalar
 /// kernel's: a local sum over the row's nonzeros in storage order, nothing
@@ -146,26 +154,45 @@ namespace {
 /// a fixed-size local array (instead of a heap vector the compiler must
 /// assume aliased) lets them live in registers across the whole row: the
 /// inner loop issues no stores, which is worth ~2-3x on the CG hot sweep.
-template <size_t W, bool kOverwrite>
+/// The sums are spelled as column pairs (plus one odd column) because
+/// GCC's own vectorization of the plain loop varies with the inlining
+/// context: some widths came out partly or wholly scalar.
+template <size_t W, bool kOverwrite, bool kPrefetch>
 inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
                                size_t begin, size_t end, const double* x,
                                size_t stride, size_t c0, double alpha,
                                double* yi) {
-  double sums[W] = {0.0};
+  ColumnPair pairs[W / 2 > 0 ? W / 2 : 1] = {};
+  double odd = 0.0;
   // The column stream is sequential (hardware-prefetched) but the X rows it
   // gathers are not; issuing the row address a few entries ahead hides the
-  // DRAM latency that otherwise dominates power-law rows. Prefetch is a
-  // hint — it cannot change the arithmetic.
+  // memory latency of power-law rows when X does not fit in cache (see
+  // GatherPrefetchPays). Prefetch is a hint — it cannot change the
+  // arithmetic.
   constexpr size_t kPrefetchAhead = 8;
   for (size_t p = begin; p < end; ++p) {
-    if (p + kPrefetchAhead < end) {
-      __builtin_prefetch(
-          x + static_cast<size_t>(cols[p + kPrefetchAhead]) * stride + c0);
+    if constexpr (kPrefetch) {
+      if (p + kPrefetchAhead < end) {
+        __builtin_prefetch(
+            x + static_cast<size_t>(cols[p + kPrefetchAhead]) * stride + c0);
+      }
     }
     const double v = values[p];
+    const ColumnPair vv = {v, v};
     const double* xj = x + static_cast<size_t>(cols[p]) * stride + c0;
-    for (size_t w = 0; w < W; ++w) sums[w] += v * xj[w];
+    for (size_t w = 0; w < W / 2; ++w) {
+      ColumnPair xw;
+      std::memcpy(&xw, xj + 2 * w, sizeof(xw));
+      pairs[w] += vv * xw;
+    }
+    if constexpr (W % 2 == 1) odd += v * xj[W - 1];
   }
+  double sums[W] = {};
+  for (size_t w = 0; w < W / 2; ++w) {
+    sums[2 * w] = pairs[w][0];
+    sums[2 * w + 1] = pairs[w][1];
+  }
+  if constexpr (W % 2 == 1) sums[W - 1] = odd;
   for (size_t w = 0; w < W; ++w) {
     // The overwrite form spells out `0.0 +` so its result is bitwise the
     // accumulate form applied to a zero-filled Y (0.0 + (-0.0) is +0.0,
@@ -177,84 +204,130 @@ inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
 /// Columns [c0, c0 + width) of one CSR row for width <= 16, dispatched to
 /// the exact compile-time width so they run in one pass with `width`
 /// register accumulators.
-template <bool kOverwrite>
+template <bool kOverwrite, bool kPrefetch>
 inline void AccumulateRowNarrow(const double* values, const uint32_t* cols,
                                 size_t begin, size_t end, const double* x,
                                 size_t stride, size_t c0, size_t width,
                                 double alpha, double* yi) {
   switch (width) {
-    case 1: AccumulateRowChunk<1, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 2: AccumulateRowChunk<2, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 3: AccumulateRowChunk<3, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 4: AccumulateRowChunk<4, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 5: AccumulateRowChunk<5, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 6: AccumulateRowChunk<6, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 7: AccumulateRowChunk<7, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 8: AccumulateRowChunk<8, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 9: AccumulateRowChunk<9, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 10: AccumulateRowChunk<10, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 11: AccumulateRowChunk<11, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 12: AccumulateRowChunk<12, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 13: AccumulateRowChunk<13, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 14: AccumulateRowChunk<14, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 15: AccumulateRowChunk<15, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
-    case 16: AccumulateRowChunk<16, kOverwrite>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 1: AccumulateRowChunk<1, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 2: AccumulateRowChunk<2, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 3: AccumulateRowChunk<3, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 4: AccumulateRowChunk<4, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 5: AccumulateRowChunk<5, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 6: AccumulateRowChunk<6, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 7: AccumulateRowChunk<7, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 8: AccumulateRowChunk<8, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 9: AccumulateRowChunk<9, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 10: AccumulateRowChunk<10, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 11: AccumulateRowChunk<11, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 12: AccumulateRowChunk<12, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 13: AccumulateRowChunk<13, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 14: AccumulateRowChunk<14, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 15: AccumulateRowChunk<15, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
+    case 16: AccumulateRowChunk<16, kOverwrite, kPrefetch>(values, cols, begin, end, x, stride, c0, alpha, yi); break;
     default: break;
   }
 }
 
-constexpr size_t kMaxChunkWidth = 16;
+/// Whether the sweep should prefetch the X rows it gathers, from what the
+/// kernel sees: the sweep width and the gathered block's n * width * 8
+/// bytes. Measured on R-MAT Laplacians with randomly relabelled nodes
+/// (DESIGN.md §11): while X fits in a core's cache the prefetches are pure
+/// overhead — 27-41% of a width-1..4 sweep at 8k nodes — and they pay only
+/// for wide rows, or once the block spills, from a size that grows as the
+/// width (and so the arithmetic per gathered row) shrinks.
+bool GatherPrefetchPays(size_t rows, size_t width) {
+  struct Threshold {
+    size_t min_width;
+    size_t min_bytes;
+  };
+  constexpr Threshold kPays[] = {
+      {10, 0}, {5, size_t{4} << 20}, {3, size_t{16} << 20}};
+  const size_t bytes = rows * width * sizeof(double);
+  for (const Threshold& threshold : kPays) {
+    if (width >= threshold.min_width && bytes > threshold.min_bytes) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Row i's columns [0, width) of Y = (or +=) alpha * A X: register-
+/// accumulator chunks of 16 columns, then one narrower tail chunk from
+/// `tail_begin`; chunking never mixes columns, so it cannot change bits.
+template <bool kOverwrite, bool kPrefetch>
+inline void SweepRow(const double* values, const uint32_t* cols, size_t begin,
+                     size_t end, const double* x, size_t x_stride,
+                     size_t width, size_t tail_begin, double alpha,
+                     double* yi) {
+  for (size_t c0 = 0; c0 < tail_begin; c0 += kMaxKernelWidth) {
+    AccumulateRowChunk<kMaxKernelWidth, kOverwrite, kPrefetch>(
+        values, cols, begin, end, x, x_stride, c0, alpha, yi);
+  }
+  AccumulateRowNarrow<kOverwrite, kPrefetch>(values, cols, begin, end, x,
+                                             x_stride, tail_begin,
+                                             width - tail_begin, alpha, yi);
+}
 
 }  // namespace
 
 template <bool kOverwrite>
 void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
-                                 size_t x_begin, DenseMatrix* y) const {
+                                 size_t x_begin, size_t width,
+                                 DenseMatrix* y) const {
   CAD_DCHECK(x.rows() == cols_ && y->rows() == rows_ &&
-             x_begin + y->cols() <= x.cols());
-  const size_t k = y->cols();
+             width <= y->cols() && x_begin + width <= x.cols());
   // Per-row accumulators: column c follows the exact FP sequence of
   // MultiplyAccumulate on column c (a local sum over the row's nonzeros in
   // CSR order, then one `+= alpha * sum`), so the block product is
   // bit-identical to k independent SpMVs — the determinism contract the
-  // block CG path relies on. Each row runs in register-accumulator chunks
-  // of 16 columns plus one narrower tail chunk (AccumulateRowChunk);
-  // chunking never mixes columns, so it cannot change bits. X is read in
-  // place from column x_begin through its row stride.
-  const size_t stride = x.cols();
+  // block CG path relies on. X is read in place from column x_begin
+  // through its row stride, Y is written through its own.
   const double* xd = x.data().data() + x_begin;
-  const size_t tail_begin = k - k % kMaxChunkWidth;
+  const size_t x_stride = x.cols();
+  const size_t tail_begin = width - width % kMaxKernelWidth;
+  // Chosen once per call; the per-row branch is perfectly predicted. (A
+  // whole-sweep function per prefetch choice measured ~10% slower at width
+  // 32 on 100k rows with GCC 12, with an identical inner loop.)
+  const bool prefetch = GatherPrefetchPays(cols_, width);
   for (size_t i = 0; i < rows_; ++i) {
     const size_t begin = row_offsets_[i];
     const size_t end = row_offsets_[i + 1];
     double* yi = y->mutable_row(i);
-    for (size_t c0 = 0; c0 < tail_begin; c0 += kMaxChunkWidth) {
-      AccumulateRowChunk<kMaxChunkWidth, kOverwrite>(
-          values_.data(), col_indices_.data(), begin, end, xd, stride, c0,
-          alpha, yi);
+    if (prefetch) {
+      SweepRow<kOverwrite, true>(values_.data(), col_indices_.data(), begin,
+                                 end, xd, x_stride, width, tail_begin, alpha,
+                                 yi);
+    } else {
+      SweepRow<kOverwrite, false>(values_.data(), col_indices_.data(), begin,
+                                  end, xd, x_stride, width, tail_begin, alpha,
+                                  yi);
     }
-    AccumulateRowNarrow<kOverwrite>(values_.data(), col_indices_.data(),
-                                    begin, end, xd, stride, tail_begin,
-                                    k - tail_begin, alpha, yi);
   }
 }
 
 void CsrMatrix::MultiplyAccumulateBlock(double alpha, const DenseMatrix& x,
                                         DenseMatrix* y) const {
   CAD_DCHECK(y->cols() == x.cols());
-  BlockProductImpl<false>(alpha, x, 0, y);
+  BlockProductImpl<false>(alpha, x, 0, x.cols(), y);
 }
 
 void CsrMatrix::MultiplyAccumulateColumns(double alpha, const DenseMatrix& x,
                                           size_t x_begin,
                                           DenseMatrix* y) const {
-  BlockProductImpl<false>(alpha, x, x_begin, y);
+  BlockProductImpl<false>(alpha, x, x_begin, y->cols(), y);
 }
 
 void CsrMatrix::MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                                        DenseMatrix* y) const {
   CAD_DCHECK(y->cols() == x.cols());
-  BlockProductImpl<true>(alpha, x, 0, y);
+  BlockProductImpl<true>(alpha, x, 0, x.cols(), y);
+}
+
+void CsrMatrix::MultiplyOverwriteLeading(double alpha, const DenseMatrix& x,
+                                         size_t width, DenseMatrix* y) const {
+  BlockProductImpl<true>(alpha, x, 0, width, y);
 }
 
 double CsrMatrix::At(uint32_t row, uint32_t col) const {

@@ -124,6 +124,14 @@ class CsrMatrix {
   void MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                               DenseMatrix* y) const;
 
+  /// Y[:, 0, width) = alpha * A X[:, 0, width): the overwrite form on the
+  /// leading `width` columns of X and Y, each read or written through its
+  /// own row stride; Y's columns from `width` on are not touched. The
+  /// lockstep CG's sweep over the still-iterating columns it keeps packed
+  /// at the front of its blocks. Same bit-identity guarantee per column.
+  void MultiplyOverwriteLeading(double alpha, const DenseMatrix& x,
+                                size_t width, DenseMatrix* y) const;
+
   /// Returns the entry at (row, col), or 0 if absent. O(log deg(row)).
   double At(uint32_t row, uint32_t col) const;
 
@@ -162,11 +170,12 @@ class CsrMatrix {
   size_t RowEnd(size_t i) const { return row_offsets_[i + 1]; }
 
  private:
-  // Shared body of the block products over X's columns [x_begin, x_begin +
-  // Y.cols()); the flag only changes how each finished row sum lands in Y.
+  // Shared body of the block products from X's columns [x_begin, x_begin +
+  // width) into Y's columns [0, width); the flag only changes how each
+  // finished row sum lands in Y.
   template <bool kOverwrite>
   void BlockProductImpl(double alpha, const DenseMatrix& x, size_t x_begin,
-                        DenseMatrix* y) const;
+                        size_t width, DenseMatrix* y) const;
 
   size_t rows_;
   size_t cols_;

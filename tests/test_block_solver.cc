@@ -4,6 +4,7 @@
 // sequence is identical. (Thread-stress variants live in
 // test_parallel_stress.cc.)
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -144,6 +145,141 @@ TEST_P(BlockSolverWidths, BitIdenticalToSerialAcrossPreconditioners) {
 INSTANTIATE_TEST_SUITE_P(Widths, BlockSolverWidths,
                          ::testing::Values(1, 2, 3, 8, 15, 16, 17, 31, 32, 33,
                                            50));
+
+/// A width-k block whose columns converge at widely spread iterations, with
+/// warm guesses. Column c gets kind (4c + 2) mod 9, so neighbouring slots
+/// finish far apart and retirements swap columns out of every slot
+/// position: kind 0 has a zero rhs (under a nonzero guess), kind 1 a guess
+/// that already meets the default target, kind 2 a zero guess (the hard
+/// columns), and kinds 3-8 guesses from loose solves at tolerances 1e-2
+/// through 1e-7.
+struct PackingFixture {
+  DenseMatrix b;
+  DenseMatrix guess;
+};
+
+PackingFixture MakePackingFixture(const CsrMatrix& a, size_t k) {
+  const size_t n = a.rows();
+  PackingFixture fixture{RhsBlock(n, k, 4001), DenseMatrix(n, k)};
+  const DenseMatrix noise = RhsBlock(n, k, 4002);
+  for (size_t c = 0; c < k; ++c) {
+    const size_t kind = (4 * c + 2) % 9;
+    if (kind == 2) continue;  // zero guess
+    CgOptions loose;
+    loose.tolerance = kind == 0   ? 1e-2
+                      : kind == 1 ? 1e-11
+                                  : std::pow(10.0, 1.0 - static_cast<double>(kind));
+    std::vector<double> solution;
+    const Result<CgSummary> solved = ConjugateGradientSolver(loose).Solve(
+        a, testing_reference::Column(fixture.b, c), &solution);
+    EXPECT_TRUE(solved.ok());
+    for (size_t i = 0; i < n; ++i) {
+      fixture.guess(i, c) = solution[i] + (kind == 0 ? noise(i, c) : 0.0);
+    }
+    if (kind == 0) {
+      for (size_t i = 0; i < n; ++i) fixture.b(i, c) = 0.0;
+    }
+  }
+  return fixture;
+}
+
+class BlockSolverPacking : public ::testing::TestWithParam<size_t> {};
+
+// Every column memcmp-equal to the scalar reference while converged columns
+// leave the packed sweep from every slot position, under each
+// preconditioner at 1 and 4 threads.
+TEST_P(BlockSolverPacking, RetiredColumnsMatchReferenceFromEverySlot) {
+  const size_t k = GetParam();
+  const CsrMatrix a = LaplacianFixture(150, 4000);
+  const PackingFixture fixture = MakePackingFixture(a, k);
+  for (CgPreconditioner preconditioner :
+       {CgPreconditioner::kNone, CgPreconditioner::kJacobi,
+        CgPreconditioner::kIncompleteCholesky}) {
+    for (const size_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(CgPreconditionerToString(preconditioner)) +
+                   " threads=" + std::to_string(threads));
+      CgOptions options;
+      options.preconditioner = preconditioner;
+      options.num_threads = threads;
+      CgSolveContext context;
+      context.initial_guess = &fixture.guess;
+      ExpectBlockMatchesReference(a, fixture.b, options, context);
+    }
+  }
+}
+
+// An iteration cap between the columns' convergence points: some columns
+// retire before it and the rest stop unconverged in their packed slots;
+// both kinds must still land in their own columns, bit for bit.
+TEST_P(BlockSolverPacking, IterationCapWithRetiredColumnsMatchesReference) {
+  const size_t k = GetParam();
+  const CsrMatrix a = LaplacianFixture(150, 4000);
+  const PackingFixture fixture = MakePackingFixture(a, k);
+  for (CgPreconditioner preconditioner :
+       {CgPreconditioner::kNone, CgPreconditioner::kJacobi,
+        CgPreconditioner::kIncompleteCholesky}) {
+    CgOptions options;
+    options.preconditioner = preconditioner;
+    DenseMatrix uncapped;
+    Result<std::vector<CgSummary>> full =
+        testing_reference::ReferencePcgColumns(a, fixture.b, options, nullptr,
+                                               &fixture.guess, &uncapped);
+    ASSERT_TRUE(full.ok());
+    size_t most = 0;
+    for (const CgSummary& summary : *full) {
+      most = std::max(most, summary.iterations);
+    }
+    ASSERT_GT(most, 2u);
+    options.max_iterations = most / 2;
+    for (const size_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(CgPreconditionerToString(preconditioner)) +
+                   " threads=" + std::to_string(threads));
+      options.num_threads = threads;
+      CgSolveContext context;
+      context.initial_guess = &fixture.guess;
+      ExpectBlockMatchesReference(a, fixture.b, options, context);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BlockSolverPacking,
+                         ::testing::Range<size_t>(1, 18));
+
+// The packing fixture really spreads: across 17 columns it holds zero
+// right-hand sides, guesses that need no iteration, unconverged columns
+// under the cap, and many distinct iteration counts.
+TEST(BlockSolverTest, PackingFixtureSpreadsConvergence) {
+  const CsrMatrix a = LaplacianFixture(150, 4000);
+  const PackingFixture fixture = MakePackingFixture(a, 17);
+  DenseMatrix x;
+  Result<std::vector<CgSummary>> summaries =
+      testing_reference::ReferencePcgColumns(a, fixture.b, CgOptions(),
+                                             nullptr, &fixture.guess, &x);
+  ASSERT_TRUE(summaries.ok());
+  std::vector<size_t> iterations;
+  size_t zero_rhs = 0;
+  size_t met_by_guess = 0;
+  for (size_t c = 0; c < 17; ++c) {
+    const CgSummary& summary = (*summaries)[c];
+    EXPECT_TRUE(summary.converged);
+    iterations.push_back(summary.iterations);
+    if (summary.iterations == 0 && summary.relative_residual == 0.0) {
+      ++zero_rhs;
+    } else if (summary.iterations == 0) {
+      ++met_by_guess;
+    }
+  }
+  EXPECT_EQ(zero_rhs, 2u);
+  EXPECT_EQ(met_by_guess, 2u);
+  std::sort(iterations.begin(), iterations.end());
+  iterations.erase(std::unique(iterations.begin(), iterations.end()),
+                   iterations.end());
+  // Distinct counts from 0 up, the longest many times the shortest
+  // nonzero one.
+  ASSERT_GE(iterations.size(), 6u);
+  EXPECT_EQ(iterations.front(), 0u);
+  EXPECT_GE(iterations.back(), 5 * iterations[1]);
+}
 
 TEST(BlockSolverTest, ZeroColumnConvergesInZeroIterationsAndStaysZero) {
   const CsrMatrix a = LaplacianFixture(40, 5);
