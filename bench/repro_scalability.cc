@@ -168,9 +168,9 @@ IncrementalResult TimeIncrementalStage(const TemporalGraphSequence& sequence,
       result.incremental_seconds = elapsed;
     }
     // The work is deterministic, so the counters agree across reps.
-    result.rhs_resolved = cache.rhs_resolved() + fallback_columns;
-    result.rhs_total = cache.rhs_resolved() + cache.rhs_reused() +
-                       fallback_columns;
+    const CommuteSolverCache::State& state = cache.state();
+    result.rhs_resolved = state.rhs_resolved + fallback_columns;
+    result.rhs_total = state.rhs_resolved + state.rhs_reused + fallback_columns;
     result.fallbacks = fallbacks;
   }
 

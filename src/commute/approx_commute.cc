@@ -1,6 +1,7 @@
 #include "commute/approx_commute.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "commute/solver_cache.h"
@@ -110,9 +111,11 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // and (IC(0) only) the cross-snapshot factorization is reused until the
   // cache's staleness trigger fires.
   CgSolveContext context;
+  std::shared_ptr<const DenseMatrix> previous;
   if (options.warm_start && cache != nullptr) {
-    context.initial_guess = cache->PreviousEmbedding(n, k);
-    if (context.initial_guess != nullptr) {
+    previous = cache->PreviousEmbedding(n, k);
+    context.initial_guess = previous.get();
+    if (previous != nullptr) {
       CAD_METRIC_INC("commute.warm_started_builds");
     }
     if (options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
@@ -135,14 +138,16 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
           std::to_string(summaries[r].relative_residual) + ")");
     }
   }
-  if (options.warm_start && cache != nullptr) cache->StoreEmbedding(z);
+  auto embedding = std::make_shared<const DenseMatrix>(std::move(z));
+  if (options.warm_start && cache != nullptr) cache->StoreEmbedding(embedding);
   // Incremental mode: persist the RHS block so the next window can update
   // it in O(churn * k) instead of rebuilding it.
   if (options.incremental && cache != nullptr) {
     cache->StoreIncrementalRhs(std::move(b));
   }
 
-  return ApproxCommuteEmbedding(std::move(z), std::move(system.components),
+  return ApproxCommuteEmbedding(std::move(embedding),
+                                std::move(system.components),
                                 system.volume, system.sentinel,
                                 options.commute.use_cross_component_sentinel,
                                 cg_stats);
@@ -168,7 +173,8 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
         "incremental state");
   }
   DenseMatrix* rhs = cache->MutableIncrementalRhs(n, k);
-  const DenseMatrix* previous = cache->PreviousEmbedding(n, k);
+  std::shared_ptr<const DenseMatrix> previous =
+      cache->PreviousEmbedding(n, k);
   if (rhs == nullptr || previous == nullptr) {
     return Status::FailedPrecondition(
         "ApproxCommuteEmbedding::BuildIncremental: cached incremental state "
@@ -228,16 +234,18 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   }
 
   // Step 3: re-solve only the gated columns, warm-started from the cached
-  // embedding; everything else is reused verbatim.
+  // embedding; everything else is reused verbatim. With nothing to re-solve
+  // the new oracle shares the cached block; otherwise the solved columns
+  // are written into one copy of it, which the cache then shares.
   std::vector<CgSummary> summaries;
-  DenseMatrix z = *previous;
+  std::shared_ptr<const DenseMatrix> embedding = previous;
   if (!resolve.empty()) {
     const size_t s = resolve.size();
     DenseMatrix bs(n, s);
     DenseMatrix x0s(n, s);
     for (size_t i = 0; i < n; ++i) {
       const double* rhs_row = rhs->row(i);
-      const double* z_row = z.row(i);
+      const double* z_row = previous->row(i);
       double* bs_row = bs.mutable_row(i);
       double* x0s_row = x0s.mutable_row(i);
       for (size_t idx = 0; idx < s; ++idx) {
@@ -255,11 +263,6 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     DenseMatrix x;
     CAD_ASSIGN_OR_RETURN(summaries,
                          solver.SolveBlock(system.laplacian, bs, &x, context));
-    for (size_t i = 0; i < n; ++i) {
-      const double* x_row = x.row(i);
-      double* z_row = z.mutable_row(i);
-      for (size_t idx = 0; idx < s; ++idx) z_row[resolve[idx]] = x_row[idx];
-    }
     for (size_t idx = 0; idx < s; ++idx) {
       if (options.require_convergence && !summaries[idx].converged) {
         return Status::NumericalError(
@@ -269,14 +272,21 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
             std::to_string(summaries[idx].relative_residual) + ")");
       }
     }
+    DenseMatrix z = *previous;
+    for (size_t i = 0; i < n; ++i) {
+      const double* x_row = x.row(i);
+      double* z_row = z.mutable_row(i);
+      for (size_t idx = 0; idx < s; ++idx) z_row[resolve[idx]] = x_row[idx];
+    }
+    embedding = std::make_shared<const DenseMatrix>(std::move(z));
   }
 
-  // With nothing re-solved, z is a copy of the cached embedding already.
-  if (!resolve.empty()) cache->StoreEmbedding(z);
+  cache->StoreEmbedding(embedding);
   cache->RecordIncrementalBuild(resolve.size(), k);
   const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
-  return ApproxCommuteEmbedding(std::move(z), std::move(system.components),
-                                system.volume, system.sentinel,
+  return ApproxCommuteEmbedding(std::move(embedding),
+                                std::move(system.components), system.volume,
+                                system.sentinel,
                                 options.commute.use_cross_component_sentinel,
                                 cg_stats);
 }
@@ -288,9 +298,9 @@ double ApproxCommuteEmbedding::CommuteTime(NodeId u, NodeId v) const {
   // Without the sentinel, the embedding distance estimates exactly the
   // paper-faithful Eq. 3 value: V_G * (e_u - e_v)^T L+ (e_u - e_v), which
   // across components is V_G (l+_uu + l+_vv).
-  const size_t k = embedding_.cols();
-  const double* zu = embedding_.row(u);
-  const double* zv = embedding_.row(v);
+  const size_t k = embedding_->cols();
+  const double* zu = embedding_->row(u);
+  const double* zv = embedding_->row(v);
   double squared = 0.0;
   for (size_t r = 0; r < k; ++r) {
     const double diff = zu[r] - zv[r];

@@ -1,6 +1,7 @@
 #ifndef CAD_COMMUTE_APPROX_COMMUTE_H_
 #define CAD_COMMUTE_APPROX_COMMUTE_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -97,9 +98,10 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   ///
   /// `cache` carries cross-snapshot warm-start state: under
   /// options.warm_start it supplies the previous embedding as CG initial
-  /// guesses and a staleness-gated IC(0) factorization, and receives this
-  /// snapshot's embedding for the next call. A nullptr cache (or
-  /// warm_start == false) gives the stateless build.
+  /// guesses and a staleness-gated IC(0) factorization, and keeps this
+  /// snapshot's embedding, the returned oracle's own block, for the next
+  /// call. A nullptr cache (or warm_start == false) gives the stateless
+  /// build.
   [[nodiscard]] static Result<ApproxCommuteEmbedding> Build(
       const Snapshot& snapshot,
       const ApproxCommuteOptions& options = ApproxCommuteOptions(),
@@ -110,10 +112,13 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   /// updates the cached RHS in O(churn * k), computes every column's exact
   /// residual against the new regularized Laplacian with one SpMM, re-solves
   /// (warm-started) only the columns above incremental_tolerance, and reuses
-  /// the rest verbatim. Requires options.incremental && options.warm_start
-  /// and a cache holding state of matching shape; returns FailedPrecondition
-  /// when the state is missing or mismatched (caller falls back to the full
-  /// Build, which re-seeds the state).
+  /// the rest verbatim. With no column re-solved the oracle shares the
+  /// cached block; otherwise the block is copied once, the solved columns
+  /// are written into the copy, and the cache and the oracle share it.
+  /// Requires options.incremental && options.warm_start and a cache holding
+  /// state of matching shape; returns FailedPrecondition when the state is
+  /// missing or mismatched (caller falls back to the full Build, which
+  /// re-seeds the state).
   [[nodiscard]] static Result<ApproxCommuteEmbedding> BuildIncremental(
       const Snapshot& snapshot, const EdgeDelta& delta,
       const ApproxCommuteOptions& options, CommuteSolverCache* cache);
@@ -127,20 +132,21 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
                                           double volume, double sentinel,
                                           bool use_sentinel,
                                           CgBatchStats cg_stats) {
-    return ApproxCommuteEmbedding(std::move(embedding), std::move(components),
-                                  volume, sentinel, use_sentinel, cg_stats);
+    return ApproxCommuteEmbedding(
+        std::make_shared<const DenseMatrix>(std::move(embedding)),
+        std::move(components), volume, sentinel, use_sentinel, cg_stats);
   }
 
   double CommuteTime(NodeId u, NodeId v) const override;
 
-  size_t num_nodes() const override { return embedding_.rows(); }
+  size_t num_nodes() const override { return embedding_->rows(); }
 
-  size_t embedding_dim() const { return embedding_.cols(); }
+  size_t embedding_dim() const { return embedding_->cols(); }
 
   /// The n x k embedding matrix Z, the block the solver writes; row i is
   /// node i's embedding. Distances in this space, scaled by volume,
   /// approximate commute times.
-  const DenseMatrix& embedding() const { return embedding_; }
+  const DenseMatrix& embedding() const { return *embedding_; }
 
   double volume() const { return volume_; }
 
@@ -156,8 +162,9 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
   const CgBatchStats& cg_stats() const { return cg_stats_; }
 
  private:
-  ApproxCommuteEmbedding(DenseMatrix embedding, ComponentLabeling components,
-                         double volume, double sentinel, bool use_sentinel,
+  ApproxCommuteEmbedding(std::shared_ptr<const DenseMatrix> embedding,
+                         ComponentLabeling components, double volume,
+                         double sentinel, bool use_sentinel,
                          CgBatchStats cg_stats)
       : embedding_(std::move(embedding)),
         components_(std::move(components)),
@@ -166,7 +173,11 @@ class ApproxCommuteEmbedding : public CommuteTimeOracle {
         use_sentinel_(use_sentinel),
         cg_stats_(cg_stats) {}
 
-  DenseMatrix embedding_;  // n x k, node-major
+  // n x k, node-major. Immutable and shared: a warm-started build hands the
+  // same block to the CommuteSolverCache as the next snapshot's initial
+  // guess, and an incremental build that re-solves no column keeps the
+  // previous oracle's block.
+  std::shared_ptr<const DenseMatrix> embedding_;
   ComponentLabeling components_;
   double volume_;
   double sentinel_;

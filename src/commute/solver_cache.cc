@@ -13,15 +13,13 @@ namespace {
 
 // Both cached blocks are node-major n x k; a node-count or embedding-
 // dimension change invalidates them.
-bool HasShape(const std::optional<DenseMatrix>& block, size_t num_nodes,
+bool HasShape(const DenseMatrix& block, size_t num_nodes,
               size_t embedding_dim) {
-  return block.has_value() && block->rows() == num_nodes &&
-         block->cols() == embedding_dim;
+  return block.rows() == num_nodes && block.cols() == embedding_dim;
 }
 
-size_t DenseBytes(const std::optional<DenseMatrix>& matrix) {
-  return matrix.has_value() ? matrix->rows() * matrix->cols() * sizeof(double)
-                            : 0;
+size_t DenseBytes(const DenseMatrix& matrix) {
+  return matrix.rows() * matrix.cols() * sizeof(double);
 }
 
 size_t CsrBytes(const CsrMatrix& matrix) {
@@ -31,40 +29,43 @@ size_t CsrBytes(const CsrMatrix& matrix) {
 
 }  // namespace
 
-const DenseMatrix* CommuteSolverCache::PreviousEmbedding(
+std::shared_ptr<const DenseMatrix> CommuteSolverCache::PreviousEmbedding(
     size_t num_nodes, size_t embedding_dim) const {
-  return HasShape(embedding_, num_nodes, embedding_dim) ? &*embedding_
-                                                         : nullptr;
+  const std::shared_ptr<const DenseMatrix>& embedding = state_.embedding;
+  return embedding != nullptr && HasShape(*embedding, num_nodes, embedding_dim)
+             ? embedding
+             : nullptr;
 }
 
-void CommuteSolverCache::StoreEmbedding(const DenseMatrix& embedding) {
-  embedding_ = embedding;
+void CommuteSolverCache::StoreEmbedding(
+    std::shared_ptr<const DenseMatrix> embedding) {
+  state_.embedding = std::move(embedding);
 }
 
 const DenseMatrix* CommuteSolverCache::IncrementalRhs(
     size_t num_nodes, size_t embedding_dim) const {
-  return HasShape(incremental_rhs_, num_nodes, embedding_dim)
-             ? &*incremental_rhs_
-             : nullptr;
+  const std::optional<DenseMatrix>& rhs = state_.incremental_rhs;
+  return rhs.has_value() && HasShape(*rhs, num_nodes, embedding_dim) ? &*rhs
+                                                                     : nullptr;
 }
 
 DenseMatrix* CommuteSolverCache::MutableIncrementalRhs(size_t num_nodes,
                                                        size_t embedding_dim) {
-  return HasShape(incremental_rhs_, num_nodes, embedding_dim)
-             ? &*incremental_rhs_
-             : nullptr;
+  std::optional<DenseMatrix>& rhs = state_.incremental_rhs;
+  return rhs.has_value() && HasShape(*rhs, num_nodes, embedding_dim) ? &*rhs
+                                                                     : nullptr;
 }
 
 void CommuteSolverCache::StoreIncrementalRhs(DenseMatrix rhs) {
-  incremental_rhs_ = std::move(rhs);
+  state_.incremental_rhs = std::move(rhs);
 }
 
 void CommuteSolverCache::RecordIncrementalBuild(size_t resolved,
                                                 size_t total) {
-  ++incremental_builds_;
-  rhs_resolved_ += resolved;
-  rhs_reused_ += total - resolved;
-  last_resolved_fraction_ =
+  ++state_.incremental_builds;
+  state_.rhs_resolved += resolved;
+  state_.rhs_reused += total - resolved;
+  state_.last_resolved_fraction =
       total == 0 ? 0.0
                  : static_cast<double>(resolved) / static_cast<double>(total);
   CAD_METRIC_INC("commute.incremental_builds");
@@ -76,9 +77,9 @@ void CommuteSolverCache::RecordIncrementalBuild(size_t resolved,
 
 bool CommuteSolverCache::AdmitChurn(double churn_ratio,
                                     double churn_threshold) {
-  last_churn_ratio_ = churn_ratio;
+  state_.last_churn_ratio = churn_ratio;
   if (churn_ratio > churn_threshold) {
-    ++churn_rejections_;
+    ++state_.churn_rejections;
     CAD_METRIC_INC("commute.incremental_churn_rejections");
     return false;
   }
@@ -93,146 +94,96 @@ Result<const IncompleteCholesky*> CommuteSolverCache::FactorFor(
   // length (possible only through a corrupted or inconsistent RestoreState,
   // which is itself rejected — this is defense in depth) must never be
   // indexed past its size.
-  const bool have_factor = factor_.has_value();
+  const std::optional<IncompleteCholesky>& cached = state_.factor;
+  const std::vector<double>& cached_diagonal = state_.factor_diagonal;
+  const bool have_factor = cached.has_value();
   const bool dimension_ok = have_factor &&
-                            factor_->dimension() == laplacian.rows() &&
-                            factor_diagonal_.size() == diagonal.size();
+                            cached->dimension() == laplacian.rows() &&
+                            cached_diagonal.size() == diagonal.size();
   bool stale = !dimension_ok;
+  double& relative_change = state_.last_relative_change;
   if (have_factor) {
     // Drift ratio over the union index range: entries beyond either
     // diagonal's size read as zero, so node-set growth registers as the
     // large change it is instead of silently resetting the gauge.
     double change = 0.0;
     double base = 0.0;
-    const size_t common = std::min(diagonal.size(), factor_diagonal_.size());
+    const size_t common = std::min(diagonal.size(), cached_diagonal.size());
     for (size_t i = 0; i < common; ++i) {
-      change += std::fabs(diagonal[i] - factor_diagonal_[i]);
+      change += std::fabs(diagonal[i] - cached_diagonal[i]);
     }
     for (size_t i = common; i < diagonal.size(); ++i) {
       change += std::fabs(diagonal[i]);
     }
-    for (size_t i = common; i < factor_diagonal_.size(); ++i) {
-      change += std::fabs(factor_diagonal_[i]);
+    for (size_t i = common; i < cached_diagonal.size(); ++i) {
+      change += std::fabs(cached_diagonal[i]);
     }
-    for (size_t i = 0; i < factor_diagonal_.size(); ++i) {
-      base += std::fabs(factor_diagonal_[i]);
+    for (size_t i = 0; i < cached_diagonal.size(); ++i) {
+      base += std::fabs(cached_diagonal[i]);
     }
     if (base > 0.0) {
-      last_relative_change_ = change / base;
+      relative_change = change / base;
     } else {
       // An all-zero cached diagonal can only drift to something nonzero.
-      last_relative_change_ =
+      relative_change =
           change > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
     }
-    if (!stale) stale = last_relative_change_ > refactor_threshold_;
+    if (!stale) stale = relative_change > refactor_threshold_;
   } else {
-    last_relative_change_ = 0.0;
+    relative_change = 0.0;
   }
   if (have_factor && !dimension_ok) {
-    ++dimension_invalidations_;
+    ++state_.dimension_invalidations;
     CAD_METRIC_INC("commute.ic0_dimension_invalidations");
   }
   if (stale) {
     Result<IncompleteCholesky> factor = IncompleteCholesky::Factor(laplacian);
     if (!factor.ok()) return factor.status();
-    factor_.emplace(std::move(factor).ValueOrDie());
-    factor_diagonal_ = diagonal;
-    ++refactorizations_;
+    state_.factor.emplace(std::move(factor).ValueOrDie());
+    state_.factor_diagonal = diagonal;
+    ++state_.refactorizations;
     CAD_METRIC_INC("commute.ic0_refactorizations");
   } else {
-    ++factor_reuses_;
+    ++state_.factor_reuses;
     CAD_METRIC_INC("commute.ic0_factor_reuses");
   }
-  return static_cast<const IncompleteCholesky*>(&*factor_);
-}
-
-CommuteSolverCache::State CommuteSolverCache::ExportState() const {
-  State state;
-  state.embedding = embedding_;
-  if (factor_.has_value()) {
-    state.factor_lower = factor_->lower();
-    state.factor_shift = factor_->shift_used();
-  }
-  state.factor_diagonal = factor_diagonal_;
-  state.factor_reuses = factor_reuses_;
-  state.refactorizations = refactorizations_;
-  state.last_relative_change = last_relative_change_;
-  state.incremental_rhs = incremental_rhs_;
-  state.incremental_builds = incremental_builds_;
-  state.rhs_resolved = rhs_resolved_;
-  state.rhs_reused = rhs_reused_;
-  state.last_resolved_fraction = last_resolved_fraction_;
-  state.last_churn_ratio = last_churn_ratio_;
-  state.dimension_invalidations = dimension_invalidations_;
-  state.churn_rejections = churn_rejections_;
-  return state;
+  return static_cast<const IncompleteCholesky*>(&*state_.factor);
 }
 
 Status CommuteSolverCache::RestoreState(State state) {
-  if (state.factor_lower.has_value()) {
-    if (state.factor_lower->rows() != state.factor_lower->cols()) {
+  if (state.factor.has_value()) {
+    const CsrMatrix& lower = state.factor->lower();
+    if (lower.rows() != lower.cols()) {
       return Status::InvalidArgument(
           "CommuteSolverCache::RestoreState: cached factor is not square (" +
-          std::to_string(state.factor_lower->rows()) + " x " +
-          std::to_string(state.factor_lower->cols()) + ")");
+          std::to_string(lower.rows()) + " x " + std::to_string(lower.cols()) +
+          ")");
     }
-    if (state.factor_diagonal.size() != state.factor_lower->rows()) {
+    if (state.factor_diagonal.size() != lower.rows()) {
       return Status::InvalidArgument(
           "CommuteSolverCache::RestoreState: factor_diagonal has " +
           std::to_string(state.factor_diagonal.size()) +
           " entries for a factor of dimension " +
-          std::to_string(state.factor_lower->rows()));
+          std::to_string(lower.rows()));
     }
   } else if (!state.factor_diagonal.empty()) {
     return Status::InvalidArgument(
         "CommuteSolverCache::RestoreState: factor_diagonal present without a "
         "cached factor");
   }
-  embedding_ = std::move(state.embedding);
-  if (state.factor_lower.has_value()) {
-    factor_ = IncompleteCholesky::FromFactor(std::move(*state.factor_lower),
-                                             state.factor_shift);
-  } else {
-    factor_.reset();
-  }
-  factor_diagonal_ = std::move(state.factor_diagonal);
-  factor_reuses_ = state.factor_reuses;
-  refactorizations_ = state.refactorizations;
-  last_relative_change_ = state.last_relative_change;
-  incremental_rhs_ = std::move(state.incremental_rhs);
-  incremental_builds_ = state.incremental_builds;
-  rhs_resolved_ = state.rhs_resolved;
-  rhs_reused_ = state.rhs_reused;
-  last_resolved_fraction_ = state.last_resolved_fraction;
-  last_churn_ratio_ = state.last_churn_ratio;
-  dimension_invalidations_ = state.dimension_invalidations;
-  churn_rejections_ = state.churn_rejections;
+  state_ = std::move(state);
   return Status::OK();
 }
 
-void CommuteSolverCache::Clear() {
-  embedding_.reset();
-  factor_.reset();
-  factor_diagonal_.clear();
-  factor_reuses_ = 0;
-  refactorizations_ = 0;
-  last_relative_change_ = 0.0;
-  incremental_rhs_.reset();
-  incremental_builds_ = 0;
-  rhs_resolved_ = 0;
-  rhs_reused_ = 0;
-  last_resolved_fraction_ = 0.0;
-  last_churn_ratio_ = 0.0;
-  dimension_invalidations_ = 0;
-  churn_rejections_ = 0;
-}
-
 size_t CommuteSolverCache::ApproxBytes() const {
-  size_t bytes = DenseBytes(embedding_) + DenseBytes(incremental_rhs_) +
-                 factor_diagonal_.size() * sizeof(double);
-  if (factor_.has_value()) {
+  size_t bytes = state_.factor_diagonal.size() * sizeof(double);
+  if (state_.embedding != nullptr) bytes += DenseBytes(*state_.embedding);
+  if (state_.incremental_rhs.has_value()) {
+    bytes += DenseBytes(*state_.incremental_rhs);
+  }
+  if (state_.factor.has_value()) {
     // The factor stores its transpose alongside the lower triangle.
-    bytes += 2 * CsrBytes(factor_->lower());
+    bytes += 2 * CsrBytes(state_.factor->lower());
   }
   return bytes;
 }

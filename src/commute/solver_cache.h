@@ -1,6 +1,7 @@
 #ifndef CAD_COMMUTE_SOLVER_CACHE_H_
 #define CAD_COMMUTE_SOLVER_CACHE_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -32,21 +33,66 @@ namespace cad {
 /// staleness gauge reflects the churn instead of resetting to zero, and the
 /// invalidation is counted separately (commute.ic0_dimension_invalidations).
 ///
+/// Ownership: the embedding is held as a shared_ptr to const, the same
+/// immutable block the oracle built from it scores with, so storing it
+/// copies nothing and neither owner can alter what the other reads.
+/// Growing a previous oracle pads a new block for the oracle alone, and
+/// Clear drops only the cache's reference.
+///
 /// Not thread-safe: intended for the sequential snapshot loop in
 /// CadDetector::Analyze / OnlineCadMonitor, one cache per timeline.
 class CommuteSolverCache {
  public:
+  /// \brief Everything FactorFor/PreviousEmbedding/IncrementalRhs depend
+  /// on, held once: the cache's only state besides its threshold.
+  /// Checkpoints read it through state() and a resume installs it with
+  /// RestoreState; a restored state reproduces the cache's future behavior
+  /// exactly (the same warm starts, the same reuse-vs-refactor decisions,
+  /// the same incremental column reuse).
+  struct State {
+    /// The previous snapshot's node-major n x k embedding, the block
+    /// solver's initial guess. Shared with the oracle built from it: the
+    /// block is immutable, so neither owner can change the other's copy.
+    std::shared_ptr<const DenseMatrix> embedding;
+    /// The cached IC(0) factor and the Laplacian diagonal it was built from.
+    std::optional<IncompleteCholesky> factor;
+    std::vector<double> factor_diagonal;
+    /// How often FactorFor served the cached factor / had to refactorize.
+    size_t factor_reuses = 0;
+    size_t refactorizations = 0;
+    /// The drift ratio observed by the most recent FactorFor call (0 when
+    /// it had no cached factor to compare against; computed over the union
+    /// index range when the dimension changed).
+    double last_relative_change = 0.0;
+    /// Incremental-maintenance section (checkpoint v3; absent/zero when the
+    /// incremental path never ran): the node-major n x k JL right-hand-side
+    /// block, completed incremental builds, cumulative RHS columns
+    /// re-solved/reused, the re-solve fraction of the most recent
+    /// incremental build, the most recent churn ratio offered to
+    /// AdmitChurn, and how many windows it rejected.
+    std::optional<DenseMatrix> incremental_rhs;
+    size_t incremental_builds = 0;
+    size_t rhs_resolved = 0;
+    size_t rhs_reused = 0;
+    double last_resolved_fraction = 0.0;
+    double last_churn_ratio = 0.0;
+    /// How often FactorFor had a cached factor of the wrong dimension
+    /// (node-set growth between windows).
+    size_t dimension_invalidations = 0;
+    size_t churn_rejections = 0;
+  };
+
   explicit CommuteSolverCache(double refactor_threshold = 0.1)
       : refactor_threshold_(refactor_threshold) {}
 
-  /// The stored node-major embedding, the block solver's initial guess, if
-  /// it matches the requested n x k shape (node count or embedding
-  /// dimension changes invalidate it); else nullptr.
-  const DenseMatrix* PreviousEmbedding(size_t num_nodes,
-                                       size_t embedding_dim) const;
+  /// The stored embedding if it matches the requested n x k shape (node
+  /// count or embedding dimension changes invalidate it); else nullptr.
+  std::shared_ptr<const DenseMatrix> PreviousEmbedding(
+      size_t num_nodes, size_t embedding_dim) const;
 
-  /// Stores an n x k embedding for the next snapshot's warm start.
-  void StoreEmbedding(const DenseMatrix& embedding);
+  /// Keeps a reference to an n x k embedding for the next snapshot's warm
+  /// start; the block is shared, not copied.
+  void StoreEmbedding(std::shared_ptr<const DenseMatrix> embedding);
 
   /// The cached JL right-hand-side block (node-major n x k) if it matches
   /// the requested shape; else nullptr. Maintained only by the incremental
@@ -77,46 +123,23 @@ class CommuteSolverCache {
   /// Returns an IC(0) factor for `laplacian`: the cached one while the
   /// staleness trigger allows, otherwise a fresh factorization (which
   /// becomes the new cached factor). The pointer stays valid until the next
-  /// FactorFor or Clear call.
+  /// FactorFor, Clear or RestoreState call.
   [[nodiscard]] Result<const IncompleteCholesky*> FactorFor(
       const CsrMatrix& laplacian);
 
-  /// Drops all cached state (embedding, factor, and incremental state).
-  void Clear();
+  /// Drops all cached state (embedding, factor, and incremental state). An
+  /// oracle sharing the embedding keeps its own reference.
+  void Clear() { state_ = State(); }
 
-  /// Approximate heap footprint of the cached state in bytes: the embedding,
-  /// the IC(0) factor (lower triangle plus its stored transpose) and its
-  /// reference diagonal, and the incremental RHS block. Accounting input for
-  /// a shared memory budget across many caches (the multi-tenant server).
+  /// Approximate heap footprint of the cached state in bytes: the embedding
+  /// (counted in full even while an oracle shares it), the IC(0) factor
+  /// (lower triangle plus its stored transpose) and its reference diagonal,
+  /// and the incremental RHS block. Accounting input for a shared memory
+  /// budget across many caches (the multi-tenant server).
   size_t ApproxBytes() const;
 
-  /// \brief Snapshot of everything FactorFor/PreviousEmbedding/
-  /// IncrementalRhs depend on, for checkpointing. Restoring it reproduces
-  /// the cache's future behavior exactly: the same warm starts, the same
-  /// reuse-vs-refactor decisions, the same incremental column reuse.
-  struct State {
-    std::optional<DenseMatrix> embedding;
-    /// The cached IC(0) factor, decomposed into its defining parts (the
-    /// transpose is recomputed on restore).
-    std::optional<CsrMatrix> factor_lower;
-    double factor_shift = 0.0;
-    std::vector<double> factor_diagonal;
-    size_t factor_reuses = 0;
-    size_t refactorizations = 0;
-    double last_relative_change = 0.0;
-    /// Incremental-maintenance section (checkpoint v3; absent/zero when the
-    /// incremental path never ran).
-    std::optional<DenseMatrix> incremental_rhs;
-    size_t incremental_builds = 0;
-    size_t rhs_resolved = 0;
-    size_t rhs_reused = 0;
-    double last_resolved_fraction = 0.0;
-    double last_churn_ratio = 0.0;
-    size_t dimension_invalidations = 0;
-    size_t churn_rejections = 0;
-  };
-
-  State ExportState() const;
+  /// The cache's whole state, read in place (checkpointing, accounting).
+  const State& state() const { return state_; }
 
   /// Validates `state`'s internal invariants and, on success, installs it.
   /// Rejects (InvalidArgument, cache untouched) states whose factor parts
@@ -128,44 +151,10 @@ class CommuteSolverCache {
   [[nodiscard]] Status RestoreState(State state);
 
   double refactor_threshold() const { return refactor_threshold_; }
-  /// How often FactorFor served the cached factor / had to refactorize.
-  size_t factor_reuses() const { return factor_reuses_; }
-  size_t refactorizations() const { return refactorizations_; }
-  /// The drift ratio observed by the most recent FactorFor call (0 when it
-  /// had no cached factor to compare against; computed over the union index
-  /// range when the dimension changed).
-  double last_relative_change() const { return last_relative_change_; }
-  /// How often FactorFor had a cached factor of the wrong dimension
-  /// (node-set growth between windows).
-  size_t dimension_invalidations() const { return dimension_invalidations_; }
-
-  /// Incremental accounting: completed incremental builds, cumulative RHS
-  /// columns re-solved/reused, the re-solve fraction of the most recent
-  /// incremental build, the most recent churn ratio offered to AdmitChurn,
-  /// and how many windows it rejected.
-  size_t incremental_builds() const { return incremental_builds_; }
-  size_t rhs_resolved() const { return rhs_resolved_; }
-  size_t rhs_reused() const { return rhs_reused_; }
-  double last_resolved_fraction() const { return last_resolved_fraction_; }
-  double last_churn_ratio() const { return last_churn_ratio_; }
-  size_t churn_rejections() const { return churn_rejections_; }
 
  private:
   double refactor_threshold_;
-  std::optional<DenseMatrix> embedding_;  // node-major n x k
-  std::optional<IncompleteCholesky> factor_;
-  std::vector<double> factor_diagonal_;  // diagonal the factor was built from
-  size_t factor_reuses_ = 0;
-  size_t refactorizations_ = 0;
-  double last_relative_change_ = 0.0;
-  std::optional<DenseMatrix> incremental_rhs_;  // node-major n x k
-  size_t incremental_builds_ = 0;
-  size_t rhs_resolved_ = 0;
-  size_t rhs_reused_ = 0;
-  double last_resolved_fraction_ = 0.0;
-  double last_churn_ratio_ = 0.0;
-  size_t dimension_invalidations_ = 0;
-  size_t churn_rejections_ = 0;
+  State state_;
 };
 
 }  // namespace cad

@@ -621,15 +621,18 @@ Status OnlineCadMonitor::SaveCheckpoint(
     WriteTransitionScores(&writer, scores);
   }
 
-  const CommuteSolverCache::State cache = solver_cache_.ExportState();
-  writer.WriteU8(cache.embedding.has_value() ? 1 : 0);
-  if (cache.embedding.has_value()) {
+  // The cache's embedding is usually the oracle's block; it is still
+  // written as its own section, so a load decodes two blocks and the first
+  // window after a resume shares them again.
+  const CommuteSolverCache::State& cache = solver_cache_.state();
+  writer.WriteU8(cache.embedding != nullptr ? 1 : 0);
+  if (cache.embedding != nullptr) {
     WriteDenseMatrix(&writer, cache.embedding->Transpose());
   }
-  writer.WriteU8(cache.factor_lower.has_value() ? 1 : 0);
-  if (cache.factor_lower.has_value()) {
-    WriteCsrMatrix(&writer, *cache.factor_lower);
-    writer.WriteDouble(cache.factor_shift);
+  writer.WriteU8(cache.factor.has_value() ? 1 : 0);
+  if (cache.factor.has_value()) {
+    WriteCsrMatrix(&writer, cache.factor->lower());
+    writer.WriteDouble(cache.factor->shift_used());
   }
   writer.WriteDoubleVec(cache.factor_diagonal);
   writer.WriteU64(cache.factor_reuses);
@@ -795,15 +798,23 @@ Status OnlineCadMonitor::LoadCheckpoint(
   if (has_embedding != 0) {
     DenseMatrix embedding;
     CAD_ASSIGN_OR_RETURN(embedding, ReadDenseMatrix(&reader));
-    cache.embedding = embedding.Transpose();
+    cache.embedding =
+        std::make_shared<const DenseMatrix>(embedding.Transpose());
   }
   uint8_t has_factor = 0;
   CAD_ASSIGN_OR_RETURN(has_factor, reader.ReadU8());
   if (has_factor != 0) {
     CsrMatrix lower(0, 0);
     CAD_ASSIGN_OR_RETURN(lower, ReadCsrMatrix(&reader));
-    cache.factor_lower = std::move(lower);
-    CAD_ASSIGN_OR_RETURN(cache.factor_shift, reader.ReadDouble());
+    double shift = 0.0;
+    CAD_ASSIGN_OR_RETURN(shift, reader.ReadDouble());
+    // FromFactor recomputes the transpose, which sizes its offsets by the
+    // column count: a corrupt header must be rejected before that.
+    if (lower.rows() != lower.cols()) {
+      return Status::InvalidArgument(
+          "checkpoint: cached IC(0) factor is not square");
+    }
+    cache.factor = IncompleteCholesky::FromFactor(std::move(lower), shift);
   }
   CAD_ASSIGN_OR_RETURN(cache.factor_diagonal, reader.ReadDoubleVec());
   uint64_t counter = 0;

@@ -111,12 +111,12 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
   CAD_METRIC_INC("monitor.windows");
   CAD_METRIC_SET("monitor.delta", delta_);
   CAD_METRIC_SET("monitor.history_depth", history_.size());
-  CAD_METRIC_SET("monitor.cache_staleness",
-                 solver_cache_.last_relative_change());
+  const CommuteSolverCache::State& cache = solver_cache_.state();
+  CAD_METRIC_SET("monitor.cache_staleness", cache.last_relative_change);
   if (options_.incremental) {
-    CAD_METRIC_SET("monitor.churn_ratio", solver_cache_.last_churn_ratio());
+    CAD_METRIC_SET("monitor.churn_ratio", cache.last_churn_ratio);
     CAD_METRIC_SET("monitor.rhs_resolved_fraction",
-                   solver_cache_.last_resolved_fraction());
+                   cache.last_resolved_fraction);
   }
   CAD_FLIGHT_NOTE("monitor.observe", static_cast<double>(num_snapshots_));
   if (stats_ != nullptr) {

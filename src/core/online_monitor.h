@@ -121,17 +121,26 @@ class OnlineCadMonitor {
   /// N windows. A heartbeat write failure is reported as the Observe error.
   void SetStatsReporter(obs::StatsReporter* reporter) { stats_ = reporter; }
 
-  /// Approximate heap bytes held by the warm-start solver cache (embedding,
-  /// IC(0) factor, incremental RHS block). Feeds the server's shared-cache
-  /// memory budget (DESIGN.md §13).
-  size_t SolverCacheBytes() const { return solver_cache_.ApproxBytes(); }
+  /// The most recent window's commute-time oracle (nullptr before the
+  /// first). Under warm start its approximate embedding is the block the
+  /// solver cache holds for the next window.
+  const CommuteTimeOracle* previous_oracle() const {
+    return previous_oracle_.get();
+  }
+
+  /// The warm-start solver cache (embedding, IC(0) factor, incremental RHS
+  /// block); its ApproxBytes feeds the server's shared-cache memory budget
+  /// (DESIGN.md §13).
+  const CommuteSolverCache& solver_cache() const { return solver_cache_; }
 
   /// Drops the warm-start solver cache. Safe at any window boundary: the
   /// next Observe rebuilds cold, exactly like a fresh monitor's first
   /// window, so reports stay valid — but warm-started CG iterates (and
   /// hence approximate-engine scores) can differ from the uninterrupted
-  /// timeline afterwards. The server's cache-budget eviction calls this on
-  /// idle tenants.
+  /// timeline afterwards. The previous oracle keeps its own reference to
+  /// the embedding the cache shared with it, so only the cache's reference
+  /// is dropped. The server's cache-budget eviction calls this on idle
+  /// tenants.
   void EvictSolverCache() { solver_cache_.Clear(); }
 
   /// \brief Serializes the complete monitor state (previous snapshot and

@@ -400,11 +400,7 @@ Result<std::vector<CgSummary>> LockstepSolve(const CsrMatrix& a,
     });
   }
   // cad-lint: hot-path end
-  // Iteration cap reached: converged iff the last residual meets the target.
-  for (size_t s = 0; s < w; ++s) {
-    CgSummary& summary = summaries[g.column[s]];
-    summary.converged = summary.relative_residual <= options.tolerance;
-  }
+  // Columns still active at the iteration cap keep converged == false.
   if (packed) UnpackSolutions(g);
   return summaries;
 }

@@ -61,6 +61,8 @@ struct CgSolveContext {
 struct CgSummary {
   size_t iterations = 0;
   double relative_residual = 0.0;
+  /// True iff the solver's own test ||r|| <= tolerance * ||b|| retired the
+  /// system; false when it stopped at the iteration cap.
   bool converged = false;
 };
 

@@ -313,7 +313,7 @@ void Tenant::PublishQueryState() {
   query_.events_rejected_parse =
       events_rejected_decode_ + counts.rejected_range + counts.rejected_other;
   query_.counts = counts;
-  query_.cache_bytes = monitor.SolverCacheBytes();
+  query_.cache_bytes = monitor.solver_cache().ApproxBytes();
   query_.finished = finished_;
   query_.failed = failed_;
 }

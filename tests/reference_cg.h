@@ -109,8 +109,7 @@ inline void ApplyPreconditioner(const CsrMatrix& a, CgPreconditioner kind,
     rz = rz_next;
     for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
-  summary.converged = summary.relative_residual <= options.tolerance;
-  return summary;
+  return summary;  // iteration cap: not converged
 }
 
 /// Column c of `m`.

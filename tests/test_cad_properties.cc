@@ -441,8 +441,8 @@ TEST_P(IncrementalSweep, ApproxIncrementalReusesOrRefinesAsConfigured) {
     auto incremental =
         ApproxCommuteEmbedding::BuildIncremental(after, delta, options, &cache);
     ASSERT_TRUE(incremental.ok());
-    EXPECT_GT(cache.rhs_reused(), 0u);
-    EXPECT_LT(cache.last_resolved_fraction(), 0.5);
+    EXPECT_GT(cache.state().rhs_reused, 0u);
+    EXPECT_LT(cache.state().last_resolved_fraction, 0.5);
   }
 
   {

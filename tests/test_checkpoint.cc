@@ -1356,6 +1356,24 @@ TEST(CheckpointCraftedHeaderTest, WrappingIcFactorShapeRejected) {
   }
 }
 
+TEST(CheckpointCraftedHeaderTest, NonSquareIcFactorRejectedBeforeTranspose) {
+  // The loader rebuilds the factor's transpose, whose offsets are sized by
+  // the column count, so a huge declared width must be rejected first.
+  ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
+    WriteCraftedPrefix(w, false);
+    WriteCraftedCache(
+        w, nullptr,
+        [](CheckpointWriter* c) {
+          c->WriteU64(1);
+          c->WriteU64(std::numeric_limits<uint64_t>::max() / 2);
+          c->WriteSizeVec({0, 0});
+          c->WriteU32Vec({});
+          c->WriteDoubleVec({});
+        },
+        nullptr);
+  }));
+}
+
 TEST(CheckpointCraftedHeaderTest, WrappingIncrementalRhsShapeRejected) {
   ExpectRejected(LoadCrafted(CommuteEngine::kApprox, [](CheckpointWriter* w) {
     WriteCraftedPrefix(w, false);

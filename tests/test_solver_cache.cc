@@ -1,6 +1,7 @@
 #include "commute/solver_cache.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -29,9 +30,9 @@ TEST(SolverCacheTest, FirstCallFactorizes) {
       cache.FactorFor(ScaledLaplacian(1.0));
   ASSERT_TRUE(factor.ok());
   ASSERT_NE(*factor, nullptr);
-  EXPECT_EQ(cache.refactorizations(), 1u);
-  EXPECT_EQ(cache.factor_reuses(), 0u);
-  EXPECT_EQ(cache.last_relative_change(), 0.0);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
+  EXPECT_EQ(cache.state().factor_reuses, 0u);
+  EXPECT_EQ(cache.state().last_relative_change, 0.0);
 }
 
 TEST(SolverCacheTest, IdenticalLaplacianReusesFactor) {
@@ -44,18 +45,18 @@ TEST(SolverCacheTest, IdenticalLaplacianReusesFactor) {
       cache.FactorFor(ScaledLaplacian(1.0));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*second, original);
-  EXPECT_EQ(cache.refactorizations(), 1u);
-  EXPECT_EQ(cache.factor_reuses(), 1u);
-  EXPECT_EQ(cache.last_relative_change(), 0.0);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
+  EXPECT_EQ(cache.state().factor_reuses, 1u);
+  EXPECT_EQ(cache.state().last_relative_change, 0.0);
 }
 
 TEST(SolverCacheTest, SmallDriftReusesFactor) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.1)).ok());
-  EXPECT_EQ(cache.factor_reuses(), 1u);
-  EXPECT_EQ(cache.refactorizations(), 1u);
-  EXPECT_NEAR(cache.last_relative_change(), 0.1, 1e-6);
+  EXPECT_EQ(cache.state().factor_reuses, 1u);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
+  EXPECT_NEAR(cache.state().last_relative_change, 0.1, 1e-6);
 }
 
 TEST(SolverCacheTest, DriftExactlyAtThresholdStillReuses) {
@@ -64,18 +65,18 @@ TEST(SolverCacheTest, DriftExactlyAtThresholdStillReuses) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.25)).ok());
-  EXPECT_EQ(cache.factor_reuses(), 1u);
-  EXPECT_EQ(cache.refactorizations(), 1u);
-  EXPECT_NEAR(cache.last_relative_change(), 0.25, 1e-6);
+  EXPECT_EQ(cache.state().factor_reuses, 1u);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
+  EXPECT_NEAR(cache.state().last_relative_change, 0.25, 1e-6);
 }
 
 TEST(SolverCacheTest, LargeDriftRefactorizes) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(2.0)).ok());
-  EXPECT_EQ(cache.factor_reuses(), 0u);
-  EXPECT_EQ(cache.refactorizations(), 2u);
-  EXPECT_NEAR(cache.last_relative_change(), 1.0, 1e-6);
+  EXPECT_EQ(cache.state().factor_reuses, 0u);
+  EXPECT_EQ(cache.state().refactorizations, 2u);
+  EXPECT_NEAR(cache.state().last_relative_change, 1.0, 1e-6);
 }
 
 TEST(SolverCacheTest, RefactorizationResetsTheDriftBaseline) {
@@ -85,46 +86,46 @@ TEST(SolverCacheTest, RefactorizationResetsTheDriftBaseline) {
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(2.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(2.2)).ok());
-  EXPECT_EQ(cache.refactorizations(), 2u);
-  EXPECT_EQ(cache.factor_reuses(), 1u);
-  EXPECT_NEAR(cache.last_relative_change(), 0.1, 1e-6);
+  EXPECT_EQ(cache.state().refactorizations, 2u);
+  EXPECT_EQ(cache.state().factor_reuses, 1u);
+  EXPECT_NEAR(cache.state().last_relative_change, 0.1, 1e-6);
 }
 
 TEST(SolverCacheTest, ZeroThresholdRefactorizesOnAnyChange) {
   CommuteSolverCache cache(0.0);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  EXPECT_EQ(cache.factor_reuses(), 1u);  // exactly identical: change == 0
+  EXPECT_EQ(cache.state().factor_reuses, 1u);  // exactly identical: change == 0
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.000001)).ok());
-  EXPECT_EQ(cache.refactorizations(), 2u);
+  EXPECT_EQ(cache.state().refactorizations, 2u);
 }
 
 TEST(SolverCacheTest, DimensionChangeRefactorizes) {
   CommuteSolverCache cache(10.0);  // threshold so large drift never triggers
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0, 12)).ok());
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0, 16)).ok());
-  EXPECT_EQ(cache.refactorizations(), 2u);
-  EXPECT_EQ(cache.factor_reuses(), 0u);
+  EXPECT_EQ(cache.state().refactorizations, 2u);
+  EXPECT_EQ(cache.state().factor_reuses, 0u);
 }
 
 TEST(SolverCacheTest, ClearDropsFactorAndEmbedding) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  cache.StoreEmbedding(DenseMatrix(12, 4));
+  cache.StoreEmbedding(std::make_shared<const DenseMatrix>(12, 4));
   ASSERT_NE(cache.PreviousEmbedding(12, 4), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.PreviousEmbedding(12, 4), nullptr);
   // Clear also resets the statistics, so the forced refactorization that
   // follows is counted from a clean slate.
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  EXPECT_EQ(cache.refactorizations(), 1u);
-  EXPECT_EQ(cache.factor_reuses(), 0u);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
+  EXPECT_EQ(cache.state().factor_reuses, 0u);
 }
 
 TEST(SolverCacheTest, EmbeddingShapeMismatchReturnsNull) {
   CommuteSolverCache cache;
   EXPECT_EQ(cache.PreviousEmbedding(12, 4), nullptr);
-  cache.StoreEmbedding(DenseMatrix(12, 4));
+  cache.StoreEmbedding(std::make_shared<const DenseMatrix>(12, 4));
   EXPECT_NE(cache.PreviousEmbedding(12, 4), nullptr);
   EXPECT_EQ(cache.PreviousEmbedding(12, 5), nullptr);  // k changed
   EXPECT_EQ(cache.PreviousEmbedding(13, 4), nullptr);  // n changed
@@ -137,19 +138,19 @@ TEST(SolverCacheTest, DimensionChangeKeepsDriftGaugeHonest) {
   // invalidation distinct from drift-triggered refactorizations.
   CommuteSolverCache cache(10.0);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0, 12)).ok());
-  EXPECT_EQ(cache.dimension_invalidations(), 0u);
+  EXPECT_EQ(cache.state().dimension_invalidations, 0u);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0, 16)).ok());
-  EXPECT_EQ(cache.dimension_invalidations(), 1u);
+  EXPECT_EQ(cache.state().dimension_invalidations, 1u);
   // The four appended path nodes contribute their whole degree as change.
-  EXPECT_GT(cache.last_relative_change(), 0.0);
+  EXPECT_GT(cache.state().last_relative_change, 0.0);
 }
 
 TEST(SolverCacheTest, RestoreRejectsNonSquareFactor) {
   CommuteSolverCache cache;
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  CommuteSolverCache::State state = cache.ExportState();
+  CommuteSolverCache::State state = cache.state();
   CsrMatrix rectangular(3, 4, {0, 0, 0, 0}, {}, {});
-  state.factor_lower = rectangular;
+  state.factor = IncompleteCholesky::FromFactor(rectangular, 0.0);
   CommuteSolverCache restored;
   const Status status = restored.RestoreState(std::move(state));
   ASSERT_FALSE(status.ok());
@@ -162,7 +163,7 @@ TEST(SolverCacheTest, RestoreRejectsDiagonalFactorSizeMismatch) {
   // and the next FactorFor indexed the short diagonal out of bounds.
   CommuteSolverCache cache;
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  CommuteSolverCache::State state = cache.ExportState();
+  CommuteSolverCache::State state = cache.state();
   ASSERT_FALSE(state.factor_diagonal.empty());
   state.factor_diagonal.pop_back();
   CommuteSolverCache restored;
@@ -183,17 +184,17 @@ TEST(SolverCacheTest, RestoreRejectsDiagonalWithoutFactor) {
 TEST(SolverCacheTest, RejectedRestoreLeavesCacheUntouched) {
   CommuteSolverCache cache(0.25);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  cache.StoreEmbedding(DenseMatrix(12, 4));
+  cache.StoreEmbedding(std::make_shared<const DenseMatrix>(12, 4));
 
-  CommuteSolverCache::State corrupt = cache.ExportState();
+  CommuteSolverCache::State corrupt = cache.state();
   corrupt.factor_diagonal.pop_back();
   ASSERT_FALSE(cache.RestoreState(std::move(corrupt)).ok());
 
   // The previously cached factor and embedding are still served.
   EXPECT_NE(cache.PreviousEmbedding(12, 4), nullptr);
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0)).ok());
-  EXPECT_EQ(cache.factor_reuses(), 1u);
-  EXPECT_EQ(cache.refactorizations(), 1u);
+  EXPECT_EQ(cache.state().factor_reuses, 1u);
+  EXPECT_EQ(cache.state().refactorizations, 1u);
 }
 
 TEST(SolverCacheTest, RestoredStateOfOtherDimensionIsGuarded) {
@@ -203,12 +204,12 @@ TEST(SolverCacheTest, RestoredStateOfOtherDimensionIsGuarded) {
   CommuteSolverCache cache;
   ASSERT_TRUE(cache.FactorFor(ScaledLaplacian(1.0, 12)).ok());
   CommuteSolverCache restored;
-  ASSERT_TRUE(restored.RestoreState(cache.ExportState()).ok());
+  ASSERT_TRUE(restored.RestoreState(cache.state()).ok());
   ASSERT_TRUE(restored.FactorFor(ScaledLaplacian(1.0, 16)).ok());
-  EXPECT_EQ(restored.dimension_invalidations(), 1u);
+  EXPECT_EQ(restored.state().dimension_invalidations, 1u);
   // The exported counter (1 refactorization) carries over; the dimension
   // invalidation adds the second.
-  EXPECT_EQ(restored.refactorizations(), 2u);
+  EXPECT_EQ(restored.state().refactorizations, 2u);
 }
 
 TEST(SolverCacheTest, IncrementalRhsShapeGating) {
@@ -229,20 +230,20 @@ TEST(SolverCacheTest, IncrementalRhsShapeGating) {
 TEST(SolverCacheTest, IncrementalAccountingAndChurnAdmission) {
   CommuteSolverCache cache;
   EXPECT_TRUE(cache.AdmitChurn(0.01, 0.25));
-  EXPECT_EQ(cache.last_churn_ratio(), 0.01);
-  EXPECT_EQ(cache.churn_rejections(), 0u);
+  EXPECT_EQ(cache.state().last_churn_ratio, 0.01);
+  EXPECT_EQ(cache.state().churn_rejections, 0u);
   EXPECT_FALSE(cache.AdmitChurn(0.5, 0.25));
-  EXPECT_EQ(cache.last_churn_ratio(), 0.5);
-  EXPECT_EQ(cache.churn_rejections(), 1u);
+  EXPECT_EQ(cache.state().last_churn_ratio, 0.5);
+  EXPECT_EQ(cache.state().churn_rejections, 1u);
   // Threshold is inclusive: ratio == threshold is admitted.
   EXPECT_TRUE(cache.AdmitChurn(0.25, 0.25));
 
   cache.RecordIncrementalBuild(2, 8);
   cache.RecordIncrementalBuild(0, 8);
-  EXPECT_EQ(cache.incremental_builds(), 2u);
-  EXPECT_EQ(cache.rhs_resolved(), 2u);
-  EXPECT_EQ(cache.rhs_reused(), 14u);
-  EXPECT_EQ(cache.last_resolved_fraction(), 0.0);
+  EXPECT_EQ(cache.state().incremental_builds, 2u);
+  EXPECT_EQ(cache.state().rhs_resolved, 2u);
+  EXPECT_EQ(cache.state().rhs_reused, 14u);
+  EXPECT_EQ(cache.state().last_resolved_fraction, 0.0);
 }
 
 TEST(SolverCacheTest, IncrementalStateRoundTripsThroughExportRestore) {
@@ -254,15 +255,15 @@ TEST(SolverCacheTest, IncrementalStateRoundTripsThroughExportRestore) {
   EXPECT_FALSE(cache.AdmitChurn(0.9, 0.25));
 
   CommuteSolverCache restored;
-  ASSERT_TRUE(restored.RestoreState(cache.ExportState()).ok());
+  ASSERT_TRUE(restored.RestoreState(cache.state()).ok());
   ASSERT_NE(restored.IncrementalRhs(6, 3), nullptr);
   EXPECT_EQ((*restored.IncrementalRhs(6, 3))(5, 2), -1.25);
-  EXPECT_EQ(restored.incremental_builds(), 1u);
-  EXPECT_EQ(restored.rhs_resolved(), 1u);
-  EXPECT_EQ(restored.rhs_reused(), 2u);
-  EXPECT_NEAR(restored.last_resolved_fraction(), 1.0 / 3.0, 1e-15);
-  EXPECT_EQ(restored.last_churn_ratio(), 0.9);
-  EXPECT_EQ(restored.churn_rejections(), 1u);
+  EXPECT_EQ(restored.state().incremental_builds, 1u);
+  EXPECT_EQ(restored.state().rhs_resolved, 1u);
+  EXPECT_EQ(restored.state().rhs_reused, 2u);
+  EXPECT_NEAR(restored.state().last_resolved_fraction, 1.0 / 3.0, 1e-15);
+  EXPECT_EQ(restored.state().last_churn_ratio, 0.9);
+  EXPECT_EQ(restored.state().churn_rejections, 1u);
 }
 
 TEST(SolverCacheTest, StoredEmbeddingRoundTrips) {
@@ -270,8 +271,9 @@ TEST(SolverCacheTest, StoredEmbeddingRoundTrips) {
   DenseMatrix z(2, 3);
   z(0, 0) = 1.5;
   z(1, 2) = -2.25;
-  cache.StoreEmbedding(z);
-  const DenseMatrix* stored = cache.PreviousEmbedding(2, 3);
+  cache.StoreEmbedding(std::make_shared<const DenseMatrix>(z));
+  const std::shared_ptr<const DenseMatrix> stored =
+      cache.PreviousEmbedding(2, 3);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ((*stored)(0, 0), 1.5);
   EXPECT_EQ((*stored)(1, 2), -2.25);

@@ -8,8 +8,9 @@
 // drop; see the `server.queue_rejections` metric); interval checkpoints use
 // the standard v1/v2/v3 monitor format wrapped in a per-tenant envelope.
 //
-//   cad_server --socket /tmp/cad.sock --data_dir /var/lib/cad \
-//              --window 1 --checkpoint_every 8 --workers 4
+// For example (one command line, wrapped here):
+//   cad_server --socket /tmp/cad.sock --data_dir /var/lib/cad --window 1
+//              --checkpoint_every 8 --workers 4
 //
 // Heartbeats, metrics, and anomaly-report tails are served over the same
 // socket (kStats / kMetrics / kReport) from the src/obs registry, including

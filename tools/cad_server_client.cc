@@ -4,8 +4,8 @@
 // One invocation performs one action:
 //
 //   cad_server_client --socket /tmp/cad.sock --ping
-//   cad_server_client --socket /tmp/cad.sock --tenant alpha \
-//       --events events.txt --finish          # open + stream + finish
+//   cad_server_client --socket /tmp/cad.sock --tenant alpha
+//       --events events.txt --finish          # one line: open+stream+finish
 //   cad_server_client --socket /tmp/cad.sock --stats [--tenant alpha]
 //   cad_server_client --socket /tmp/cad.sock --report --tenant alpha
 //   cad_server_client --socket /tmp/cad.sock --metrics
